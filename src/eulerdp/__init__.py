@@ -8,7 +8,7 @@ Any number of rectangle queries can then be answered from the released
 structure at no further privacy cost.
 """
 
-from .geometry import ConvexBody, clip_to_rect, convex_hull, diameter
+from .geometry import ConvexBody, convex_hull, diameter
 from .grid import ComponentId, ComponentKind, GridPartition, Orientation, build_partition
 from .histogram import (
     BodyValidationError,
@@ -53,7 +53,6 @@ from .privacy import (
     global_sensitivity,
     laplace_inverse_cdf,
     perturb,
-    sample_laplace,
     sensitivity_closed_form,
     utility_bound_dp,
     utility_bound_end_to_end,
@@ -63,7 +62,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     MetricsReport,
-    compare_histograms,
     config_from_mapping,
     load_experiment_bodies,
     resolve_grid_n,
@@ -104,8 +102,6 @@ __all__ = [
     "build_lad_program",
     "build_linf_program",
     "build_partition",
-    "clip_to_rect",
-    "compare_histograms",
     "config_from_mapping",
     "convex_hull",
     "derive_seed",
@@ -127,7 +123,6 @@ __all__ = [
     "resolve_grid_n",
     "round_counts",
     "run_query_experiment",
-    "sample_laplace",
     "sensitivity_closed_form",
     "shapes_for_percent",
     "solve",

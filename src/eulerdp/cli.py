@@ -19,6 +19,7 @@ import sys
 from . import fileio
 from .grid import build_partition
 from .harness import (
+    INGEST_TOL,
     ConfigError,
     config_from_mapping,
     resolve_grid_n,
@@ -37,8 +38,6 @@ from .inference import build_constraints, infer
 from .ingest import IngestConfig, ingest_tracks
 from .privacy import PrivacyParams, RandomSource, perturb
 from .rounding import repair, round_counts, verify_violations
-
-INGEST_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):

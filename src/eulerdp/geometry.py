@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComponentId, ComponentKind, GridPartition
-
 
 @dataclass(frozen=True)
 class ConvexBody:
@@ -134,95 +132,3 @@ def intersects_boxes(body: ConvexBody, boxes: np.ndarray, tol: float = 0.0) -> n
         if not alive.any():
             break
     return alive
-
-
-def _intersects_component(
-    body: ConvexBody, p: GridPartition, cid: ComponentId, kind: ComponentKind, tol: float
-) -> bool:
-    if cid.kind is not kind:
-        raise ValueError(f"expected a {kind.value} component, got {cid.kind.value}")
-    box = np.array([p.box_of(cid)])
-    return bool(intersects_boxes(body, box, tol)[0])
-
-
-def intersects_face(body: ConvexBody, p: GridPartition, f: ComponentId, tol: float = 0.0) -> bool:
-    """Does the body meet the closed cell of face ``f``?"""
-    return _intersects_component(body, p, f, ComponentKind.FACE, tol)
-
-
-def intersects_edge(body: ConvexBody, p: GridPartition, e: ComponentId, tol: float = 0.0) -> bool:
-    """Does the body meet the closed segment of interior edge ``e``?"""
-    return _intersects_component(body, p, e, ComponentKind.EDGE, tol)
-
-
-def intersects_vertex(body: ConvexBody, p: GridPartition, v: ComponentId, tol: float = 0.0) -> bool:
-    """Does the body contain the grid point of interior vertex ``v``?"""
-    return _intersects_component(body, p, v, ComponentKind.VERTEX, tol)
-
-
-def _contains_point(body: ConvexBody, q: tuple[float, float], eps: float) -> bool:
-    pts = body.vertices
-    k = len(pts)
-    if k == 1:
-        return abs(pts[0, 0] - q[0]) <= eps and abs(pts[0, 1] - q[1]) <= eps
-    if k == 2:
-        a, b = pts
-        if abs(_cross(a, b, q)) > eps * max(1.0, float(np.abs(pts).max())):
-            return False
-        return (
-            min(a[0], b[0]) - eps <= q[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= q[1] <= max(a[1], b[1]) + eps
-        )
-    for i in range(k):
-        if _cross(pts[i], pts[(i + 1) % k], q) < -eps:
-            return False
-    return True
-
-
-def _segment_clip_params(p0, p1, rect) -> tuple[float, float] | None:
-    """Liang-Barsky parameter interval of segment p0->p1 inside rect."""
-    xlo, xhi, ylo, yhi = rect
-    t0, t1 = 0.0, 1.0
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    for delta, lo, hi, start in ((dx, xlo, xhi, p0[0]), (dy, ylo, yhi, p0[1])):
-        if delta == 0.0:
-            if start < lo or start > hi:
-                return None
-            continue
-        ta, tb = (lo - start) / delta, (hi - start) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return None
-    return t0, t1
-
-
-def clip_to_rect(body: ConvexBody, rect: tuple[float, float, float, float]) -> ConvexBody | None:
-    """Intersection of the body with a closed axis-aligned rectangle, or None
-    when the two are disjoint. The result may be degenerate (edge or corner
-    contact collapses to a segment or point)."""
-    xlo, xhi, ylo, yhi = rect
-    pts: list[tuple[float, float]] = []
-    for x, y in body.vertices:
-        if xlo <= x <= xhi and ylo <= y <= yhi:
-            pts.append((float(x), float(y)))
-    for corner in ((xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)):
-        if _contains_point(body, corner, 0.0):
-            pts.append(corner)
-    verts = body.vertices
-    k = len(verts)
-    if k >= 2:
-        for i in range(k if k > 2 else 1):
-            p0, p1 = verts[i], verts[(i + 1) % k]
-            span = _segment_clip_params(p0, p1, rect)
-            if span is None:
-                continue
-            for t in span:
-                pts.append((
-                    float(p0[0] + t * (p1[0] - p0[0])),
-                    float(p0[1] + t * (p1[1] - p0[1])),
-                ))
-    if not pts:
-        return None
-    return convex_hull(np.array(pts))

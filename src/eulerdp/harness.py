@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import ConvexBody
 from .grid import build_partition
-from .histogram import EulerHistogram, HistogramState, QueryRegion, build, query
+from .histogram import EulerHistogram, QueryRegion, build, query
 from .inference import ConstraintSet, build_constraints, infer
 from .ingest import IngestConfig, generate_synthetic
 from .privacy import PrivacyParams, RandomSource, derive_seed, perturb
@@ -415,33 +415,3 @@ def _echo(config: ExperimentConfig) -> list[tuple[str, str]]:
     rows.append(("grid_n", str(config.grid_n)))
     return rows
 
-
-def compare_histograms(hists: list[EulerHistogram]) -> list[tuple[str, float, float]]:
-    """L1 distance of each histogram to the first (the reference), plus the
-    ratio of that distance to the noisy histogram's distance.
-
-    The denominator comes from the first NOISY entry, or the first comparand
-    when none is noisy. Equal numerator and denominator give ratio 1 even at
-    zero distance.
-    """
-    if len(hists) < 2:
-        raise ValueError("need a reference histogram and at least one comparand")
-    ref = hists[0]
-    for h in hists[1:]:
-        if h.partition != ref.partition:
-            raise ValueError("histograms use different partitions")
-    l1s = [float(np.abs(ref.counts - h.counts).sum()) for h in hists[1:]]
-    dp_idx = next(
-        (i for i, h in enumerate(hists[1:]) if h.state is HistogramState.NOISY), 0
-    )
-    dp_diff = l1s[dp_idx]
-    rows = []
-    for h, l1 in zip(hists[1:], l1s):
-        if l1 == dp_diff:
-            ratio = 1.0
-        elif dp_diff == 0:
-            ratio = float("inf")
-        else:
-            ratio = l1 / dp_diff
-        rows.append((h.state.value, l1, ratio))
-    return rows

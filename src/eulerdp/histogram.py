@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ConvexBody, clip_to_rect, diameter, intersects_boxes
+from .geometry import ConvexBody, diameter, intersects_boxes
 from .grid import GridPartition
 
 
@@ -112,17 +112,13 @@ def validate_bodies(
     bodies: list[ConvexBody],
     p: GridPartition,
     diameter_bound: float | None = None,
-    clip: bool = False,
     tol: float = 0.0,
 ) -> tuple[list[ConvexBody], list[tuple[int, str]]]:
     """Check bodies against the area and the diameter bound.
 
     Returns (accepted, rejected) where rejected holds (input index, reason).
-    With ``clip=True`` bodies straddling the area border are clipped to it
-    first; bodies entirely outside are rejected either way.
     """
-    area = p.area_box()
-    xlo, xhi, ylo, yhi = area
+    xlo, xhi, ylo, yhi = p.area_box()
     kept: list[ConvexBody] = []
     rejected: list[tuple[int, str]] = []
     for i, body in enumerate(bodies):
@@ -131,14 +127,8 @@ def validate_bodies(
             bx0 >= xlo - tol and bx1 <= xhi + tol and by0 >= ylo - tol and by1 <= yhi + tol
         )
         if not inside:
-            if not clip:
-                rejected.append((i, "extends outside the area rectangle"))
-                continue
-            clipped = clip_to_rect(body, area)
-            if clipped is None:
-                rejected.append((i, "lies entirely outside the area rectangle"))
-                continue
-            body = clipped
+            rejected.append((i, "extends outside the area rectangle"))
+            continue
         if diameter_bound is not None and diameter(body) > diameter_bound + tol:
             rejected.append((i, f"diameter exceeds the bound {diameter_bound}"))
             continue
@@ -159,7 +149,7 @@ def build(
     one report per body. Each body only touches components near its bounding
     box, so the scan is windowed rather than exhaustive.
     """
-    _, rejected = validate_bodies(bodies, p, diameter_bound, clip=False, tol=tol)
+    _, rejected = validate_bodies(bodies, p, diameter_bound, tol=tol)
     if rejected:
         raise BodyValidationError(rejected)
     counts = np.zeros(p.size, dtype=np.float64)

@@ -110,17 +110,28 @@ def build_constraints(p: GridPartition) -> ConstraintSet:
     return ConstraintSet(p, c1, c2, c3)
 
 
+# Solver dust tolerance for real-valued counts: a row whose excess stays at
+# or below this still counts as satisfied.
+REAL_TOL = 1e-7
+
+
 @dataclass
 class LinearProgram:
-    """Minimize c @ x s.t. a_ub @ x <= b_ub, x >= 0."""
+    """Minimize c @ x s.t. a_ub @ x <= b_ub, x >= 0.
+
+    Rows are the lower residual rows of every component, then the upper
+    ones, then the rows of ``constraints`` family by family.
+    """
 
     c: np.ndarray
     a_ub: sp.csr_matrix
     b_ub: np.ndarray
-    var_labels: list[str]
-    row_labels: list[str]
     kind: str
-    n_components: int
+    constraints: ConstraintSet
+
+    @property
+    def n_components(self) -> int:
+        return self.constraints.partition.size
 
     @property
     def n_vars(self) -> int:
@@ -139,38 +150,24 @@ class SolveReport:
     wall_time: float
 
 
-def _component_labels(p: GridPartition) -> list[str]:
-    return [p.component_at(i).label() for i in range(p.size)]
+# C3 row coefficients in ConstraintSet.c3 column order: vertex, 4 faces, 4 edges.
+_C3_COEFS = np.array([-1.0] * 5 + [1.0] * 4)
 
 
 def _constraint_rows(
     cs: ConstraintSet, row_offset: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[str]]:
-    p = cs.partition
-    labels = _component_labels(p)
-    rows, cols, vals = [], [], []
-    names: list[str] = []
-    r = row_offset
-    for edge, fc in cs.c1:
-        rows += [r, r]
-        cols += [int(edge), int(fc)]
-        vals += [1.0, -1.0]
-        names.append(f"c1_{labels[edge]}_{labels[fc]}")
-        r += 1
-    for vx, edge in cs.c2:
-        rows += [r, r]
-        cols += [int(vx), int(edge)]
-        vals += [1.0, -1.0]
-        names.append(f"c2_{labels[vx]}_{labels[edge]}")
-        r += 1
-    for row in cs.c3:
-        vx = int(row[0])
-        rows += [r] * 9
-        cols += [int(j) for j in row[1:5]] + [int(j) for j in row[5:9]] + [vx]
-        vals += [-1.0] * 4 + [1.0] * 4 + [-1.0]
-        names.append(f"c3_{labels[vx]}")
-        r += 1
-    return np.array(rows), np.array(cols), np.array(vals), r, names
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C1 then C2 rows ``x[a] - x[b] <= 0``, then C3 rows, numbered from
+    ``row_offset``."""
+    pairs = np.concatenate([cs.c1, cs.c2])
+    k = len(pairs)
+    rows = np.concatenate([
+        np.repeat(np.arange(row_offset, row_offset + k), 2),
+        np.repeat(np.arange(row_offset + k, row_offset + k + len(cs.c3)), 9),
+    ])
+    cols = np.concatenate([pairs.ravel(), cs.c3.ravel()])
+    vals = np.concatenate([np.tile([1.0, -1.0], k), np.tile(_C3_COEFS, len(cs.c3))])
+    return rows, cols, vals
 
 
 def _residual_rows(n: int, resid_col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,33 +187,25 @@ def _residual_rows(n: int, resid_col: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _assemble(
     hn: EulerHistogram, cs: ConstraintSet, kind: str
 ) -> LinearProgram:
-    p = cs.partition
-    n = p.size
-    comp_labels = _component_labels(p)
+    n = cs.partition.size
     if kind == "l1":
         n_vars = 2 * n
         resid_col = np.arange(n, 2 * n)
         c = np.concatenate([np.zeros(n), np.ones(n)])
-        var_labels = [f"x_{lab}" for lab in comp_labels] + [f"r_{lab}" for lab in comp_labels]
     else:
         n_vars = n + 1
         resid_col = np.full(n, n)
         c = np.concatenate([np.zeros(n), [1.0]])
-        var_labels = [f"x_{lab}" for lab in comp_labels] + ["r_max"]
 
     r_rows, r_cols, r_vals = _residual_rows(n, resid_col)
-    c_rows, c_cols, c_vals, total_rows, c_names = _constraint_rows(cs, 2 * n)
+    c_rows, c_cols, c_vals = _constraint_rows(cs, 2 * n)
+    total_rows = 2 * n + sum(cs.counts_by_family)
     rows = np.concatenate([r_rows, c_rows])
     cols = np.concatenate([r_cols, c_cols])
     vals = np.concatenate([r_vals, c_vals])
     a_ub = sp.coo_matrix((vals, (rows, cols)), shape=(total_rows, n_vars)).tocsr()
     b_ub = np.concatenate([-hn.counts, hn.counts, np.zeros(total_rows - 2 * n)])
-    row_labels = (
-        [f"lo_{lab}" for lab in comp_labels]
-        + [f"hi_{lab}" for lab in comp_labels]
-        + c_names
-    )
-    return LinearProgram(c, a_ub, b_ub, var_labels, row_labels, kind, n)
+    return LinearProgram(c, a_ub, b_ub, kind, cs)
 
 
 def build_lad_program(hn: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
@@ -277,14 +266,39 @@ def infer(
         # The polytope always contains the raw histogram, so this is a bug,
         # not a data problem.
         raise RuntimeError(f"inference solve failed with status {report.status}")
+    violated = cs.violation_counts(counts, REAL_TOL)
+    if violated != (0, 0, 0):
+        # e.g. an iteration-limit stop: the counts are not CONSISTENT.
+        raise RuntimeError(
+            f"inference solve ended with status {report.status} and "
+            f"C1/C2/C3 rows still violated: {violated}"
+        )
     return hn.with_counts(counts, HistogramState.CONSISTENT), report
+
+
+def _lp_names(lp: LinearProgram) -> tuple[list[str], list[str]]:
+    """Variable and row names, in column and row order."""
+    cs = lp.constraints
+    p = cs.partition
+    comp = [p.component_at(i).label() for i in range(p.size)]
+    resid = [f"r_{lab}" for lab in comp] if lp.kind == "l1" else ["r_max"]
+    var_names = [f"x_{lab}" for lab in comp] + resid
+    row_names = (
+        [f"lo_{lab}" for lab in comp]
+        + [f"hi_{lab}" for lab in comp]
+        + [f"c1_{comp[e]}_{comp[f]}" for e, f in cs.c1.tolist()]
+        + [f"c2_{comp[v]}_{comp[e]}" for v, e in cs.c2.tolist()]
+        + [f"c3_{comp[v]}" for v in cs.c3[:, 0].tolist()]
+    )
+    return var_names, row_names
 
 
 def write_lp_text(lp: LinearProgram) -> str:
     """Serialize in LP interchange format (CPLEX dialect). Deterministic:
     fixed row order, repr-formatted coefficients."""
+    var_names, row_names = _lp_names(lp)
     lines = [f"\\ kind={lp.kind} components={lp.n_components}", "Minimize"]
-    obj_terms = [lp.var_labels[j] for j in np.nonzero(lp.c)[0]]
+    obj_terms = [var_names[j] for j in np.nonzero(lp.c)[0]]
     for i in range(0, max(len(obj_terms), 1), 8):
         chunk = " + ".join(obj_terms[i : i + 8])
         prefix = " obj: " if i == 0 else "      + "
@@ -295,12 +309,12 @@ def write_lp_text(lp: LinearProgram) -> str:
     for r in range(lp.n_rows):
         terms = []
         for k in range(indptr[r], indptr[r + 1]):
-            coef, var = data[k], lp.var_labels[indices[k]]
+            coef, var = data[k], var_names[indices[k]]
             sign = "-" if coef < 0 else "+"
             mag = "" if abs(coef) == 1.0 else f"{abs(coef)!r} "
             terms.append(f"{sign} {mag}{var}")
         body = " ".join(terms).removeprefix("+ ")
-        lines.append(f" {lp.row_labels[r]}: {body} <= {lp.b_ub[r]!r}")
+        lines.append(f" {row_names[r]}: {body} <= {lp.b_ub[r]!r}")
     lines.append("Bounds")
     lines.append("\\ all variables >= 0 (LP-format default)")
     lines.append("End")

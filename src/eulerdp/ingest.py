@@ -70,15 +70,12 @@ class IngestConfig:
     k: int
     center: tuple[float, float] | None = None
     origin: tuple[float, float] = (0.0, 0.0)
-    bandwidth: str = "scott"
 
     def __post_init__(self):
         if not (self.area_side > 0 and self.diameter_bound > 0):
             raise IngestError("area_side and diameter_bound must be positive")
         if self.k < 1:
             raise IngestError("k must be >= 1")
-        if self.bandwidth != "scott":
-            raise IngestError(f"unknown bandwidth rule {self.bandwidth!r}")
         if self.center is not None:
             lat, lon = self.center
             if not (abs(lat) <= 90 and abs(lon) <= 180):
@@ -112,8 +109,9 @@ def project(track: UserTrack, config: IngestConfig) -> np.ndarray:
     return kept
 
 
-def _bandwidth_matrix(points: np.ndarray) -> np.ndarray:
-    """Scott's rule: sample covariance scaled by n^(-1/(d+4)), d=2.
+def _scott_matrix(points: np.ndarray) -> np.ndarray:
+    """Kernel covariance by Scott's rule: sample covariance scaled by
+    n^(-1/(d+4)), d=2.
 
     Degenerate covariance (repeated or collinear points) gets a small ridge
     so the density stays evaluable.
@@ -137,13 +135,11 @@ def _bandwidth_matrix(points: np.ndarray) -> np.ndarray:
                 raise
 
 
-def kde_density(points: np.ndarray, at: np.ndarray, bandwidth: str = "scott") -> np.ndarray:
+def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Gaussian-kernel density of ``points`` evaluated at rows of ``at``."""
-    if bandwidth != "scott":
-        raise IngestError(f"unknown bandwidth rule {bandwidth!r}")
     pts = np.asarray(points, dtype=np.float64)
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
-    h = _bandwidth_matrix(pts)
+    h = _scott_matrix(pts)
     h_inv = np.linalg.inv(h)
     norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
     out = np.empty(len(at))
@@ -156,14 +152,14 @@ def kde_density(points: np.ndarray, at: np.ndarray, bandwidth: str = "scott") ->
     return out
 
 
-def kde_mode(points: np.ndarray, bandwidth: str = "scott") -> np.ndarray:
+def kde_mode(points: np.ndarray) -> np.ndarray:
     """Densest input point: argmax of the KDE over the data points themselves."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise IngestError("kde_mode expects a non-empty (k, 2) array")
     if len(pts) == 1:
         return pts[0].copy()
-    dens = kde_density(pts, pts, bandwidth)
+    dens = kde_density(pts, pts)
     return pts[int(np.argmax(dens))].copy()
 
 
@@ -186,7 +182,7 @@ def _trim_to_diameter(ordered: np.ndarray, bound: float) -> np.ndarray:
 def extract_body(track: UserTrack, config: IngestConfig) -> ConvexBody:
     """Project, locate the mode, keep k nearest, trim to the diameter bound, hull."""
     planar = project(track, config)
-    mode = kde_mode(planar, config.bandwidth)
+    mode = kde_mode(planar)
     dist2 = ((planar - mode) ** 2).sum(axis=1)
     order = np.argsort(dist2, kind="stable")
     nearest = planar[order[: config.k]]

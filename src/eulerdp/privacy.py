@@ -57,15 +57,12 @@ class RandomSource:
     """Deterministic counter-based noise stream for one seed.
 
     ``uniforms_at`` / ``laplace_at`` address draws by absolute counter, which
-    is what perturbation uses (counter = component dense index). ``laplace``
-    draws sequentially from an internal cursor for callers that just need a
-    stream of variates.
+    is what perturbation uses (counter = component dense index).
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK
         self._base = np.uint64(self.seed)
-        self._cursor = 0
 
     def uniforms_at(self, start: int, count: int) -> np.ndarray:
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -78,11 +75,6 @@ class RandomSource:
             raise ValueError("Laplace scale must be non-negative")
         return laplace_inverse_cdf(self.uniforms_at(start, count), lam)
 
-    def laplace(self, lam: float, count: int) -> np.ndarray:
-        out = self.laplace_at(lam, self._cursor, count)
-        self._cursor += count
-        return out
-
 
 class ZeroNoiseSource:
     """Stub source drawing exact zeros; used to exercise pipelines noise-free."""
@@ -92,14 +84,6 @@ class ZeroNoiseSource:
 
     def laplace_at(self, lam: float, start: int, count: int) -> np.ndarray:
         return np.zeros(count)
-
-    def laplace(self, lam: float, count: int) -> np.ndarray:
-        return np.zeros(count)
-
-
-def sample_laplace(lam: float, rng: RandomSource) -> float:
-    """One Laplace(0, lam) draw from the source's cursor."""
-    return float(rng.laplace(lam, 1)[0])
 
 
 def _snapped_ceil(ratio: float) -> int:

@@ -26,9 +26,7 @@ from .histogram import (
     QueryRegion,
     min_rectangle_count,
 )
-from .inference import ConstraintSet, build_constraints
-
-REAL_TOL = 1e-7
+from .inference import REAL_TOL, ConstraintSet, build_constraints
 
 
 def round_counts(h: EulerHistogram) -> EulerHistogram:

@@ -1,4 +1,4 @@
-"""Convex bodies: hulls, diameter, intersection predicates, clipping.
+"""Convex bodies: hulls, diameter, intersection predicates.
 
 Exact comparisons against the conftest oracles are legitimate because test
 inputs sit on a dyadic lattice: every cross product and dot product below is
@@ -14,14 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import body_intersects_box, lattice_body, point_in_convex
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
-from eulerdp.geometry import (
-    clip_to_rect,
-    intersects_boxes,
-    intersects_edge,
-    intersects_face,
-    intersects_vertex,
-)
-from eulerdp.grid import face, hedge, vedge, vertex
+from eulerdp.geometry import intersects_boxes
+from eulerdp.grid import face, hedge, vertex
 
 lattice_coord = st.integers(min_value=0, max_value=4096).map(lambda k: k / 1024.0)
 lattice_point = st.tuples(lattice_coord, lattice_coord)
@@ -125,62 +119,22 @@ def test_component_predicates_and_monotonicity():
     four edges. Holds by box containment, checked empirically here."""
     p = build_partition(4.0, 4)
     rng = np.random.default_rng(99)
+
+    def meets(body, cid):
+        return bool(intersects_boxes(body, np.array([p.box_of(cid)]))[0])
+
     hits = 0
     for _ in range(200):
         body = lattice_body(rng, 4.0)
         for r in range(3):
             for c in range(4):
-                if intersects_edge(body, p, hedge(r, c)):
+                if meets(body, hedge(r, c)):
                     hits += 1
-                    assert intersects_face(body, p, face(r, c))
-                    assert intersects_face(body, p, face(r + 1, c))
+                    assert meets(body, face(r, c))
+                    assert meets(body, face(r + 1, c))
         for r in range(3):
             for c in range(3):
-                if intersects_vertex(body, p, vertex(r, c)):
+                if meets(body, vertex(r, c)):
                     for e in p.incident_edges(vertex(r, c)):
-                        assert intersects_edge(body, p, e)
+                        assert meets(body, e)
     assert hits > 50  # the sweep must actually exercise the implication
-
-
-def test_component_predicates_reject_wrong_kind():
-    p = build_partition(4.0, 4)
-    body = ConvexBody(np.array([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        intersects_face(body, p, hedge(0, 0))
-    with pytest.raises(ValueError):
-        intersects_edge(body, p, face(0, 0))
-    with pytest.raises(ValueError):
-        intersects_vertex(body, p, vedge(0, 0))
-
-
-def test_clip_triangle_to_unit_square():
-    tri = ConvexBody(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-    got = clip_to_rect(tri, (0.0, 1.0, 0.0, 1.0))
-    assert got is not None
-    assert set(map(tuple, got.vertices)) == {(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.0, 1.0)}
-
-
-def test_clip_edge_cases():
-    tri = ConvexBody(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-    assert clip_to_rect(tri, (5.0, 6.0, 5.0, 6.0)) is None
-    inside = clip_to_rect(tri, (-1.0, 3.0, -1.0, 3.0))
-    assert set(map(tuple, inside.vertices)) == set(map(tuple, tri.vertices))
-    corner = clip_to_rect(tri, (2.0, 3.0, 0.0, 1.0))  # touches only at (2, 0)
-    assert corner is not None and corner.vertices.shape == (1, 2)
-    assert tuple(corner.vertices[0]) == (2.0, 0.0)
-
-
-@given(st.lists(lattice_point, min_size=1, max_size=8))
-@settings(max_examples=100)
-def test_clip_agrees_with_intersection_predicate(pts):
-    body = convex_hull(pts)
-    rect = (1.0, 3.0, 1.0, 3.0)
-    clipped = clip_to_rect(body, rect)
-    hit = bool(intersects_boxes(body, np.array([rect]))[0])
-    assert (clipped is not None) == hit
-    if clipped is not None:
-        # clip points come from float interpolation; allow 1 ulp of dust
-        eps = 1e-12
-        for v in clipped.vertices:
-            assert rect[0] - eps <= v[0] <= rect[1] + eps
-            assert rect[2] - eps <= v[1] <= rect[3] + eps

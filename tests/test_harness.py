@@ -4,26 +4,14 @@ from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
 from eulerdp import (
     ConfigError,
-    EulerHistogram,
     ExperimentConfig,
-    HistogramState,
-    PrivacyParams,
-    RandomSource,
     ZeroNoiseSource,
-    build,
-    build_partition,
-    compare_histograms,
     config_from_mapping,
-    infer,
-    perturb,
-    repair,
     resolve_grid_n,
-    round_counts,
     run_query_experiment,
     shapes_for_percent,
     write_metrics,
@@ -224,49 +212,3 @@ def test_write_metrics_layout():
     assert "# columns: qr\talgorithm\tmedian_relative_error\tsamples\n" in text
     line = next(l for l in text.splitlines() if l.startswith("100%\tDP"))
     assert line == "100%\tDP\t0\t4"
-
-
-def _pipeline_histograms(seed=3):
-    rng = np.random.default_rng(2)
-    p = build_partition(5.0, 5)
-    from conftest import lattice_body
-
-    bodies = [lattice_body(rng, 5.0) for _ in range(30)]
-    raw = build(bodies, p)
-    noisy = perturb(raw, PrivacyParams.for_partition(1.0, 1.0, p), RandomSource(seed))
-    consistent, _ = infer(noisy)
-    released, _ = repair(round_counts(consistent))
-    return raw, noisy, consistent, released
-
-
-def test_compare_histograms_pipeline():
-    raw, noisy, consistent, released = _pipeline_histograms()
-    rows = compare_histograms([raw, noisy, consistent, released])
-    assert [r[0] for r in rows] == ["noisy", "consistent", "rounded"]
-    noisy_l1 = rows[0][1]
-    assert rows[0][2] == 1.0 and noisy_l1 > 0
-    # optimality puts the consistent histogram within 2x of the noise in L1
-    assert rows[1][2] <= 2.0 + 1e-9
-    assert rows[2][1] >= 0.0 and np.isfinite(rows[2][2])
-
-
-def test_compare_histograms_identity_and_rules():
-    raw, noisy, consistent, _ = _pipeline_histograms()
-    rows = compare_histograms([raw, raw.with_counts(raw.counts, HistogramState.RAW)])
-    assert rows == [("raw", 0.0, 1.0)]  # 0/0 reads as ratio 1
-    # no NOISY entry: the first comparand is the denominator
-    rows = compare_histograms([raw, consistent, consistent])
-    assert rows[0][2] == 1.0 and rows[1][2] == 1.0
-    with pytest.raises(ValueError):
-        compare_histograms([raw])
-    other = EulerHistogram(build_partition(4.0, 4), np.zeros(49), HistogramState.RAW)
-    with pytest.raises(ValueError):
-        compare_histograms([raw, other])
-
-
-def test_compare_histograms_infinite_ratio():
-    raw, *_ = _pipeline_histograms()
-    bumped = raw.with_counts(raw.counts + 1.0, HistogramState.RAW)
-    rows = compare_histograms([raw, raw.with_counts(raw.counts, HistogramState.RAW), bumped])
-    assert rows[0][1] == 0.0 and rows[0][2] == 1.0
-    assert rows[1][2] == float("inf")

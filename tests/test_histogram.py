@@ -160,7 +160,7 @@ def test_query_return_types():
     assert isinstance(query(hr, QueryRegion(0, 0, 0, 0)), int)
 
 
-def test_validate_bodies_rejects_and_clips():
+def test_validate_bodies_rejects_outside_and_oversized():
     p = build_partition(4.0, 4)
     inside = convex_hull([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)])
     straddle = convex_hull([(3.0, 3.0), (5.0, 3.0), (5.0, 5.0), (3.0, 5.0)])
@@ -168,11 +168,6 @@ def test_validate_bodies_rejects_and_clips():
 
     kept, rejected = validate_bodies([inside, straddle, outside], p)
     assert len(kept) == 1 and [i for i, _ in rejected] == [1, 2]
-
-    kept, rejected = validate_bodies([inside, straddle, outside], p, clip=True)
-    assert len(kept) == 2 and [i for i, _ in rejected] == [2]
-    clipped = kept[1]
-    assert set(map(tuple, clipped.vertices)) == {(3.0, 3.0), (4.0, 3.0), (4.0, 4.0), (3.0, 4.0)}
 
     kept, rejected = validate_bodies([inside], p, diameter_bound=1.0)
     assert not kept and "diameter" in rejected[0][1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from eulerdp import (
     HistogramState,
     PrivacyParams,
     RandomSource,
+    SolveReport,
     build,
     build_constraints,
     build_lad_program,
@@ -21,6 +24,7 @@ from eulerdp import (
     solve,
     write_lp_text,
 )
+from eulerdp import inference
 from eulerdp.grid import ComponentKind
 
 
@@ -78,6 +82,16 @@ def test_excess_and_violation_counts():
     assert cs.violation_counts(raw, tol=1e-7) == (0, 0, 0)
 
 
+def _lp_rows(text: str) -> list[tuple[str, str]]:
+    """(row label, left-hand side) pairs of the Subject To section."""
+    lines = text.splitlines()
+    body = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+    return [
+        (label.strip(), lhs.strip())
+        for label, lhs in (line.split(" <= ")[0].split(":") for line in body)
+    ]
+
+
 def test_lad_program_shape_and_labels():
     p = build_partition(2.0, 2)
     cs = build_constraints(p)
@@ -85,10 +99,12 @@ def test_lad_program_shape_and_labels():
     lp = build_lad_program(h, cs)
     assert lp.kind == "l1"
     assert lp.n_vars == 18 and lp.n_rows == 31  # 2N residual rows + 8 + 4 + 1
-    assert lp.var_labels[0] == "x_f0_0" and lp.var_labels[9] == "r_f0_0"
-    assert lp.row_labels[0] == "lo_f0_0" and lp.row_labels[9] == "hi_f0_0"
-    assert lp.row_labels[18] == "c1_he0_0_f0_0"
-    assert lp.row_labels[-1] == "c3_x0_0"
+    rows = _lp_rows(write_lp_text(lp))
+    assert len(rows) == lp.n_rows
+    assert rows[0] == ("lo_f0_0", "- x_f0_0 - r_f0_0")
+    assert rows[9] == ("hi_f0_0", "x_f0_0 - r_f0_0")
+    assert rows[18][0] == "c1_he0_0_f0_0"
+    assert rows[-1][0] == "c3_x0_0"
     assert np.array_equal(lp.b_ub[:9], -h.counts)
     assert np.array_equal(lp.b_ub[9:18], h.counts)
     assert np.array_equal(lp.b_ub[18:], np.zeros(13))
@@ -122,7 +138,9 @@ def test_linf_program_shape():
     lp = build_linf_program(h, cs)
     assert lp.kind == "linf"
     assert lp.n_vars == 10 and lp.n_rows == 31
-    assert lp.var_labels[-1] == "r_max"
+    text = write_lp_text(lp)
+    assert " obj: r_max" in text.splitlines()
+    assert _lp_rows(text)[0] == ("lo_f0_0", "- x_f0_0 - r_max")
     assert np.array_equal(lp.c, np.concatenate([np.zeros(9), [1.0]]))
     a = lp.a_ub.toarray()
     assert a[0, 0] == -1.0 and a[0, 9] == -1.0
@@ -209,3 +227,38 @@ def test_solve_honors_iteration_limit_option():
     cs = build_constraints(noisy.partition)
     counts, report = solve(build_lad_program(noisy, cs), maxiter=1)
     assert report.status in ("optimal", "iteration-limit")
+
+
+
+# sha256 of write_lp_text on _golden_histogram(): a change here changes the
+# program every solve sees, not only its text.
+LP_TEXT_SHA256 = {
+    "l1": "589634863d4e6a3861bc379c615b467fe56eaadbb27d57f1a4288442a13a2958",
+    "linf": "3799a057a79a262df7b3a2ed8a7df1d2e11185470fc0a6733cc0080d60520ab5",
+}
+
+
+def _golden_histogram() -> EulerHistogram:
+    p = build_partition(3.0, 3)
+    counts = 10.0 * RandomSource(2016).uniforms_at(0, p.size)
+    return EulerHistogram(p, counts, HistogramState.NOISY)
+
+
+@pytest.mark.parametrize("objective", ["l1", "linf"])
+def test_write_lp_text_golden(objective):
+    h = _golden_histogram()
+    builder = build_lad_program if objective == "l1" else build_linf_program
+    text = write_lp_text(builder(h, build_constraints(h.partition)))
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_TEXT_SHA256[objective]
+
+
+def test_infer_refuses_to_tag_violating_counts(monkeypatch):
+    _, noisy = _noisy_fixture()
+    cs = build_constraints(noisy.partition)
+    violating = np.zeros(noisy.partition.size)
+    violating[cs.c1[0, 0]] = 1.0  # an edge above its two empty faces
+    assert cs.violation_counts(violating)[0] > 0
+    stopped = SolveReport("iteration-limit", 1.0, 1, 0.0)
+    monkeypatch.setattr(inference, "solve", lambda lp: (violating, stopped))
+    with pytest.raises(RuntimeError, match="iteration-limit"):
+        infer(noisy, cs)

@@ -90,8 +90,6 @@ def test_config_validation():
     with pytest.raises(IngestError):
         IngestConfig(1.0, 1.0, 0)
     with pytest.raises(IngestError):
-        IngestConfig(1.0, 1.0, 5, bandwidth="silverman")
-    with pytest.raises(IngestError):
         IngestConfig(1.0, 1.0, 5, center=(95.0, 0.0))
 
 
@@ -144,8 +142,6 @@ def test_kde_mode_degenerate_inputs():
     assert np.array_equal(kde_mode(only), only[0])
     with pytest.raises(IngestError):
         kde_mode(np.empty((0, 2)))
-    with pytest.raises(IngestError):
-        kde_density(np.ones((4, 2)), np.ones((2, 2)), bandwidth="silverman")
 
 
 def test_trim_matches_iterative_oracle():

@@ -24,7 +24,6 @@ from eulerdp import (
     derive_seed,
     global_sensitivity,
     perturb,
-    sample_laplace,
     sensitivity_closed_form,
     utility_bound_dp,
     utility_bound_end_to_end,
@@ -127,17 +126,6 @@ def test_counter_addressing_stitches():
     assert np.array_equal(whole, again)
     other = RandomSource(1235).uniforms_at(0, 100)
     assert not np.array_equal(whole, other)
-
-
-def test_cursor_stream_matches_addressed_stream():
-    rs = RandomSource(5)
-    first = rs.laplace(3.0, 10)
-    second = rs.laplace(3.0, 5)
-    addressed = RandomSource(5)
-    assert np.array_equal(first, addressed.laplace_at(3.0, 0, 10))
-    assert np.array_equal(second, addressed.laplace_at(3.0, 10, 5))
-    one = sample_laplace(3.0, RandomSource(5))
-    assert one == first[0]
 
 
 def test_inverse_cdf_quantiles():
