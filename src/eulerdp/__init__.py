@@ -15,11 +15,9 @@ from .histogram import (
     EulerHistogram,
     HistogramState,
     QueryRegion,
-    all_rectangle_counts,
     build,
     min_rectangle_count,
     query,
-    valid_region_mask,
     validate_bodies,
 )
 from .inference import (
@@ -96,7 +94,6 @@ __all__ = [
     "SolveReport",
     "UserTrack",
     "ZeroNoiseSource",
-    "all_rectangle_counts",
     "build",
     "build_constraints",
     "build_lad_program",
@@ -128,7 +125,6 @@ __all__ = [
     "solve",
     "utility_bound_dp",
     "utility_bound_end_to_end",
-    "valid_region_mask",
     "validate_bodies",
     "verify_violations",
     "write_lp_text",

@@ -136,17 +136,14 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _round_and_repair(h: EulerHistogram, do_repair: bool):
-    rounded = round_counts(h)
-    if not do_repair:
-        return rounded
-    repaired, _ = repair(rounded)
+def _round_and_repair(h: EulerHistogram) -> EulerHistogram:
+    repaired, _ = repair(round_counts(h))
     return repaired
 
 
 def _cmd_round(args) -> int:
     h = _read_state(args.input, HistogramState.CONSISTENT, "round")
-    out = _round_and_repair(h, not args.no_repair)
+    out = _round_and_repair(h)
     fileio.write_histogram_file(out, args.out)
     print(f"rounded histogram written to {args.out}")
     return 0
@@ -156,7 +153,7 @@ def _cmd_release(args) -> int:
     raw = _build_histogram(args)
     noisy = _privatize(raw, args.epsilon, args.diameter_bound, args.seed)
     consistent, _ = infer(noisy, objective=args.objective)
-    released = _round_and_repair(consistent, True)
+    released = _round_and_repair(consistent)
     fileio.write_histogram_file(released, args.out)
     print(f"release written to {args.out}")
     return 0
@@ -195,12 +192,9 @@ def _cmd_verify(args) -> int:
     h = fileio.read_histogram_file(args.input)
     c1, c2, c3 = verify_violations(h, build_constraints(h.partition))
     print(f"violations: c1={c1} c2={c2} c3={c3}")
-    ok = (c1, c2, c3) == (0, 0, 0)
-    if not args.no_rects:
-        worst, qr = min_rectangle_count(h)
-        print(f"minimum rectangle count: {worst:g} at rows {qr.r0}:{qr.r1} cols {qr.c0}:{qr.c1}")
-        ok = ok and worst >= 0
-    return 0 if ok else 1
+    worst, qr = min_rectangle_count(h)
+    print(f"minimum rectangle count: {worst:g} at rows {qr.r0}:{qr.r1} cols {qr.c0}:{qr.c1}")
+    return 0 if (c1, c2, c3) == (0, 0, 0) and worst >= 0 else 1
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="consistent -> rounded (with covert repair)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-repair", action="store_true", help="bare rounding only")
     p.set_defaults(func=_cmd_round)
 
     p = sub.add_parser("release", help="bodies -> rounded release in one step")
@@ -276,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check constraints and rectangle non-negativity")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--no-rects", action="store_true", help="skip the rectangle scan")
     p.set_defaults(func=_cmd_verify)
 
     return parser

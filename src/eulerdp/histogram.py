@@ -179,49 +179,45 @@ def query(h: EulerHistogram, qr: QueryRegion) -> float | int:
     return total
 
 
-def _section_prefix(section: np.ndarray) -> np.ndarray:
-    out = np.zeros((section.shape[0] + 1, section.shape[1] + 1))
-    out[1:, 1:] = section.cumsum(axis=0).cumsum(axis=1)
-    return out
+def min_rectangle_count(h: EulerHistogram) -> tuple[float, QueryRegion]:
+    """Smallest Euler count over all rectangular query regions.
 
-
-def all_rectangle_counts(h: EulerHistogram) -> np.ndarray:
-    """Euler counts of every rectangular query region at once.
-
-    Returns a 4-d array indexed by (r0, r1, c0, c1); entries with r0 > r1 or
-    c0 > c1 are meaningless and must be masked by the caller (see
-    :func:`valid_region_mask`). Used by the covertness check and the release
-    repair, where scanning rectangles one query at a time would be quadratic
-    in the number of rectangles.
+    Ties go to the first region in (r0, r1, c0, c1) lexicographic order;
+    ``repair`` raises a face inside the region returned, so the choice fixes
+    the release. O(n^3) time and O(n^2) memory: for each top row r0, the
+    bands r0..r1 reduce to per-column sums, a rectangle's count becomes
+    ``u[c1] - w[c0]``, and one suffix-minimum pass over ``u`` finds each
+    band's minimum (the maximum-subarray scan, after Bentley's *Programming
+    Pearls*).
     """
     n = h.partition.n
-    r = np.arange(n)
 
-    def part(section: np.ndarray, dr: int, dc: int) -> np.ndarray:
-        # Interior components of the rectangle span rows [r0, r1 - dr] and
-        # cols [c0, c1 - dc] of the section; empty ranges cancel to zero.
-        pre = _section_prefix(section)
-        band = pre[r + 1 - dr][None, :, :] - pre[r][:, None, :]  # (r0, r1, C+1)
-        return band[:, :, r + 1 - dc][:, :, None, :] - band[:, :, r][:, :, :, None]
+    def above(section: np.ndarray) -> np.ndarray:
+        # above(s)[k] holds the column sums of rows < k of the section
+        return np.vstack([np.zeros(section.shape[1]), section.cumsum(axis=0)])
 
-    total = part(h.faces, 0, 0)
-    total -= part(h.hedges, 1, 0)
-    total -= part(h.vedges, 0, 1)
-    total += part(h.vertices, 1, 1)
-    return total
+    faces, hedges = above(h.faces), above(h.hedges)
+    vedges, vertices = above(h.vedges), above(h.vertices)
+    # Band r0..r1 holds faces and vertical edges of rows r0..r1, horizontal
+    # edges and vertices of rows r0..r1-1; split each per-column band sum
+    # into a term of r1 minus a term of r0.
+    a_lo, a_hi = faces[:-1] - hedges, faces[1:] - hedges
+    b_lo, b_hi = vedges[:-1] - vertices, vedges[1:] - vertices
 
-
-def valid_region_mask(n: int) -> np.ndarray:
-    """Boolean mask over (r0, r1, c0, c1) marking well-formed rectangles."""
-    r = np.arange(n)
-    rows_ok = r[:, None] <= r[None, :]
-    return rows_ok[:, :, None, None] & rows_ok[None, None, :, :]
-
-
-def min_rectangle_count(h: EulerHistogram) -> tuple[float, QueryRegion]:
-    """Smallest Euler count over all rectangular query regions."""
-    totals = all_rectangle_counts(h)
-    masked = np.where(valid_region_mask(h.partition.n), totals, np.inf)
-    flat = int(np.argmin(masked))
-    r0, r1, c0, c1 = np.unravel_index(flat, masked.shape)
-    return float(masked[r0, r1, c0, c1]), QueryRegion(int(r0), int(r1), int(c0), int(c1))
+    value, region = np.inf, None
+    for r0 in range(n):
+        # rows index r1 - r0; a[c] counts column c, b[c] the seam c | c+1
+        a = a_hi[r0:] - a_lo[r0]
+        b = b_hi[r0:] - b_lo[r0]
+        # count(c0..c1) = sum a[c0..c1] - sum b[c0..c1-1] = u[c1] - w[c0]
+        u = a.cumsum(axis=1)
+        u[:, 1:] -= b.cumsum(axis=1)
+        w = u - a
+        reach = np.minimum.accumulate(u[:, ::-1], axis=1)[:, ::-1]  # min of u[c0:]
+        best = reach - w
+        k = int(np.argmin(best))
+        if best.flat[k] < value:
+            r, c0 = divmod(k, n)
+            value = float(best.flat[k])
+            region = QueryRegion(r0, r0 + r, c0, c0 + int(np.argmin(u[r, c0:])))
+    return value, region

@@ -311,10 +311,10 @@ def write_lp_text(lp: LinearProgram) -> str:
         for k in range(indptr[r], indptr[r + 1]):
             coef, var = data[k], var_names[indices[k]]
             sign = "-" if coef < 0 else "+"
-            mag = "" if abs(coef) == 1.0 else f"{abs(coef)!r} "
+            mag = "" if abs(coef) == 1.0 else f"{float(abs(coef))!r} "
             terms.append(f"{sign} {mag}{var}")
         body = " ".join(terms).removeprefix("+ ")
-        lines.append(f" {row_names[r]}: {body} <= {lp.b_ub[r]!r}")
+        lines.append(f" {row_names[r]}: {body} <= {float(lp.b_ub[r])!r}")
     lines.append("Bounds")
     lines.append("\\ all variables >= 0 (LP-format default)")
     lines.append("End")

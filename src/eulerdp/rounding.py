@@ -23,7 +23,6 @@ from .histogram import (
     EulerHistogram,
     HistogramState,
     INTEGRAL_STATES,
-    QueryRegion,
     min_rectangle_count,
 )
 from .inference import REAL_TOL, ConstraintSet, build_constraints
@@ -38,7 +37,7 @@ def round_counts(h: EulerHistogram) -> EulerHistogram:
 
 
 def verify_violations(
-    h: EulerHistogram, cs: ConstraintSet | None = None, tol: float | None = None
+    h: EulerHistogram, cs: ConstraintSet | None = None
 ) -> tuple[int, int, int]:
     """Count violated rows per constraint family.
 
@@ -47,8 +46,7 @@ def verify_violations(
     """
     if cs is None:
         cs = build_constraints(h.partition)
-    if tol is None:
-        tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
+    tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
     return cs.violation_counts(h.counts, tol)
 
 
@@ -65,16 +63,10 @@ class RepairReport:
         return self.c1_fixes + self.c2_fixes + self.c3_fixes + self.rect_fixes
 
 
-def _faces_in(qr: QueryRegion) -> tuple[slice, slice]:
-    return slice(qr.r0, qr.r1 + 1), slice(qr.c0, qr.c1 + 1)
-
-
 def repair(
-    h: EulerHistogram,
-    cs: ConstraintSet | None = None,
-    ensure_query_nonnegative: bool = True,
+    h: EulerHistogram, cs: ConstraintSet | None = None
 ) -> tuple[EulerHistogram, RepairReport]:
-    """Restore constraints and (optionally) rectangle non-negativity.
+    """Restore constraints and rectangle non-negativity.
 
     Passes run in a fixed order chosen so that no pass re-breaks an earlier
     one: edges are clamped down to their faces, vertices down to their
@@ -115,28 +107,19 @@ def repair(
         report.c3_fixes += 1
 
     hist = h.with_counts(counts, h.state)
-    if ensure_query_nonnegative:
-        # Each bump zeroes the current worst rectangle and face raises can
-        # never push any rectangle back down, so the rectangle count bounds
-        # the number of iterations.
-        n = h.partition.n
-        guard = (n * (n + 1) // 2) ** 2 + 1
-        for _ in range(guard):
-            worst, qr = min_rectangle_count(hist)
-            if worst >= 0:
-                break
-            bump = -worst
-            rs, cl = _faces_in(qr)
-            block = hist.faces[rs, cl]
-            flat = int(np.argmin(block))
-            r = qr.r0 + flat // block.shape[1]
-            c = qr.c0 + flat % block.shape[1]
-            counts = hist.counts.copy()
-            counts[r * h.partition.n + c] += bump
-            hist = hist.with_counts(counts, hist.state)
-            report.rect_fixes += 1
-        else:
-            raise RuntimeError("rectangle repair failed to converge")
+    # Each bump zeroes the current worst rectangle and face raises can never
+    # push any rectangle back down, so the rectangle count bounds the number
+    # of iterations.
+    n = h.partition.n
+    for _ in range((n * (n + 1) // 2) ** 2 + 1):
+        worst, qr = min_rectangle_count(hist)
+        if worst >= 0:
+            break
+        block = hist.faces[qr.r0 : qr.r1 + 1, qr.c0 : qr.c1 + 1]  # a view of hist.counts
+        block[np.unravel_index(np.argmin(block), block.shape)] -= worst
+        report.rect_fixes += 1
+    else:
+        raise RuntimeError("rectangle repair failed to converge")
 
     report.cost = float(np.abs(hist.counts - before).sum())
     return hist, report

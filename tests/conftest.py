@@ -4,14 +4,15 @@ The geometry oracles here are deliberately independent of the library: plain
 point/segment/polygon predicates composed the textbook way. Tests that claim
 exactness feed both sides coordinates on a dyadic lattice (multiples of
 1/1024) so every intermediate product is exactly representable and the
-comparison is legitimate.
+comparison is legitimate. The rectangle oracle tabulates every rectangle's
+Euler count at once, in O(n^4) time and memory, for small grids.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from eulerdp import ConvexBody, convex_hull
+from eulerdp import ConvexBody, EulerHistogram, convex_hull
 
 LATTICE = 1.0 / 1024.0
 
@@ -107,3 +108,40 @@ def lattice_body(rng: np.random.Generator, span: float, kmax: int = 6) -> Convex
     """Random convex body on the lattice; sometimes degenerate on purpose."""
     k = int(rng.integers(1, kmax + 1))
     return convex_hull(lattice_points(rng, k, span))
+
+
+def _section_prefix(section: np.ndarray) -> np.ndarray:
+    out = np.zeros((section.shape[0] + 1, section.shape[1] + 1))
+    out[1:, 1:] = section.cumsum(axis=0).cumsum(axis=1)
+    return out
+
+
+def all_rectangle_counts(h: EulerHistogram) -> np.ndarray:
+    """Euler counts of every rectangular query region at once.
+
+    Returns a 4-d array indexed by (r0, r1, c0, c1); entries with r0 > r1 or
+    c0 > c1 are meaningless and must be masked by the caller (see
+    :func:`valid_region_mask`).
+    """
+    n = h.partition.n
+    r = np.arange(n)
+
+    def part(section: np.ndarray, dr: int, dc: int) -> np.ndarray:
+        # Interior components of the rectangle span rows [r0, r1 - dr] and
+        # cols [c0, c1 - dc] of the section; empty ranges cancel to zero.
+        pre = _section_prefix(section)
+        band = pre[r + 1 - dr][None, :, :] - pre[r][:, None, :]  # (r0, r1, C+1)
+        return band[:, :, r + 1 - dc][:, :, None, :] - band[:, :, r][:, :, :, None]
+
+    total = part(h.faces, 0, 0)
+    total -= part(h.hedges, 1, 0)
+    total -= part(h.vedges, 0, 1)
+    total += part(h.vertices, 1, 1)
+    return total
+
+
+def valid_region_mask(n: int) -> np.ndarray:
+    """Boolean mask over (r0, r1, c0, c1) marking well-formed rectangles."""
+    r = np.arange(n)
+    rows_ok = r[:, None] <= r[None, :]
+    return rows_ok[:, :, None, None] & rows_ok[None, None, :, :]

@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import body_intersects_box, lattice_body
+from conftest import all_rectangle_counts, body_intersects_box, lattice_body, valid_region_mask
 from eulerdp import (
     EulerHistogram,
     HistogramState,
     PrivacyParams,
     QueryRegion,
     RandomSource,
-    all_rectangle_counts,
     build,
     build_constraints,
     build_partition,
@@ -34,7 +33,6 @@ from eulerdp import (
     round_counts,
     utility_bound_dp,
     utility_bound_end_to_end,
-    valid_region_mask,
     verify_violations,
 )
 from eulerdp.harness import ExperimentConfig, run_query_experiment

@@ -7,11 +7,20 @@ argparse owns those; everything else returns an exit code.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import lattice_body
-from eulerdp import EulerHistogram, HistogramState, build_partition
+from eulerdp import (
+    EulerHistogram,
+    HistogramState,
+    build_partition,
+    min_rectangle_count,
+    repair,
+    verify_violations,
+)
 from eulerdp.cli import main
 from eulerdp.fileio import read_bodies_file, read_histogram_file, write_bodies_file, write_histogram_file
 
@@ -165,7 +174,29 @@ def test_verify_catches_negative_rectangles(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "violations: c1=0 c2=0 c3=0" in out
     assert "minimum rectangle count: -3" in out
-    assert main(["verify", "--in", path, "--no-rects"]) == 0
+
+
+def test_repair_and_verify_at_n200(tmp_path, capsys):
+    # one 3x3 block whose faces and 12 interior edges are 1 and vertices 0:
+    # C1-C3 hold everywhere, yet the block counts 9 - 12 + 0 = -3. The block
+    # sits at the origin corner so the first minimal rectangle is the block
+    # itself: anywhere else, repair raises one empty face per row and column
+    # between the block and the origin, which takes thousands of scans here.
+    p = build_partition(200.0, 200)
+    h = EulerHistogram(p, np.zeros(p.size), HistogramState.ROUNDED)
+    h.faces[0:3, 0:3] = 1.0
+    h.hedges[0:2, 0:3] = 1.0
+    h.vedges[0:3, 0:2] = 1.0
+    t0 = time.perf_counter()
+    assert verify_violations(h) == (0, 0, 0)
+    assert min_rectangle_count(h)[0] == -3.0
+    fixed, report = repair(h)
+    assert report.rect_fixes >= 1
+    path = str(tmp_path / "fixed.hist")
+    write_histogram_file(fixed, path)
+    assert main(["verify", "--in", path]) == 0
+    assert "violations: c1=0 c2=0 c3=0" in capsys.readouterr().out
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_verify_catches_family_violations(tmp_path, capsys):
@@ -174,7 +205,7 @@ def test_verify_catches_family_violations(tmp_path, capsys):
     counts[p.hedge_offset] = 99.0  # an edge above every incident face
     path = str(tmp_path / "bad.hist")
     write_histogram_file(EulerHistogram(p, counts, HistogramState.ROUNDED), path)
-    assert main(["verify", "--in", path, "--no-rects"]) == 1
+    assert main(["verify", "--in", path]) == 1
     # both face pairings of the edge break, and its vertex alternating sum
     assert "violations: c1=2 c2=0 c3=1" in capsys.readouterr().out
 

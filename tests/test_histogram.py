@@ -5,20 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import euler_truth, lattice_body
+from conftest import all_rectangle_counts, euler_truth, lattice_body, valid_region_mask
 from eulerdp import (
     BodyValidationError,
     ConvexBody,
     EulerHistogram,
     HistogramState,
     QueryRegion,
-    all_rectangle_counts,
     build,
     build_partition,
     convex_hull,
     min_rectangle_count,
     query,
-    valid_region_mask,
     validate_bodies,
 )
 from eulerdp.grid import ComponentKind
@@ -134,6 +132,28 @@ def test_min_rectangle_count_brute_force():
         brute = min(query(h, q) for q in all_regions(n))
         assert val == pytest.approx(brute, abs=1e-9)
         assert query(h, qr) == pytest.approx(val, abs=1e-9)
+
+
+def test_min_rectangle_count_matches_oracle_tie_break():
+    """Value and region equal the oracle table's masked argmin, i.e. the first
+    minimal region in (r0, r1, c0, c1) order; small integer counts tie often."""
+    rng = np.random.default_rng(2016)
+    for n in range(2, 13):
+        p = build_partition(float(n), n)
+        for trial in range(20):
+            if trial % 2:
+                counts = rng.normal(0.0, 2.0, p.size)
+            else:
+                counts = rng.integers(-2, 3, p.size).astype(np.float64)
+            h = EulerHistogram(p, counts, HistogramState.NOISY)
+            masked = np.where(valid_region_mask(n), all_rectangle_counts(h), np.inf)
+            r0, r1, c0, c1 = np.unravel_index(int(np.argmin(masked)), masked.shape)
+            val, qr = min_rectangle_count(h)
+            assert (qr.r0, qr.r1, qr.c0, qr.c1) == (r0, r1, c0, c1)
+            if trial % 2:
+                assert val == pytest.approx(masked[r0, r1, c0, c1], abs=1e-9)
+            else:
+                assert val == masked[r0, r1, c0, c1]
 
 
 def test_query_region_validation():

@@ -233,8 +233,8 @@ def test_solve_honors_iteration_limit_option():
 # sha256 of write_lp_text on _golden_histogram(): a change here changes the
 # program every solve sees, not only its text.
 LP_TEXT_SHA256 = {
-    "l1": "589634863d4e6a3861bc379c615b467fe56eaadbb27d57f1a4288442a13a2958",
-    "linf": "3799a057a79a262df7b3a2ed8a7df1d2e11185470fc0a6733cc0080d60520ab5",
+    "l1": "e630d52f7ec5c76ab5f89faed51089360df9d9fa58115295320c34dca7718bf7",
+    "linf": "73bfcaf3f8be7eb7a3132728540e92847a99336396054f06162b73e9c1240bcf",
 }
 
 
@@ -250,6 +250,19 @@ def test_write_lp_text_golden(objective):
     builder = build_lad_program if objective == "l1" else build_linf_program
     text = write_lp_text(builder(h, build_constraints(h.partition)))
     assert hashlib.sha256(text.encode()).hexdigest() == LP_TEXT_SHA256[objective]
+
+
+@pytest.mark.parametrize("objective", ["l1", "linf"])
+def test_write_lp_text_numbers_are_plain_floats(objective):
+    h = _golden_histogram()
+    builder = build_lad_program if objective == "l1" else build_linf_program
+    text = write_lp_text(builder(h, build_constraints(h.partition)))
+    assert "np." not in text
+    lines = text.splitlines()
+    rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+    assert rows
+    for line in rows:
+        float(line.rsplit(" <= ", 1)[1])
 
 
 def test_infer_refuses_to_tag_violating_counts(monkeypatch):

@@ -75,7 +75,7 @@ def test_verify_tolerance_tracks_state():
     counts[4] = 1.0 + 5e-8  # hedge a hair above both faces
     noisy = EulerHistogram(p, counts, HistogramState.NOISY)
     assert verify_violations(noisy) == (0, 0, 0)  # absorbed by the real tol
-    assert verify_violations(noisy, tol=0.0) == (2, 0, 0)
+    assert build_constraints(p).violation_counts(noisy.counts, 0.0) == (2, 0, 0)
     rounded = EulerHistogram(p, counts, HistogramState.ROUNDED)
     assert verify_violations(rounded) == (2, 0, 0)  # integral states check exactly
 
@@ -125,15 +125,6 @@ def test_repair_covertness_gap():
     assert np.all(fixed.counts >= h.counts - 1e-12)  # nothing was lowered
 
 
-def test_repair_can_skip_rectangle_pass():
-    p = build_partition(3.0, 3)
-    counts = np.concatenate([np.ones(9), np.ones(12), np.zeros(4)])
-    h = EulerHistogram(p, counts, HistogramState.ROUNDED)
-    fixed, report = repair(h, ensure_query_nonnegative=False)
-    assert report.rect_fixes == 0
-    assert min_rectangle_count(fixed)[0] == -3.0
-
-
 def test_repair_is_idempotent_on_clean_input():
     consistent = _consistent_fixture(seed=29)
     rounded = round_counts(consistent)
@@ -149,7 +140,7 @@ def test_repair_tolerates_solver_dust_on_real_states():
     counts = consistent.counts.copy()
     counts[p.hedge_offset : p.vertex_offset] += 5e-8  # edges drift up a hair
     dusty = consistent.with_counts(counts, HistogramState.CONSISTENT)
-    _, report = repair(dusty, ensure_query_nonnegative=False)
+    _, report = repair(dusty)
     assert report.c1_fixes == 0 and report.c2_fixes == 0 and report.c3_fixes == 0
 
 
