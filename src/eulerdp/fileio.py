@@ -9,6 +9,7 @@ parameters; seeds and noise draws are never written.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import TextIO
 
 import numpy as np
@@ -147,10 +148,14 @@ def read_bodies(stream: TextIO) -> tuple[list[ConvexBody], list[str]]:
             continue
         try:
             record = json.loads(line)
-            ids.append(str(record["user_id"]))
-            bodies.append(ConvexBody(np.asarray(record["vertices"], dtype=np.float64)))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            uid = str(record["user_id"])
+            body = ConvexBody(np.asarray(record["vertices"], dtype=np.float64))
+        except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bodies line {lineno}: {e}") from e
+        ids.append(uid)
+        bodies.append(body)
     return bodies, ids
 
 
@@ -163,8 +168,7 @@ def read_tracks(stream: TextIO) -> list[UserTrack]:
     """Parse ``user_id, lat, lon[, timestamp]`` lines, grouped per user in
     first-appearance order. Blank lines and '#' comments are skipped; a
     leading column-name row is tolerated."""
-    order: list[str] = []
-    points: dict[str, list[tuple[float, float]]] = {}
+    points: dict[str, array] = {}  # flat lat, lon pairs; dicts keep first-appearance order
     stamps: dict[str, list[str]] = {}
     first_data = True
     for lineno, line in enumerate(stream, start=1):
@@ -182,17 +186,19 @@ def read_tracks(stream: TextIO) -> list[UserTrack]:
             raise IngestError(f"tracks line {lineno}: bad coordinates {parts[1]!r}, {parts[2]!r}")
         first_data = False
         uid = parts[0]
-        if uid not in points:
-            order.append(uid)
-            points[uid] = []
+        flat = points.get(uid)
+        if flat is None:
+            flat = points[uid] = array("d")
             stamps[uid] = []
-        points[uid].append((lat, lon))
+        flat.append(lat)
+        flat.append(lon)
         if len(parts) == 4:
             stamps[uid].append(parts[3])
     tracks = []
-    for uid in order:
-        ts = tuple(stamps[uid]) if len(stamps[uid]) == len(points[uid]) and stamps[uid] else None
-        tracks.append(UserTrack(uid, np.array(points[uid]), ts))
+    for uid, flat in points.items():
+        pts = np.frombuffer(flat).reshape(-1, 2)
+        ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
+        tracks.append(UserTrack(uid, pts, ts))
     return tracks
 
 

@@ -56,7 +56,7 @@ def _cross(o, a, b) -> float:
 def convex_hull(points) -> ConvexBody:
     """Andrew monotone chain; strict turns only, so no three output vertices
     are collinear. Handles degenerate input (single point, collinear set)."""
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points, dtype=np.float64)})
+    pts = sorted({(x, y) for x, y in np.asarray(points, dtype=np.float64).tolist()})
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:

@@ -23,6 +23,9 @@ import numpy as np
 from .geometry import ConvexBody, convex_hull, diameter
 
 EARTH_RADIUS_M = 6371000.0
+# float64s per block of pairwise work (32 MiB), so an n-point track never
+# materializes an n x n matrix
+PAIRWISE_BLOCK = 1 << 22
 
 
 class IngestError(ValueError):
@@ -136,19 +139,30 @@ def _scott_matrix(points: np.ndarray) -> np.ndarray:
 
 
 def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel density of ``points`` evaluated at rows of ``at``."""
+    """Gaussian-kernel density of ``points`` evaluated at rows of ``at``.
+
+    The quadratic form d^T H^-1 d is summed from the per-axis differences
+    in the order ``einsum("ijk,kl,ijl->ij", d, h_inv, d)`` accumulates it
+    (k outer, l inner, each term multiplied left to right), so the result is
+    bitwise the einsum value at a fraction of its per-call cost. With the
+    same chunks and numpy reusing the temporaries, peak allocation is no
+    higher than the einsum's.
+    """
     pts = np.asarray(points, dtype=np.float64)
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
     h = _scott_matrix(pts)
     h_inv = np.linalg.inv(h)
+    (a, b), (c, e) = h_inv.tolist()
     norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
+    px, py = pts.T.copy()
     out = np.empty(len(at))
-    # chunked so an n-point track never materializes an n x n matrix
-    step = max(1, (1 << 22) // max(len(pts), 1))
+    step = max(1, PAIRWISE_BLOCK // len(pts))
     for lo in range(0, len(at), step):
-        d = at[lo : lo + step, None, :] - pts[None, :, :]
-        quad = np.einsum("ijk,kl,ijl->ij", d, h_inv, d)
-        out[lo : lo + step] = np.exp(-0.5 * quad).sum(axis=1) * norm
+        d0 = at[lo : lo + step, 0, None] - px
+        d1 = at[lo : lo + step, 1, None] - py
+        quad = (((d0 * a) * d0 + (d0 * b) * d1) + (d1 * c) * d0) + (d1 * e) * d1
+        quad *= -0.5
+        out[lo : lo + step] = np.exp(quad, out=quad).sum(axis=1) * norm
     return out
 
 
@@ -167,12 +181,27 @@ def _trim_to_diameter(ordered: np.ndarray, bound: float) -> np.ndarray:
     """Largest prefix of mode-distance-ordered points with diameter <= bound.
 
     Prefix diameter is nondecreasing in length, so binary search lands on
-    the same set as repeatedly dropping the farthest point.
+    the same set as repeatedly dropping the farthest point. Each probe asks
+    whether ``diameter(convex_hull(prefix)) <= bound``. The hull's vertices
+    are a subset of the same floats, and every pair's squared distance is
+    the same ``(diff * diff).sum`` in both, so the squared diameter of the
+    prefix's whole point set is never below the hull's; as sqrt is
+    monotone, a probe whose point-set diameter is within the bound gets the
+    hull's answer without a hull. Every other probe builds the hull, so the
+    probes, and the result, are the same as with hulls alone.
     """
-    lo, hi = 1, len(ordered)  # prefix of 1 has diameter 0
+    m = len(ordered)
+    # squared distance from each point to its farthest predecessor
+    reach2 = np.empty(m)
+    step = max(1, PAIRWISE_BLOCK // (2 * m))
+    for r in range(0, m, step):
+        diff = ordered[r : r + step, None, :] - ordered[None, : r + step, :]
+        reach2[r : r + step] = np.tril((diff * diff).sum(axis=2), r).max(axis=1)
+    prefix2 = np.maximum.accumulate(reach2)  # squared diameter of prefix i + 1
+    lo, hi = 1, m  # prefix of 1 has diameter 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if diameter(convex_hull(ordered[:mid])) <= bound:
+        if np.sqrt(prefix2[mid - 1]) <= bound or diameter(convex_hull(ordered[:mid])) <= bound:
             lo = mid
         else:
             hi = mid - 1

@@ -157,6 +157,18 @@ def test_flag_errors_exit_one(argv, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    ['[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}'],
+)
+def test_malformed_bodies_record_is_a_user_error(record, tmp_path, capsys):
+    path = tmp_path / "bodies.jsonl"
+    path.write_text(record + "\n")
+    assert main(["build", "--bodies", str(path), "--area", "4", "--n", "4",
+                 "--out", str(tmp_path / "raw.hist")]) == 1
+    assert "bodies line 1" in capsys.readouterr().err
+
+
 def _covert_gap_file(tmp_path):
     # constraints all hold, yet the full-grid count is 9 - 12 + 0 = -3
     p = build_partition(3.0, 3)

@@ -165,6 +165,16 @@ def test_bodies_default_ids_and_errors():
     assert bodies == [] and ids == []
 
 
+@pytest.mark.parametrize(
+    "record",
+    ['[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}'],
+)
+def test_bodies_malformed_record_is_format_error(record):
+    text = '{"user_id": "a", "vertices": [[0, 0]]}\n' + record + "\n"
+    with pytest.raises(FormatError, match="bodies line 2"):
+        read_bodies(io.StringIO(text))
+
+
 def test_tracks_parsing():
     text = (
         "user_id, lat, lon, timestamp\n"

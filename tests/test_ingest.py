@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdp import (
     ConvexBody,
@@ -22,7 +28,9 @@ from eulerdp import (
     kde_mode,
     project,
 )
-from eulerdp.ingest import _trim_to_diameter
+from eulerdp import ingest
+from eulerdp.fileio import write_bodies
+from eulerdp.ingest import _scott_matrix, _trim_to_diameter
 
 CENTER = (47.62, -122.33)
 
@@ -112,6 +120,41 @@ def test_kde_density_matches_quadratic_reference():
     assert np.allclose(got, want, rtol=1e-9)
 
 
+def _einsum_density(pts, at):
+    """kde_density as a single einsum over the unchunked difference array."""
+    h = _scott_matrix(pts)
+    norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
+    d = at[:, None, :] - pts[None, :, :]
+    quad = np.einsum("ijk,kl,ijl->ij", d, np.linalg.inv(h), d)
+    return np.exp(-0.5 * quad).sum(axis=1) * norm
+
+
+@given(
+    n=st.integers(1, 300),
+    extra=st.integers(0, 40),
+    scale=st.sampled_from([1e-3, 1.0, 37.5, 1e4, 3e6]),
+    shape=st.sampled_from(["spread", "elongated", "collinear", "repeated"]),
+    chunk_rows=st.sampled_from([None, 1, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_kde_density_matches_einsum_bitwise(n, extra, scale, shape, chunk_rows, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0.0, scale, (n, 2)) + rng.uniform(-10.0, 10.0, 2) * scale
+    if shape == "elongated":  # a strongly correlated, nearly singular Scott matrix
+        pts[:, 1] = 0.3 * pts[:, 0] + rng.normal(0.0, 1e-6 * scale, n)
+    elif shape == "collinear":  # rank-1 covariance: the ridge kicks in
+        pts[:, 1] = 2.0 * pts[:, 0]
+    elif shape == "repeated":  # zero covariance: the ridge is all there is
+        pts[:] = pts[0]
+    at = np.vstack([pts, rng.normal(0.0, scale, (extra, 2))])
+    block = ingest.PAIRWISE_BLOCK if chunk_rows is None else chunk_rows * n
+    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
+        got = kde_density(pts, at)
+    want = _einsum_density(pts, at)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kde_density_handles_degenerate_spreads():
     # identical points: covariance is zero, the ridge must keep this evaluable
     pts = np.zeros((10, 2))
@@ -145,17 +188,43 @@ def test_kde_mode_degenerate_inputs():
 
 
 def test_trim_matches_iterative_oracle():
+    """Uniform random points, then dyadic-lattice points (every squared
+    distance exact) with duplicates and collinear runs and bounds set to a
+    pairwise distance or one ulp below it, where the point-set diameter and
+    the hull's meet on the bound. Each case also runs with one- and
+    three-row distance blocks, so the blocks' seams are crossed."""
     rng = np.random.default_rng(4)
-    for _ in range(60):
-        pts = rng.uniform(0.0, 10.0, (int(rng.integers(1, 25)), 2))
-        bound = float(rng.uniform(0.5, 12.0))
-        got = _trim_to_diameter(pts, bound)
+    cases = [
+        (rng.uniform(0.0, 10.0, (int(rng.integers(1, 25)), 2)), float(rng.uniform(0.5, 12.0)))
+        for _ in range(60)
+    ]
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        m = int(rng.integers(1, 30))
+        pts = rng.integers(0, 48, (m, 2)) / 16.0
+        if m > 2:
+            dup = rng.integers(0, m, m // 3)
+            pts[dup] = pts[rng.integers(0, m, len(dup))]
+            run = rng.integers(0, m, m // 2)  # a collinear run along a diagonal
+            pts[run] = pts[run[0]] + np.outer(rng.integers(-8, 9, len(run)), [1.0, 2.0]) / 16.0
+        diff = pts[:, None, :] - pts[None, :, :]
+        dists = np.unique(np.sqrt((diff * diff).sum(axis=2)))
+        picked = rng.choice(dists[dists > 0.0], min(3, len(dists) - 1), replace=False)
+        cases += [(pts, bound) for bound in np.concatenate([picked, np.nextafter(picked, 0.0)]).tolist()]
+    on_bound = 0
+    for pts, bound in cases:
         keep = len(pts)
         while keep > 1 and diameter(convex_hull(pts[:keep])) > bound:
             keep -= 1
-        assert len(got) == keep
-        assert np.array_equal(got, pts[:keep])
+        for rows in (None, 1, 3):
+            block = ingest.PAIRWISE_BLOCK if rows is None else 2 * len(pts) * rows
+            with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
+                got = _trim_to_diameter(pts, bound)
+            assert len(got) == keep
+            assert np.array_equal(got, pts[:keep])
         assert diameter(convex_hull(got)) <= bound or keep == 1
+        on_bound += diameter(convex_hull(got)) == bound
+    assert on_bound >= 40  # the lattice sweep must keep prefixes right on the bound
 
 
 def test_extract_body_respects_diameter_bound():
@@ -235,3 +304,72 @@ def test_body_type():
     cfg = IngestConfig(2000.0, 300.0, 5)
     bodies = generate_synthetic("uniform", 3, cfg, np.random.default_rng(1))
     assert all(isinstance(b, ConvexBody) for b in bodies)
+
+
+def _golden_tracks():
+    """Seeded users around CENTER: Gaussian pings with far stragglers, some
+    with repeated pings at one spot or pings along one street, and one user
+    wholly outside the area."""
+    rng = np.random.default_rng(20240611)
+    lat0, lon0 = CENTER
+    per_m_lat = 180.0 / (math.pi * 6371000.0)
+    per_m_lon = per_m_lat / math.cos(math.radians(lat0))
+    tracks = []
+    for u in range(36):
+        home = rng.uniform(-3500.0, 3500.0, 2)
+        spread = float(rng.choice([15.0, 60.0, 150.0, 400.0]))
+        pts = home + rng.normal(0.0, spread, (int(rng.integers(1, 90)), 2))
+        far = rng.random(len(pts)) < 0.12
+        pts[far] += rng.normal(0.0, 1500.0, (int(far.sum()), 2))
+        if u % 9 == 4:
+            pts[: len(pts) // 2] = pts[0]
+        if u % 9 == 7:
+            pts[:, 1] = pts[0, 1]
+        latlon = np.column_stack([lat0 + pts[:, 1] * per_m_lat, lon0 + pts[:, 0] * per_m_lon])
+        tracks.append(UserTrack(f"u{u}", latlon))
+    tracks.append(UserTrack("ghost", np.array([[lat0 + 2.0, lon0], [lat0 - 2.0, lon0 + 1.0]])))
+    return tracks
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bodies_text(bodies, ids=None) -> str:
+    buf = io.StringIO()
+    write_bodies(bodies, buf, ids)
+    return buf.getvalue()
+
+
+# sha256 of the bodies file plus the skipped list; under every (k, bound)
+# some users are trimmed and some trim probes build a hull
+INGEST_SHA256 = {
+    (5, 100.0): "5a74505e15d9e7dbc3e5ba3cfca42da13bccb6271b9b36a664b4df95fa7b6a55",
+    (5, 500.0): "0ceaaa01dcff8d5dd7c9f3c3c58cce769c80201901bc2bb80e4edec5125dab9e",
+    (20, 100.0): "c12aeee59eec332142320f16fa58243b94aae6f09034336c89a74ff5602bb0e1",
+    (20, 500.0): "d5b4dd31817d080e5babb54ac8b0b44dcb5f1120f01f83ab62bcb14d10fd93c9",
+    (60, 100.0): "6cd48ad463f2d792be38ab91af25683ac9455bf84bc9645d691e2a5d1a953b6e",
+    (60, 500.0): "f2637a913d8697e8e49ebe6d891a47b2dba2d9c765c9844002ac983fdeea06be",
+}
+
+
+@pytest.mark.parametrize("k, bound", sorted(INGEST_SHA256))
+def test_ingest_tracks_golden(k, bound):
+    cfg = IngestConfig(area_side=10000.0, diameter_bound=bound, k=k, center=CENTER)
+    bodies, ids, skipped = ingest_tracks(_golden_tracks(), cfg)
+    assert skipped[-1] == ("ghost", "no points inside the area")
+    assert _sha256(_bodies_text(bodies, ids) + json.dumps(skipped)) == INGEST_SHA256[k, bound]
+
+
+SYNTHETIC_SHA256 = {
+    "uniform": "31f35bc1bc1df28b46b5834145fb9e5976dc663da1769ccbf5eabc61819795f4",
+    "clustered": "2274a9c631c599134c50a42a7d204443403656a545ef2c6db35d90e828da6efb",
+    "concentrated": "fd7926c9a162b0b9329348a4db9386d11211fef2f1f46882d0b69c842f22565d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYNTHETIC_SHA256))
+def test_generate_synthetic_golden(kind):
+    cfg = IngestConfig(2000.0, 300.0, 5, origin=(500.0, -100.0))
+    bodies = generate_synthetic(kind, 300, cfg, np.random.default_rng(6))
+    assert _sha256(_bodies_text(bodies)) == SYNTHETIC_SHA256[kind]
