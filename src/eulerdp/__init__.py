@@ -9,7 +9,7 @@ structure at no further privacy cost.
 """
 
 from .geometry import ConvexBody, convex_hull, diameter
-from .grid import ComponentId, ComponentKind, GridPartition, Orientation, build_partition
+from .grid import GridPartition, build_partition
 from .histogram import (
     BodyValidationError,
     EulerHistogram,
@@ -46,7 +46,6 @@ from .ingest import (
 from .privacy import (
     PrivacyParams,
     RandomSource,
-    ZeroNoiseSource,
     derive_seed,
     global_sensitivity,
     laplace_inverse_cdf,
@@ -72,8 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BodyValidationError",
-    "ComponentId",
-    "ComponentKind",
     "ConfigError",
     "ConstraintSet",
     "ConvexBody",
@@ -86,14 +83,12 @@ __all__ = [
     "IngestError",
     "LinearProgram",
     "MetricsReport",
-    "Orientation",
     "PrivacyParams",
     "QueryRegion",
     "RandomSource",
     "RepairReport",
     "SolveReport",
     "UserTrack",
-    "ZeroNoiseSource",
     "build",
     "build_constraints",
     "build_lad_program",

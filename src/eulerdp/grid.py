@@ -5,11 +5,14 @@ closed cells (faces) and tracks the lower-dimensional components between them:
 the ``2n(n-1)`` interior edge segments and the ``(n-1)^2`` interior grid
 vertices. Components on the outer boundary of the area are not tracked.
 
-Every component has two addresses: a structured :class:`ComponentId` and a
-dense integer index. The dense layout is faces in row-major order, then
-horizontal edges, then vertical edges, then vertices. File formats and noise
-streams are keyed by the dense index, so the layout is load-bearing and must
-stay stable.
+A component has one address, its dense integer index. The dense layout is
+four sections, each row-major: the ``n x n`` faces, the ``(n-1) x n``
+horizontal edges, the ``n x (n-1)`` vertical edges and the ``(n-1) x (n-1)``
+vertices, starting at offsets ``0``, ``hedge_offset``, ``vedge_offset`` and
+``vertex_offset``. So horizontal edge ``(r, c)`` is index
+``hedge_offset + r*n + c`` and vertex ``(r, c)`` is
+``vertex_offset + r*(n-1) + c``. File formats and noise streams are keyed by
+the dense index, so the layout is load-bearing and must stay stable.
 
 Rows grow with y and columns grow with x. Face ``(r, c)`` covers
 ``[x0 + c*d, x0 + (c+1)*d] x [y0 + r*d, y0 + (r+1)*d]`` where ``d`` is the
@@ -22,61 +25,8 @@ faces ``(r, c)``, ``(r, c+1)``, ``(r+1, c)`` and ``(r+1, c+1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class ComponentKind(Enum):
-    FACE = "face"
-    EDGE = "edge"
-    VERTEX = "vertex"
-
-
-class Orientation(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-
-
-@dataclass(frozen=True)
-class ComponentId:
-    """Structured address of one partition component.
-
-    ``orientation`` is set exactly when ``kind`` is EDGE.
-    """
-
-    kind: ComponentKind
-    row: int
-    col: int
-    orientation: Orientation | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind is ComponentKind.EDGE) != (self.orientation is not None):
-            raise ValueError("orientation is required for edges and only for edges")
-
-    def label(self) -> str:
-        if self.kind is ComponentKind.FACE:
-            return f"f{self.row}_{self.col}"
-        if self.kind is ComponentKind.VERTEX:
-            return f"x{self.row}_{self.col}"
-        tag = "h" if self.orientation is Orientation.HORIZONTAL else "v"
-        return f"{tag}e{self.row}_{self.col}"
-
-
-def face(row: int, col: int) -> ComponentId:
-    return ComponentId(ComponentKind.FACE, row, col)
-
-
-def hedge(row: int, col: int) -> ComponentId:
-    return ComponentId(ComponentKind.EDGE, row, col, Orientation.HORIZONTAL)
-
-
-def vedge(row: int, col: int) -> ComponentId:
-    return ComponentId(ComponentKind.EDGE, row, col, Orientation.VERTICAL)
-
-
-def vertex(row: int, col: int) -> ComponentId:
-    return ComponentId(ComponentKind.VERTEX, row, col)
 
 
 @dataclass(frozen=True)
@@ -141,102 +91,6 @@ class GridPartition:
     @property
     def vertex_offset(self) -> int:
         return self.n_faces + self.n_edges
-
-    # ---- id <-> dense index ----------------------------------------------
-
-    def index_of(self, cid: ComponentId) -> int:
-        n = self.n
-        r, c = cid.row, cid.col
-        if cid.kind is ComponentKind.FACE:
-            if not (0 <= r < n and 0 <= c < n):
-                raise IndexError(f"face ({r}, {c}) outside grid of size {n}")
-            return r * n + c
-        if cid.kind is ComponentKind.VERTEX:
-            if not (0 <= r < n - 1 and 0 <= c < n - 1):
-                raise IndexError(f"vertex ({r}, {c}) outside grid of size {n}")
-            return self.vertex_offset + r * (n - 1) + c
-        if cid.orientation is Orientation.HORIZONTAL:
-            if not (0 <= r < n - 1 and 0 <= c < n):
-                raise IndexError(f"horizontal edge ({r}, {c}) outside grid of size {n}")
-            return self.hedge_offset + r * n + c
-        if not (0 <= r < n and 0 <= c < n - 1):
-            raise IndexError(f"vertical edge ({r}, {c}) outside grid of size {n}")
-        return self.vedge_offset + r * (n - 1) + c
-
-    def component_at(self, index: int) -> ComponentId:
-        n = self.n
-        if not (0 <= index < self.size):
-            raise IndexError(f"dense index {index} outside [0, {self.size})")
-        if index < self.hedge_offset:
-            return face(index // n, index % n)
-        if index < self.vedge_offset:
-            k = index - self.hedge_offset
-            return hedge(k // n, k % n)
-        if index < self.vertex_offset:
-            k = index - self.vedge_offset
-            return vedge(k // (n - 1), k % (n - 1))
-        k = index - self.vertex_offset
-        return vertex(k // (n - 1), k % (n - 1))
-
-    # ---- incidence ---------------------------------------------------------
-
-    def incident_faces(self, edge: ComponentId) -> tuple[ComponentId, ComponentId]:
-        """The two faces separated by an interior edge."""
-        if edge.kind is not ComponentKind.EDGE:
-            raise ValueError("incident_faces expects an edge component")
-        self.index_of(edge)  # bounds check
-        r, c = edge.row, edge.col
-        if edge.orientation is Orientation.HORIZONTAL:
-            return face(r, c), face(r + 1, c)
-        return face(r, c), face(r, c + 1)
-
-    def incident_edges(self, vx: ComponentId) -> tuple[ComponentId, ...]:
-        """The four edges meeting at an interior vertex, in dense-index order."""
-        if vx.kind is not ComponentKind.VERTEX:
-            raise ValueError("incident_edges expects a vertex component")
-        self.index_of(vx)
-        r, c = vx.row, vx.col
-        return hedge(r, c), hedge(r, c + 1), vedge(r, c), vedge(r + 1, c)
-
-    def incident_faces_of_vertex(self, vx: ComponentId) -> tuple[ComponentId, ...]:
-        """The four faces surrounding an interior vertex, row-major."""
-        if vx.kind is not ComponentKind.VERTEX:
-            raise ValueError("incident_faces_of_vertex expects a vertex component")
-        self.index_of(vx)
-        r, c = vx.row, vx.col
-        return face(r, c), face(r, c + 1), face(r + 1, c), face(r + 1, c + 1)
-
-    # ---- geometry ----------------------------------------------------------
-
-    def x_line(self, i: int) -> float:
-        return self.origin[0] + i * self.cell_side
-
-    def y_line(self, j: int) -> float:
-        return self.origin[1] + j * self.cell_side
-
-    def box_of(self, cid: ComponentId) -> tuple[float, float, float, float]:
-        """Closed axis-aligned extent (xlo, xhi, ylo, yhi); degenerate for
-        edges (one zero side) and vertices (both sides zero)."""
-        self.index_of(cid)
-        r, c = cid.row, cid.col
-        if cid.kind is ComponentKind.FACE:
-            return self.x_line(c), self.x_line(c + 1), self.y_line(r), self.y_line(r + 1)
-        if cid.kind is ComponentKind.VERTEX:
-            x, y = self.x_line(c + 1), self.y_line(r + 1)
-            return x, x, y, y
-        if cid.orientation is Orientation.HORIZONTAL:
-            y = self.y_line(r + 1)
-            return self.x_line(c), self.x_line(c + 1), y, y
-        x = self.x_line(c + 1)
-        return x, x, self.y_line(r), self.y_line(r + 1)
-
-    def area_box(self) -> tuple[float, float, float, float]:
-        return (
-            self.x_line(0),
-            self.x_line(self.n),
-            self.y_line(0),
-            self.y_line(self.n),
-        )
 
     def window(
         self, xlo: float, xhi: float, ylo: float, yhi: float

@@ -10,7 +10,7 @@ report that is not reproducible; everything else is.
 
 Repetitions are independent, so they can run in a process pool; results are
 assembled in repetition order, making the report identical for any worker
-count (picklable noise factories only in that case).
+count.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class ExperimentConfig:
     qr_percents: tuple[float, ...] = (10.0, 25.0, 50.0, 75.0, 100.0)
     qr_shapes: tuple[tuple[int, int], ...] = ()
     repetitions: int = 100
-    delta: float = 0.05
     objective: str = "l1"
     origin: tuple[float, float] = (0.0, 0.0)
     workers: int = 1
@@ -110,8 +109,6 @@ class ExperimentConfig:
             raise ConfigError("count must be >= 0")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ConfigError("delta must be in (0, 1)")
         if self.objective not in ("l1", "linf"):
             raise ConfigError(f"objective must be l1 or linf, got {self.objective!r}")
         if self.workers < 1:
@@ -135,7 +132,6 @@ _KEY_TYPES: dict[str, Callable[[str], object]] = {
     "cell_side": float,
     "diameter_bound": float,
     "epsilon": float,
-    "delta": float,
     "origin_x": float,
     "origin_y": float,
     "n": int,
@@ -165,7 +161,7 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
     kwargs: dict[str, object] = {}
     for key in (
-        "area_side", "cell_side", "diameter_bound", "epsilon", "delta",
+        "area_side", "cell_side", "diameter_bound", "epsilon",
         "n", "count", "repetitions", "seed", "workers", "synthetic", "objective",
     ):
         if key in typed:
@@ -249,7 +245,6 @@ class _RepJob:
     noise_seed: int
     placement_key: tuple[int, int]
     qr_specs: list[tuple[str, list[tuple[int, int]]]]
-    noise_factory: Callable[[int], object] | None
 
 
 @dataclass
@@ -262,11 +257,8 @@ class _RepResult:
 
 
 def _run_repetition(job: _RepJob) -> _RepResult:
-    factory = job.noise_factory or RandomSource
-    source = factory(job.noise_seed)
-
     t0 = time.perf_counter()
-    noisy = perturb(job.raw, job.params, source)
+    noisy = perturb(job.raw, job.params, RandomSource(job.noise_seed))
     t1 = time.perf_counter()
     consistent, _ = infer(noisy, job.cs, objective=job.objective)
     t2 = time.perf_counter()
@@ -326,10 +318,7 @@ def load_experiment_bodies(config: ExperimentConfig) -> list[ConvexBody]:
     return bodies
 
 
-def run_query_experiment(
-    config: ExperimentConfig,
-    noise_factory: Callable[[int], object] | None = None,
-) -> MetricsReport:
+def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
     """Run the configured repetitions and assemble the metrics tables."""
     n = config.grid_n
     p = build_partition(config.area_side, n, config.origin)
@@ -356,7 +345,6 @@ def run_query_experiment(
             noise_seed=derive_seed(config.seed, rep),
             placement_key=(config.seed, rep),
             qr_specs=qr_specs,
-            noise_factory=noise_factory,
         )
         for rep in range(config.repetitions)
     ]
@@ -404,7 +392,7 @@ def run_query_experiment(
 def _echo(config: ExperimentConfig) -> list[tuple[str, str]]:
     rows = []
     for key in (
-        "area_side", "cell_side", "n", "diameter_bound", "epsilon", "delta", "seed",
+        "area_side", "cell_side", "n", "diameter_bound", "epsilon", "seed",
         "synthetic", "count", "bodies_path", "qr_percents", "qr_shapes",
         "repetitions", "objective", "workers",
     ):

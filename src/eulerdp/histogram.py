@@ -103,10 +103,6 @@ class QueryRegion:
         if self.r1 >= n or self.c1 >= n:
             raise ValueError(f"query region {self} exceeds grid of size {n}")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.r1 - self.r0 + 1, self.c1 - self.c0 + 1
-
 
 def validate_bodies(
     bodies: list[ConvexBody],
@@ -118,7 +114,8 @@ def validate_bodies(
 
     Returns (accepted, rejected) where rejected holds (input index, reason).
     """
-    xlo, xhi, ylo, yhi = p.area_box()
+    (xlo, ylo), span = p.origin, p.n * p.cell_side
+    xhi, yhi = xlo + span, ylo + span
     kept: list[ConvexBody] = []
     rejected: list[tuple[int, str]] = []
     for i, body in enumerate(bodies):

@@ -221,15 +221,10 @@ def build_linf_program(hn: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
 _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
 
 
-def solve(lp: LinearProgram, maxiter: int | None = None) -> tuple[np.ndarray | None, SolveReport]:
+def solve(lp: LinearProgram) -> tuple[np.ndarray | None, SolveReport]:
     """Solve with the HiGHS backend; deterministic for a fixed program."""
-    options = {}
-    if maxiter is not None:
-        options["maxiter"] = maxiter
     t0 = time.perf_counter()
-    res = linprog(
-        lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs", options=options
-    )
+    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
     wall = time.perf_counter() - t0
     status = _STATUS.get(res.status, "error")
     report = SolveReport(
@@ -279,8 +274,13 @@ def infer(
 def _lp_names(lp: LinearProgram) -> tuple[list[str], list[str]]:
     """Variable and row names, in column and row order."""
     cs = lp.constraints
-    p = cs.partition
-    comp = [p.component_at(i).label() for i in range(p.size)]
+    n = cs.partition.n
+    comp = (
+        [f"f{r}_{c}" for r in range(n) for c in range(n)]
+        + [f"he{r}_{c}" for r in range(n - 1) for c in range(n)]
+        + [f"ve{r}_{c}" for r in range(n) for c in range(n - 1)]
+        + [f"x{r}_{c}" for r in range(n - 1) for c in range(n - 1)]
+    )
     resid = [f"r_{lab}" for lab in comp] if lp.kind == "l1" else ["r_max"]
     var_names = [f"x_{lab}" for lab in comp] + resid
     row_names = (

@@ -150,6 +150,10 @@ def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     at = np.atleast_2d(np.asarray(at, dtype=np.float64))
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise IngestError("kde_density expects a non-empty (k, 2) points array")
+    if at.ndim != 2 or at.shape[1] != 2:
+        raise IngestError("kde_density expects an (m, 2) array of evaluation points")
     h = _scott_matrix(pts)
     h_inv = np.linalg.inv(h)
     (a, b), (c, e) = h_inv.tolist()

@@ -76,16 +76,6 @@ class RandomSource:
         return laplace_inverse_cdf(self.uniforms_at(start, count), lam)
 
 
-class ZeroNoiseSource:
-    """Stub source drawing exact zeros; used to exercise pipelines noise-free."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def laplace_at(self, lam: float, start: int, count: int) -> np.ndarray:
-        return np.zeros(count)
-
-
 def _snapped_ceil(ratio: float) -> int:
     # Ratios that are integers up to float dust (e.g. 2 / (20/30)) must not
     # jump to the next integer.
@@ -173,10 +163,8 @@ def utility_bound_end_to_end(
     """Sup-norm error bound of the full release (noise + inference + rounding)
     holding with probability at least 1 - delta, in closed form over the
     grid parameters."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    c = _snapped_ceil(diameter_bound / cell_side)
     components = 4.0 * area_side**2 / cell_side**2 - 4.0 * area_side / cell_side + 1.0
-    return (9.0 * (c + 1) * c / epsilon) * math.log(components / delta) + 0.5
+    lam = 2 * sensitivity_closed_form(diameter_bound, cell_side) / epsilon
+    return utility_bound_dp(delta, lam, components) + 0.5

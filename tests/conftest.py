@@ -5,7 +5,9 @@ point/segment/polygon predicates composed the textbook way. Tests that claim
 exactness feed both sides coordinates on a dyadic lattice (multiples of
 1/1024) so every intermediate product is exactly representable and the
 comparison is legitimate. The rectangle oracle tabulates every rectangle's
-Euler count at once, in O(n^4) time and memory, for small grids.
+Euler count at once, in O(n^4) time and memory, for small grids. The grid
+oracle lists every tracked component's label and closed box straight from the
+geometry the ``grid`` module documents.
 """
 
 from __future__ import annotations
@@ -108,6 +110,55 @@ def lattice_body(rng: np.random.Generator, span: float, kmax: int = 6) -> Convex
     """Random convex body on the lattice; sometimes degenerate on purpose."""
     k = int(rng.integers(1, kmax + 1))
     return convex_hull(lattice_points(rng, k, span))
+
+
+def grid_components(p) -> list[tuple[str, tuple[float, float, float, float]]]:
+    """(label, closed box) of every tracked component of partition ``p``.
+
+    Listed faces first, then horizontal edges, vertical edges and vertices,
+    each family row by row. A box is (xlo, xhi, ylo, yhi): an edge's box has
+    one zero side and a vertex's box is a point.
+    """
+    n, d = p.n, p.cell_side
+    ox, oy = p.origin
+    xs = [ox + i * d for i in range(n + 1)]
+    ys = [oy + j * d for j in range(n + 1)]
+    out = []
+    for r in range(n):
+        for c in range(n):
+            out.append((f"f{r}_{c}", (xs[c], xs[c + 1], ys[r], ys[r + 1])))
+    for r in range(n - 1):  # between faces (r, c) and (r+1, c)
+        for c in range(n):
+            out.append((f"he{r}_{c}", (xs[c], xs[c + 1], ys[r + 1], ys[r + 1])))
+    for r in range(n):  # between faces (r, c) and (r, c+1)
+        for c in range(n - 1):
+            out.append((f"ve{r}_{c}", (xs[c + 1], xs[c + 1], ys[r], ys[r + 1])))
+    for r in range(n - 1):  # shared by faces (r, c) .. (r+1, c+1)
+        for c in range(n - 1):
+            out.append((f"x{r}_{c}", (xs[c + 1], xs[c + 1], ys[r + 1], ys[r + 1])))
+    return out
+
+
+def box_dimension(box) -> int:
+    """2 for a face, 1 for an edge, 0 for a vertex."""
+    return int(box[1] > box[0]) + int(box[3] > box[2])
+
+
+def box_contains(outer, inner) -> bool:
+    return (
+        outer[0] <= inner[0] and inner[1] <= outer[1]
+        and outer[2] <= inner[2] and inner[3] <= outer[3]
+    )
+
+
+class ConstantNoise:
+    """Noise source drawing one fixed value for every component."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def laplace_at(self, lam: float, start: int, count: int) -> np.ndarray:
+        return np.full(count, self.value)
 
 
 def _section_prefix(section: np.ndarray) -> np.ndarray:

@@ -12,10 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import body_intersects_box, lattice_body, point_in_convex
+from conftest import (
+    body_intersects_box,
+    box_contains,
+    box_dimension,
+    grid_components,
+    lattice_body,
+    point_in_convex,
+)
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
 from eulerdp.geometry import intersects_boxes
-from eulerdp.grid import face, hedge, vertex
 
 lattice_coord = st.integers(min_value=0, max_value=4096).map(lambda k: k / 1024.0)
 lattice_point = st.tuples(lattice_coord, lattice_coord)
@@ -118,23 +124,23 @@ def test_component_predicates_and_monotonicity():
     """A body meeting an edge meets both faces; meeting a vertex meets all
     four edges. Holds by box containment, checked empirically here."""
     p = build_partition(4.0, 4)
+    boxes = np.array([box for _, box in grid_components(p)])
+    dims = [box_dimension(box) for box in boxes]
+    # (smaller, larger) component pairs one dimension apart, larger box containing the smaller
+    pairs = [
+        (i, j)
+        for i, inner in enumerate(boxes)
+        for j, outer in enumerate(boxes)
+        if dims[j] == dims[i] + 1 and box_contains(outer, inner)
+    ]
+    assert len(pairs) == 2 * 24 + 4 * 9  # two faces per edge, four edges per vertex
     rng = np.random.default_rng(99)
-
-    def meets(body, cid):
-        return bool(intersects_boxes(body, np.array([p.box_of(cid)]))[0])
-
     hits = 0
     for _ in range(200):
         body = lattice_body(rng, 4.0)
-        for r in range(3):
-            for c in range(4):
-                if meets(body, hedge(r, c)):
-                    hits += 1
-                    assert meets(body, face(r, c))
-                    assert meets(body, face(r + 1, c))
-        for r in range(3):
-            for c in range(3):
-                if meets(body, vertex(r, c)):
-                    for e in p.incident_edges(vertex(r, c)):
-                        assert meets(body, e)
+        meets = intersects_boxes(body, boxes)
+        for i, j in pairs:
+            if meets[i]:
+                hits += dims[i] == 1
+                assert meets[j]
     assert hits > 50  # the sweep must actually exercise the implication

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerdp import (
-    ComponentId,
-    ComponentKind,
-    GridPartition,
-    Orientation,
-    build_partition,
-)
-from eulerdp.grid import face, hedge, vedge, vertex
+from conftest import box_dimension, grid_components, point_in_box
+from eulerdp import GridPartition, build, build_partition, convex_hull, validate_bodies
 
 
 def boxes_overlap(a, b) -> bool:
@@ -46,125 +40,73 @@ def test_section_offsets_n3():
 def test_dense_layout_pinned_n2():
     # the dense order keys files and noise streams; pin it exactly
     p = build_partition(2.0, 2)
-    labels = [p.component_at(i).label() for i in range(p.size)]
-    assert labels == [
+    comps = grid_components(p)
+    assert [label for label, _ in comps] == [
         "f0_0", "f0_1", "f1_0", "f1_1",
         "he0_0", "he0_1",
         "ve0_0", "ve1_0",
         "x0_0",
     ]
-
-
-@given(st.integers(min_value=2, max_value=12))
-@settings(max_examples=20)
-def test_index_roundtrip(n):
-    p = build_partition(float(n), n)
-    for i in range(p.size):
-        cid = p.component_at(i)
-        assert p.index_of(cid) == i
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        lambda p: p.component_at(-1),
-        lambda p: p.component_at(25),
-        lambda p: p.index_of(face(3, 0)),
-        lambda p: p.index_of(face(0, -1)),
-        lambda p: p.index_of(hedge(2, 0)),
-        lambda p: p.index_of(vedge(0, 2)),
-        lambda p: p.index_of(vertex(2, 1)),
-    ],
-)
-def test_out_of_range_addresses_raise(bad):
-    p = build_partition(3.0, 3)
-    with pytest.raises(IndexError):
-        bad(p)
-
-
-def test_component_id_orientation_rules():
-    with pytest.raises(ValueError):
-        ComponentId(ComponentKind.EDGE, 0, 0)
-    with pytest.raises(ValueError):
-        ComponentId(ComponentKind.FACE, 0, 0, Orientation.HORIZONTAL)
-    assert hedge(1, 2).label() == "he1_2"
-    assert vedge(1, 2).label() == "ve1_2"
-    assert face(0, 3).label() == "f0_3"
-    assert vertex(4, 0).label() == "x4_0"
+    idx, boxes = p.window(0.0, 2.0, 0.0, 2.0)
+    assert idx.tolist() == list(range(p.size))
+    assert [tuple(b) for b in boxes] == [box for _, box in comps]
 
 
 def test_incidence_matches_geometry():
-    """Incidence must agree with raw box containment, component by component."""
+    """A point body at the centre of a component meets exactly the components
+    whose closed boxes contain that point: an edge and its two faces, or a
+    vertex with its four edges and four faces."""
     p = build_partition(4.0, 4)
-    all_ids = [p.component_at(i) for i in range(p.size)]
-    faces = [c for c in all_ids if c.kind is ComponentKind.FACE]
-    edges = [c for c in all_ids if c.kind is ComponentKind.EDGE]
-
-    def contains(outer, inner) -> bool:
-        return (
-            outer[0] <= inner[0] and inner[1] <= outer[1]
-            and outer[2] <= inner[2] and inner[3] <= outer[3]
-        )
-
-    for e in edges:
-        ebox = p.box_of(e)
-        want = {f for f in faces if contains(p.box_of(f), ebox)}
-        assert set(p.incident_faces(e)) == want
-        assert len(want) == 2
-    for c in all_ids:
-        if c.kind is not ComponentKind.VERTEX:
-            continue
-        vbox = p.box_of(c)
-        want_edges = {e for e in edges if contains(p.box_of(e), vbox)}
-        want_faces = {f for f in faces if contains(p.box_of(f), vbox)}
-        assert set(p.incident_edges(c)) == want_edges
-        assert set(p.incident_faces_of_vertex(c)) == want_faces
-        assert len(want_edges) == 4 and len(want_faces) == 4
-
-
-def test_incidence_rejects_wrong_kind():
-    p = build_partition(3.0, 3)
-    with pytest.raises(ValueError):
-        p.incident_faces(face(0, 0))
-    with pytest.raises(ValueError):
-        p.incident_edges(hedge(0, 0))
-    with pytest.raises(ValueError):
-        p.incident_faces_of_vertex(face(0, 0))
+    boxes = [box for _, box in grid_components(p)]
+    for i, box in enumerate(boxes):
+        centre = ((box[0] + box[1]) / 2, (box[2] + box[3]) / 2)
+        got = build([convex_hull([centre])], p).counts
+        assert got.tolist() == [float(point_in_box(centre, b)) for b in boxes]
+        assert got[i] == 1.0
+        assert got.sum() == {2: 1, 1: 3, 0: 9}[box_dimension(box)]
 
 
 def test_box_of_hand_values():
     p = build_partition(8.0, 8, origin=(2.0, 3.0))
     assert p.cell_side == 1.0
-    assert p.box_of(face(1, 2)) == (4.0, 5.0, 4.0, 5.0)
-    assert p.box_of(hedge(0, 0)) == (2.0, 3.0, 4.0, 4.0)
-    assert p.box_of(vedge(0, 0)) == (3.0, 3.0, 3.0, 4.0)
-    assert p.box_of(vertex(0, 0)) == (3.0, 3.0, 4.0, 4.0)
-    assert p.area_box() == (2.0, 10.0, 3.0, 11.0)
+    idx, boxes = p.window(2.0, 10.0, 3.0, 11.0)
+    labels = [label for label, _ in grid_components(p)]
+    box_of = {labels[i]: tuple(b) for i, b in zip(idx.tolist(), boxes)}
+    assert box_of["f1_2"] == (4.0, 5.0, 4.0, 5.0)
+    assert box_of["he0_0"] == (2.0, 3.0, 4.0, 4.0)
+    assert box_of["ve0_0"] == (3.0, 3.0, 3.0, 4.0)
+    assert box_of["x0_0"] == (3.0, 3.0, 4.0, 4.0)
+    # the area is [2, 10] x [3, 11], closed
+    corner_to_corner = convex_hull([(2.0, 3.0), (10.0, 11.0)])
+    past_the_top = convex_hull([(2.0, 3.0), (10.0, 11.5)])
+    _, rejected = validate_bodies([corner_to_corner, past_the_top], p)
+    assert [i for i, _ in rejected] == [1]
 
 
 def test_grid_lines():
     p = build_partition(10.0, 4, origin=(-1.0, 5.0))
     assert p.cell_side == 2.5
-    assert p.x_line(0) == -1.0
-    assert p.x_line(4) == 9.0
-    assert p.y_line(2) == 10.0
+    idx, boxes = p.window(-1.0, 9.0, 5.0, 15.0)
+    faces = boxes[idx < p.n_faces]
+    assert sorted(set(faces[:, 0]) | set(faces[:, 1])) == [-1.0, 1.5, 4.0, 6.5, 9.0]
+    assert sorted(set(faces[:, 2]) | set(faces[:, 3])) == [5.0, 7.5, 10.0, 12.5, 15.0]
 
 
 def test_window_is_superset_of_overlaps():
     p = build_partition(5.0, 5)
-    boxes_all = [(i, p.box_of(p.component_at(i))) for i in range(p.size)]
+    boxes_all = [box for _, box in grid_components(p)]
     rng = np.random.default_rng(42)
     for _ in range(80):
         pts = rng.uniform(-1.0, 6.0, 4)
         q = (min(pts[0], pts[1]), max(pts[0], pts[1]), min(pts[2], pts[3]), max(pts[2], pts[3]))
         idx, boxes = p.window(*q)
         got = set(idx.tolist())
-        for i, b in boxes_all:
+        for i, b in enumerate(boxes_all):
             if boxes_overlap(b, q):
                 assert i in got
-        # returned boxes agree with box_of addresses
+        # returned boxes agree with the geometry of their dense indices
         for j, i in enumerate(idx.tolist()):
-            assert tuple(boxes[j]) == p.box_of(p.component_at(i))
+            assert tuple(boxes[j]) == boxes_all[i]
 
 
 def test_window_far_outside_is_empty():

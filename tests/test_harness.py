@@ -6,10 +6,10 @@ import io
 
 import pytest
 
+from conftest import ConstantNoise
 from eulerdp import (
     ConfigError,
     ExperimentConfig,
-    ZeroNoiseSource,
     config_from_mapping,
     resolve_grid_n,
     run_query_experiment,
@@ -82,8 +82,6 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         _base_config(bodies_path="x.jsonl")  # two body sources
     with pytest.raises(ConfigError):
-        _base_config(delta=1.0)
-    with pytest.raises(ConfigError):
         _base_config(repetitions=0)
     with pytest.raises(ConfigError):
         _base_config(workers=0)
@@ -111,13 +109,12 @@ def test_config_from_mapping_full():
         "origin_x": "100.5",
         "workers": "3",
         "objective": "linf",
-        "delta": "0.1",
     })
     assert cfg.grid_n == 20
     assert cfg.qr_percents == (10.0, 50.0)
     assert cfg.qr_shapes == ((2, 3), (20, 1))
     assert cfg.origin == (100.5, 0.0)
-    assert cfg.workers == 3 and cfg.objective == "linf" and cfg.delta == 0.1
+    assert cfg.workers == 3 and cfg.objective == "linf"
 
 
 def test_config_from_mapping_errors():
@@ -125,6 +122,8 @@ def test_config_from_mapping_errors():
             "seed": "1", "synthetic": "uniform"}
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_mapping({**base, "sigma": "3"})
+    with pytest.raises(ConfigError, match="unknown config keys: delta"):
+        config_from_mapping({**base, "delta": "0.1"})
     with pytest.raises(ConfigError, match="missing required"):
         config_from_mapping({"n": "5", "synthetic": "uniform"})
     with pytest.raises(ConfigError, match="config key n"):
@@ -150,8 +149,9 @@ def test_config_from_mapping_bodies_source(tmp_path):
     assert len(bodies) == 1
 
 
-def test_zero_noise_experiment_has_zero_error():
-    report = run_query_experiment(_base_config(), noise_factory=ZeroNoiseSource)
+def test_zero_noise_experiment_has_zero_error(monkeypatch):
+    monkeypatch.setattr("eulerdp.harness.RandomSource", lambda seed: ConstantNoise(0.0))
+    report = run_query_experiment(_base_config())
     for label, alg, err, samples in report.query_rows:
         assert err == 0.0
         assert samples == 4  # one 5x5 shape per repetition
@@ -202,8 +202,9 @@ def test_experiment_report_structure():
     assert stages["released"] == (0.0, 0.0, 0.0)
 
 
-def test_write_metrics_layout():
-    report = run_query_experiment(_base_config(), noise_factory=ZeroNoiseSource)
+def test_write_metrics_layout(monkeypatch):
+    monkeypatch.setattr("eulerdp.harness.RandomSource", lambda seed: ConstantNoise(0.0))
+    report = run_query_experiment(_base_config())
     buf = io.StringIO()
     write_metrics(report, buf)
     text = buf.getvalue()

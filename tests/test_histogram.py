@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import all_rectangle_counts, euler_truth, lattice_body, valid_region_mask
+from conftest import (
+    all_rectangle_counts,
+    box_dimension,
+    euler_truth,
+    grid_components,
+    lattice_body,
+    valid_region_mask,
+)
 from eulerdp import (
     BodyValidationError,
     ConvexBody,
@@ -19,27 +26,21 @@ from eulerdp import (
     query,
     validate_bodies,
 )
-from eulerdp.grid import ComponentKind
 
 
 def slow_query(h: EulerHistogram, qr: QueryRegion) -> float:
-    """Reference query via the incidence API, no prefix sums."""
+    """Reference query from grid geometry, no prefix sums: a component counts,
+    with sign (-1)^(2 - dimension), when the centre of its box lies strictly
+    inside the query rectangle."""
     p = h.partition
-
-    def face_in(f) -> bool:
-        return qr.r0 <= f.row <= qr.r1 and qr.c0 <= f.col <= qr.c1
-
+    (ox, oy), d = p.origin, p.cell_side
+    qxlo, qxhi = ox + qr.c0 * d, ox + (qr.c1 + 1) * d
+    qylo, qyhi = oy + qr.r0 * d, oy + (qr.r1 + 1) * d
     total = 0.0
-    for i in range(p.size):
-        cid = p.component_at(i)
-        if cid.kind is ComponentKind.FACE:
-            if face_in(cid):
-                total += h.counts[i]
-        elif cid.kind is ComponentKind.EDGE:
-            if all(face_in(f) for f in p.incident_faces(cid)):
-                total -= h.counts[i]
-        elif all(face_in(f) for f in p.incident_faces_of_vertex(cid)):
-            total += h.counts[i]
+    for count, (_, box) in zip(h.counts, grid_components(p)):
+        cx, cy = (box[0] + box[1]) / 2, (box[2] + box[3]) / 2
+        if qxlo < cx < qxhi and qylo < cy < qyhi:
+            total += count if box_dimension(box) != 1 else -count
     return total
 
 
@@ -166,7 +167,6 @@ def test_query_region_validation():
     h = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW)
     with pytest.raises(ValueError):
         query(h, qr)
-    assert QueryRegion(1, 3, 0, 2).shape == (3, 3)
 
 
 def test_query_return_types():

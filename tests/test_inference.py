@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import lattice_body
+from conftest import box_contains, box_dimension, grid_components, lattice_body
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -25,7 +25,6 @@ from eulerdp import (
     write_lp_text,
 )
 from eulerdp import inference
-from eulerdp.grid import ComponentKind
 
 
 def test_family_census():
@@ -36,28 +35,23 @@ def test_family_census():
 
 
 def test_constraints_match_incidence_api():
-    """The vectorized index arithmetic must agree, row for row, with the
-    structured incidence accessors."""
+    """The vectorized index arithmetic must agree, row for row, with
+    incidence read off the component boxes: an edge lies in its two faces,
+    a vertex in its four edges and four faces."""
     p = build_partition(5.0, 5)
     cs = build_constraints(p)
+    boxes = [box for _, box in grid_components(p)]
 
-    want_c1 = []
-    for e in range(p.hedge_offset, p.vertex_offset):
-        cid = p.component_at(e)
-        for f in p.incident_faces(cid):
-            want_c1.append((e, p.index_of(f)))
-    assert cs.c1.tolist() == [list(r) for r in want_c1]
+    def within(i: int, dim: int) -> list[int]:
+        return [
+            j for j, b in enumerate(boxes) if box_dimension(b) == dim and box_contains(b, boxes[i])
+        ]
 
-    want_c2, want_c3 = [], []
-    for i in range(p.vertex_offset, p.size):
-        vx = p.component_at(i)
-        edges = [p.index_of(e) for e in p.incident_edges(vx)]
-        faces = [p.index_of(f) for f in p.incident_faces_of_vertex(vx)]
-        for e in edges:
-            want_c2.append((i, e))
-        want_c3.append([i] + faces + edges)
-    assert cs.c2.tolist() == [list(r) for r in want_c2]
-    assert cs.c3.tolist() == want_c3
+    edges = [i for i, b in enumerate(boxes) if box_dimension(b) == 1]
+    vertices = [i for i, b in enumerate(boxes) if box_dimension(b) == 0]
+    assert cs.c1.tolist() == [[e, f] for e in edges for f in within(e, 2)]
+    assert cs.c2.tolist() == [[v, e] for v in vertices for e in within(v, 1)]
+    assert cs.c3.tolist() == [[v] + within(v, 2) + within(v, 1) for v in vertices]
 
 
 def test_excess_and_violation_counts():
@@ -222,14 +216,6 @@ def test_write_lp_text_deterministic():
     assert "c3_x0_0:" in first
 
 
-def test_solve_honors_iteration_limit_option():
-    _, noisy = _noisy_fixture(n=6)
-    cs = build_constraints(noisy.partition)
-    counts, report = solve(build_lad_program(noisy, cs), maxiter=1)
-    assert report.status in ("optimal", "iteration-limit")
-
-
-
 # sha256 of write_lp_text on _golden_histogram(): a change here changes the
 # program every solve sees, not only its text.
 LP_TEXT_SHA256 = {
@@ -250,6 +236,31 @@ def test_write_lp_text_golden(objective):
     builder = build_lad_program if objective == "l1" else build_linf_program
     text = write_lp_text(builder(h, build_constraints(h.partition)))
     assert hashlib.sha256(text.encode()).hexdigest() == LP_TEXT_SHA256[objective]
+
+
+def test_write_lp_text_names_follow_dense_order_n12():
+    # two-digit row and column indices; the golden above only reaches 2
+    p = build_partition(12.0, 12)
+    comps = grid_components(p)
+    labels = [label for label, _ in comps]
+    vertices = [label for label, box in comps if box_dimension(box) == 0]
+    cs = build_constraints(p)
+    h = EulerHistogram(p, np.zeros(p.size), HistogramState.NOISY)
+    text = write_lp_text(build_lad_program(h, cs))
+    lines = text.splitlines()
+    objective = " ".join(lines[lines.index("Minimize") + 1 : lines.index("Subject To")])
+    assert [t.strip() for t in objective.replace("obj:", "").split("+")] == [
+        f"r_{lab}" for lab in labels
+    ]
+    rows = _lp_rows(text)
+    size = p.size
+    assert rows[:size] == [(f"lo_{lab}", f"- x_{lab} - r_{lab}") for lab in labels]
+    assert rows[size : 2 * size] == [(f"hi_{lab}", f"x_{lab} - r_{lab}") for lab in labels]
+    names = [name for name, _ in rows[2 * size :]]
+    c1, c2 = len(cs.c1), len(cs.c2)
+    assert names[:c1] == [f"c1_{labels[e]}_{labels[f]}" for e, f in cs.c1.tolist()]
+    assert names[c1 : c1 + c2] == [f"c2_{labels[v]}_{labels[e]}" for v, e in cs.c2.tolist()]
+    assert names[c1 + c2 :] == [f"c3_{lab}" for lab in vertices]
 
 
 @pytest.mark.parametrize("objective", ["l1", "linf"])

@@ -167,6 +167,21 @@ def test_kde_density_handles_degenerate_spreads():
     assert np.isfinite(dens).all() and (dens > 0).all()
 
 
+@pytest.mark.parametrize(
+    "points, at",
+    [
+        (np.empty((0, 2)), np.zeros((1, 2))),
+        (np.zeros((5, 3)), np.zeros((1, 2))),
+        (np.zeros(4), np.zeros((1, 2))),
+        (np.ones((5, 2)), np.zeros((1, 3))),
+    ],
+    ids=["empty-points", "points-3-columns", "points-1d", "at-3-columns"],
+)
+def test_kde_density_rejects_bad_shapes(points, at):
+    with pytest.raises(IngestError, match="kde_density expects"):
+        kde_density(points, at)
+
+
 def test_kde_mode_is_argmax_over_data():
     rng = np.random.default_rng(19)
     pts = np.vstack([

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ConstantNoise
 from eulerdp import (
     EulerHistogram,
     HistogramState,
     PrivacyParams,
     RandomSource,
-    ZeroNoiseSource,
     build_partition,
     derive_seed,
     global_sensitivity,
@@ -159,16 +159,16 @@ def _raw(p, value=0.0):
 def test_perturb_requires_raw_state():
     p = build_partition(4.0, 4)
     params = PrivacyParams.for_partition(1.0, 1.0, p)
-    noisy = perturb(_raw(p), params, ZeroNoiseSource(0))
+    noisy = perturb(_raw(p), params, ConstantNoise(0.0))
     with pytest.raises(ValueError):
-        perturb(noisy, params, ZeroNoiseSource(0))
+        perturb(noisy, params, ConstantNoise(0.0))
 
 
 def test_perturb_zero_noise_is_identity_with_metadata():
     p = build_partition(4.0, 4)
     params = PrivacyParams.for_partition(0.7, 2.0, p)
     h = _raw(p, 3.0)
-    out = perturb(h, params, ZeroNoiseSource(0))
+    out = perturb(h, params, ConstantNoise(0.0))
     assert out.state is HistogramState.NOISY
     assert out.epsilon == 0.7
     assert out.diameter_bound == 2.0
@@ -177,20 +177,12 @@ def test_perturb_zero_noise_is_identity_with_metadata():
     assert h.epsilon is None
 
 
-class _ConstantNoise:
-    def __init__(self, value: float):
-        self.value = value
-
-    def laplace_at(self, lam: float, start: int, count: int) -> np.ndarray:
-        return np.full(count, self.value)
-
-
 def test_perturb_truncates_negatives_to_zero():
     p = build_partition(4.0, 4)
     params = PrivacyParams.for_partition(1.0, 1.0, p)
-    out = perturb(_raw(p, 0.0), params, _ConstantNoise(-3.2))
+    out = perturb(_raw(p, 0.0), params, ConstantNoise(-3.2))
     assert np.array_equal(out.counts, np.zeros(p.size))
-    out = perturb(_raw(p, 5.0), params, _ConstantNoise(-3.2))
+    out = perturb(_raw(p, 5.0), params, ConstantNoise(-3.2))
     assert np.allclose(out.counts, 1.8)
 
 
