@@ -400,6 +400,8 @@ def _echo(config: ExperimentConfig) -> list[tuple[str, str]]:
         if value in (None, ()):
             continue
         rows.append((key, str(value)))
+    if config.origin != (0.0, 0.0):
+        rows += [("origin_x", str(config.origin[0])), ("origin_y", str(config.origin[1]))]
     rows.append(("grid_n", str(config.grid_n)))
     return rows
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,15 @@ class BodyValidationError(ValueError):
         super().__init__(f"{len(reports)} invalid bodies: {lines}{more}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EulerHistogram:
+    """Counts of one grid partition, in dense order, tagged with their state.
+
+    Immutable: ``counts`` is copied once on construction and is read-only, so
+    the corner tables cached on first use never go stale. ``with_counts``
+    makes a new histogram.
+    """
+
     partition: GridPartition
     counts: np.ndarray
     state: HistogramState
@@ -52,12 +60,21 @@ class EulerHistogram:
     diameter_bound: float | None = None
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.float64)
+        counts = np.array(self.counts, dtype=np.float64)
         if counts.shape != (self.partition.size,):
             raise ValueError(
                 f"counts must have shape ({self.partition.size},), got {counts.shape}"
             )
-        self.counts = counts
+        if not np.isfinite(counts).all():
+            raise ValueError("counts must be finite")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    def __reduce__(self):
+        # copies and unpickled histograms go through __post_init__ too, so
+        # their counts are read-only and they start with no cached tables
+        fields = (self.partition, self.counts, self.state, self.epsilon, self.diameter_bound)
+        return type(self), fields
 
     # Section views, shaped so row/col indexing matches component ids.
     @property
@@ -79,6 +96,46 @@ class EulerHistogram:
     def vertices(self) -> np.ndarray:
         p = self.partition
         return self.counts[p.vertex_offset :].reshape(p.n - 1, p.n - 1)
+
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        """Corner tables A, B, C, D, stacked (4, n, n) and read-only.
+
+        The Euler count of rows r0..r1 by columns c0..c1 is
+        ``A[r1, c1] + B[r0, c1] + C[r1, c0] + D[r0, c0]``: each section's
+        rectangle sum is four 2-d prefix-sum lookups, and the tables group
+        the sixteen lookups by corner with the Euler signs folded in (a
+        summed-area table, after Crow, SIGGRAPH 1984). O(n^2) to build.
+        """
+        n = self.partition.n
+
+        def prefix(section: np.ndarray) -> np.ndarray:
+            # prefix(s)[i, j] holds the sum of s[:i, :j]
+            out = np.zeros((section.shape[0] + 1, section.shape[1] + 1))
+            out[1:, 1:] = section.cumsum(axis=0).cumsum(axis=1)
+            return out
+
+        faces, hedges = prefix(self.faces), prefix(self.hedges)
+        vedges, vertices = prefix(self.vedges), prefix(self.vertices)
+
+        def corner(dr: int, dc: int) -> np.ndarray:
+            # dr = 1 reads row r1 (faces and vertical edges end at r1 + 1),
+            # dr = 0 row r0; dc likewise for columns
+            return (
+                faces[dr : dr + n, dc : dc + n]
+                - hedges[:, dc : dc + n]
+                - vedges[dr : dr + n, :]
+                + vertices
+            )
+
+        tables = np.stack([corner(1, 1), -corner(0, 1), -corner(1, 0), corner(0, 0)])
+        tables.flags.writeable = False
+        return tables
+
+    @cached_property
+    def _corner_lists(self) -> list[list[list[float]]]:
+        # a nested-list lookup costs a fraction of numpy scalar indexing
+        return self._corners.tolist()
 
     def with_counts(self, counts: np.ndarray, state: HistogramState) -> EulerHistogram:
         return replace(self, counts=counts, state=state)
@@ -163,14 +220,13 @@ def query(h: EulerHistogram, qr: QueryRegion) -> float | int:
 
     Faces inside the rectangle are added; edges and vertices are counted only
     when strictly interior to it, i.e. when every face they bound lies inside.
-    Returns an int for integral states (RAW, ROUNDED), else a float.
+    O(1): four lookups in the histogram's corner tables, which are built once
+    per histogram in O(n^2). Returns an int for integral states (RAW,
+    ROUNDED), else a float.
     """
     qr.validate(h.partition.n)
-    r0, r1, c0, c1 = qr.r0, qr.r1, qr.c0, qr.c1
-    total = float(h.faces[r0 : r1 + 1, c0 : c1 + 1].sum())
-    total -= float(h.hedges[r0:r1, c0 : c1 + 1].sum())
-    total -= float(h.vedges[r0 : r1 + 1, c0:c1].sum())
-    total += float(h.vertices[r0:r1, c0:c1].sum())
+    a, b, c, d = h._corner_lists
+    total = a[qr.r1][qr.c1] + b[qr.r0][qr.c1] + c[qr.r1][qr.c0] + d[qr.r0][qr.c0]
     if h.state in INTEGRAL_STATES:
         return int(round(total))
     return total
@@ -182,34 +238,17 @@ def min_rectangle_count(h: EulerHistogram) -> tuple[float, QueryRegion]:
     Ties go to the first region in (r0, r1, c0, c1) lexicographic order;
     ``repair`` raises a face inside the region returned, so the choice fixes
     the release. O(n^3) time and O(n^2) memory: for each top row r0, the
-    bands r0..r1 reduce to per-column sums, a rectangle's count becomes
-    ``u[c1] - w[c0]``, and one suffix-minimum pass over ``u`` finds each
-    band's minimum (the maximum-subarray scan, after Bentley's *Programming
-    Pearls*).
+    corner tables write a rectangle's count as ``u[c1] - w[c0]`` per bottom
+    row r1, and one suffix-minimum pass over ``u`` finds each band's minimum
+    (the maximum-subarray scan, after Bentley's *Programming Pearls*).
     """
     n = h.partition.n
-
-    def above(section: np.ndarray) -> np.ndarray:
-        # above(s)[k] holds the column sums of rows < k of the section
-        return np.vstack([np.zeros(section.shape[1]), section.cumsum(axis=0)])
-
-    faces, hedges = above(h.faces), above(h.hedges)
-    vedges, vertices = above(h.vedges), above(h.vertices)
-    # Band r0..r1 holds faces and vertical edges of rows r0..r1, horizontal
-    # edges and vertices of rows r0..r1-1; split each per-column band sum
-    # into a term of r1 minus a term of r0.
-    a_lo, a_hi = faces[:-1] - hedges, faces[1:] - hedges
-    b_lo, b_hi = vedges[:-1] - vertices, vedges[1:] - vertices
-
+    a, b, c, d = h._corners
     value, region = np.inf, None
     for r0 in range(n):
-        # rows index r1 - r0; a[c] counts column c, b[c] the seam c | c+1
-        a = a_hi[r0:] - a_lo[r0]
-        b = b_hi[r0:] - b_lo[r0]
-        # count(c0..c1) = sum a[c0..c1] - sum b[c0..c1-1] = u[c1] - w[c0]
-        u = a.cumsum(axis=1)
-        u[:, 1:] -= b.cumsum(axis=1)
-        w = u - a
+        # rows index r1 - r0: count(r0..r1, c0..c1) = u[r1 - r0, c1] - w[r1 - r0, c0]
+        u = a[r0:] + b[r0]
+        w = -(c[r0:] + d[r0])
         reach = np.minimum.accumulate(u[:, ::-1], axis=1)[:, ::-1]  # min of u[c0:]
         best = reach - w
         k = int(np.argmin(best))

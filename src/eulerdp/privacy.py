@@ -17,7 +17,7 @@ finalizer and mapped through the inverse Laplace CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,10 +141,13 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
         raise ValueError(f"perturb expects a RAW histogram, got {h.state.value}")
     noise = rng.laplace_at(params.lam, 0, h.counts.size)
     noisy = np.maximum(h.counts + noise, 0.0)
-    out = h.with_counts(noisy, HistogramState.NOISY)
-    out.epsilon = params.epsilon
-    out.diameter_bound = params.diameter_bound
-    return out
+    return replace(
+        h,
+        counts=noisy,
+        state=HistogramState.NOISY,
+        epsilon=params.epsilon,
+        diameter_bound=params.diameter_bound,
+    )
 
 
 def utility_bound_dp(delta: float, lam: float, component_count: int) -> float:

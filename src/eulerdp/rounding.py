@@ -77,7 +77,6 @@ def repair(
     if cs is None:
         cs = build_constraints(h.partition)
     counts = h.counts.copy()
-    before = counts.copy()
     report = RepairReport()
     tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
 
@@ -106,20 +105,22 @@ def repair(
         counts[faces[np.argmin(counts[faces])]] += deficit[k]
         report.c3_fixes += 1
 
-    hist = h.with_counts(counts, h.state)
     # Each bump zeroes the current worst rectangle and face raises can never
     # push any rectangle back down, so the rectangle count bounds the number
-    # of iterations.
+    # of iterations. Histograms are read-only, so each scan reads a new one
+    # made from the bumped counts.
     n = h.partition.n
+    face_counts = counts[: n * n].reshape(n, n)  # a view of counts
     for _ in range((n * (n + 1) // 2) ** 2 + 1):
+        hist = h.with_counts(counts, h.state)
         worst, qr = min_rectangle_count(hist)
         if worst >= 0:
             break
-        block = hist.faces[qr.r0 : qr.r1 + 1, qr.c0 : qr.c1 + 1]  # a view of hist.counts
+        block = face_counts[qr.r0 : qr.r1 + 1, qr.c0 : qr.c1 + 1]
         block[np.unravel_index(np.argmin(block), block.shape)] -= worst
         report.rect_fixes += 1
     else:
         raise RuntimeError("rectangle repair failed to converge")
 
-    report.cost = float(np.abs(hist.counts - before).sum())
+    report.cost = float(np.abs(counts - h.counts).sum())
     return hist, report

@@ -5,7 +5,8 @@ point/segment/polygon predicates composed the textbook way. Tests that claim
 exactness feed both sides coordinates on a dyadic lattice (multiples of
 1/1024) so every intermediate product is exactly representable and the
 comparison is legitimate. The rectangle oracle tabulates every rectangle's
-Euler count at once, in O(n^4) time and memory, for small grids. The grid
+Euler count at once, in O(n^4) time and memory, for small grids; the
+slice-sum oracle counts one rectangle the direct way. The grid
 oracle lists every tracked component's label and closed box straight from the
 geometry the ``grid`` module documents.
 """
@@ -165,6 +166,17 @@ def _section_prefix(section: np.ndarray) -> np.ndarray:
     out = np.zeros((section.shape[0] + 1, section.shape[1] + 1))
     out[1:, 1:] = section.cumsum(axis=0).cumsum(axis=1)
     return out
+
+
+def slice_sum_query(h: EulerHistogram, qr) -> float:
+    """Euler count of one rectangle from four section slice sums, in the
+    order faces - horizontal edges - vertical edges + vertices."""
+    r0, r1, c0, c1 = qr.r0, qr.r1, qr.c0, qr.c1
+    total = float(h.faces[r0 : r1 + 1, c0 : c1 + 1].sum())
+    total -= float(h.hedges[r0:r1, c0 : c1 + 1].sum())
+    total -= float(h.vedges[r0 : r1 + 1, c0:c1].sum())
+    total += float(h.vertices[r0:r1, c0:c1].sum())
+    return total
 
 
 def all_rectangle_counts(h: EulerHistogram) -> np.ndarray:

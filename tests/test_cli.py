@@ -195,10 +195,12 @@ def test_repair_and_verify_at_n200(tmp_path, capsys):
     # itself: anywhere else, repair raises one empty face per row and column
     # between the block and the origin, which takes thousands of scans here.
     p = build_partition(200.0, 200)
-    h = EulerHistogram(p, np.zeros(p.size), HistogramState.ROUNDED)
-    h.faces[0:3, 0:3] = 1.0
-    h.hedges[0:2, 0:3] = 1.0
-    h.vedges[0:3, 0:2] = 1.0
+    faces, hedges, vedges = np.zeros((200, 200)), np.zeros((199, 200)), np.zeros((200, 199))
+    faces[0:3, 0:3] = 1.0
+    hedges[0:2, 0:3] = 1.0
+    vedges[0:3, 0:2] = 1.0
+    counts = np.concatenate([faces.ravel(), hedges.ravel(), vedges.ravel(), np.zeros(199 * 199)])
+    h = EulerHistogram(p, counts, HistogramState.ROUNDED)
     t0 = time.perf_counter()
     assert verify_violations(h) == (0, 0, 0)
     assert min_rectangle_count(h)[0] == -3.0

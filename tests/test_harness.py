@@ -202,6 +202,22 @@ def test_experiment_report_structure():
     assert stages["released"] == (0.0, 0.0, 0.0)
 
 
+def test_report_echoes_a_moved_origin():
+    echo = dict(run_query_experiment(_base_config(repetitions=1)).config_echo)
+    assert "origin_x" not in echo and "origin_y" not in echo
+    moved = _base_config(repetitions=1, origin=(100.5, 7.0))
+    echo = dict(run_query_experiment(moved).config_echo)
+    assert (echo["origin_x"], echo["origin_y"]) == ("100.5", "7.0")
+    cfg = config_from_mapping({
+        "area_side": "5", "n": "5", "diameter_bound": "1", "epsilon": "1",
+        "seed": "7", "synthetic": "uniform", "count": "40", "repetitions": "1",
+        "qr_percents": "100", "origin_x": "100.5",
+    })
+    buf = io.StringIO()
+    write_metrics(run_query_experiment(cfg), buf)
+    assert "origin_x\t100.5\norigin_y\t0.0\n" in buf.getvalue()
+
+
 def test_write_metrics_layout(monkeypatch):
     monkeypatch.setattr("eulerdp.harness.RandomSource", lambda seed: ConstantNoise(0.0))
     report = run_query_experiment(_base_config())

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_rectangle_counts,
@@ -11,6 +17,7 @@ from conftest import (
     euler_truth,
     grid_components,
     lattice_body,
+    slice_sum_query,
     valid_region_mask,
 )
 from eulerdp import (
@@ -98,6 +105,81 @@ def test_query_matches_slow_oracle_on_arbitrary_counts():
     h = EulerHistogram(p, counts, HistogramState.RAW)
     for qr in all_regions(n):
         assert query(h, qr) == int(slow_query(h, qr))
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    state=st.sampled_from(list(HistogramState)),
+    high=st.integers(min_value=1, max_value=2**40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_query_equals_slice_sums(n, state, high, seed):
+    """Integral states answer exactly as the slice sums do; real-valued ones
+    may differ in the last bits, because the corner tables add in another
+    order."""
+    p = build_partition(float(n), n)
+    rng = np.random.default_rng(seed)
+    if state in (HistogramState.RAW, HistogramState.ROUNDED):
+        counts = rng.integers(0, high, p.size, endpoint=True).astype(np.float64)
+    else:
+        counts = rng.random(p.size) * high
+    h = EulerHistogram(p, counts, state)
+    rows = np.sort(rng.integers(0, n, (200, 2)), axis=1)
+    cols = np.sort(rng.integers(0, n, (200, 2)), axis=1)
+    regions = [QueryRegion(0, n - 1, 0, n - 1), QueryRegion(n - 1, n - 1, n - 1, n - 1)]
+    regions += [QueryRegion(*map(int, q)) for q in np.hstack([rows, cols])]
+    tol = 1e-9 * np.abs(counts).sum()
+    for qr in regions:
+        got, want = query(h, qr), slice_sum_query(h, qr)
+        if state in (HistogramState.RAW, HistogramState.ROUNDED):
+            assert isinstance(got, int) and got == want
+        else:
+            assert isinstance(got, float) and abs(got - want) <= tol
+
+
+def test_counts_are_read_only():
+    p = build_partition(3.0, 3)
+    source = np.arange(p.size, dtype=np.float64)
+    h = EulerHistogram(p, source, HistogramState.RAW)
+    source[0] = 99.0  # construction copied the array
+    assert h.counts[0] == 0.0
+    with pytest.raises(ValueError):
+        h.counts[0] = 1.0
+    with pytest.raises(ValueError):
+        h.faces[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        h.counts = np.zeros(p.size)
+    with pytest.raises(FrozenInstanceError):
+        h.epsilon = 1.0
+    query(h, QueryRegion(0, 2, 0, 2))  # fills the table caches
+    for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h, protocol=2))):
+        assert np.array_equal(twin.counts, h.counts)
+        with pytest.raises(ValueError):
+            twin.counts[0] = 1.0
+
+
+def test_with_counts_answers_from_its_own_counts():
+    p = build_partition(4.0, 4)
+    h = EulerHistogram(p, np.ones(p.size), HistogramState.ROUNDED)
+    full = QueryRegion(0, 3, 0, 3)
+    assert query(h, full) == 16 - 24 + 9
+    bumped = h.counts.copy()
+    bumped[:16] += 1.0
+    h2 = h.with_counts(bumped, HistogramState.ROUNDED)
+    assert query(h2, full) == 1 + 16
+    assert query(h, full) == 1
+    for qr in all_regions(4):
+        assert query(h2, qr) == slice_sum_query(h2, qr)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_counts_are_rejected(bad):
+    p = build_partition(3.0, 3)
+    counts = np.zeros(p.size)
+    counts[p.vertex_offset] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EulerHistogram(p, counts, HistogramState.NOISY)
 
 
 def test_all_rectangle_counts_agrees_with_query():
