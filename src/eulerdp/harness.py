@@ -7,22 +7,18 @@ queries with every algorithm. Reported medians compare three released forms
 against exact truth: the noisy histogram (DP), the constrained one (LP), and
 the rounded-and-repaired release (R). Wall-clock rows are the one part of a
 report that is not reproducible; everything else is.
-
-Repetitions are independent, so they can run in a process pool; results are
-assembled in repetition order, making the report identical for any worker
-count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Callable, TextIO
 
 import numpy as np
 
+from .fileio import read_bodies_file
 from .geometry import ConvexBody
 from .grid import build_partition
 from .histogram import EulerHistogram, QueryRegion, build, query
@@ -98,7 +94,6 @@ class ExperimentConfig:
     repetitions: int = 100
     objective: str = "l1"
     origin: tuple[float, float] = (0.0, 0.0)
-    workers: int = 1
 
     def __post_init__(self):
         if self.area_side <= 0 or self.diameter_bound <= 0 or self.epsilon <= 0:
@@ -111,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.objective not in ("l1", "linf"):
             raise ConfigError(f"objective must be l1 or linf, got {self.objective!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.qr_percents and not self.qr_shapes:
             raise ConfigError("at least one QR percent or explicit shape required")
         n = self.grid_n
@@ -127,66 +120,53 @@ class ExperimentConfig:
         return resolve_grid_n(self.area_side, self.n, self.cell_side)
 
 
-_KEY_TYPES: dict[str, Callable[[str], object]] = {
-    "area_side": float,
-    "cell_side": float,
-    "diameter_bound": float,
-    "epsilon": float,
-    "origin_x": float,
-    "origin_y": float,
-    "n": int,
-    "count": int,
-    "repetitions": int,
-    "seed": int,
-    "workers": int,
-    "synthetic": str,
-    "bodies": str,
-    "objective": str,
-    "qr_percents": str,
-    "qr_shapes": str,
+def _comma_list(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+def _shape(token: str) -> tuple[int, int]:
+    r, _, c = token.partition("x")
+    try:
+        return int(r), int(c)
+    except ValueError:
+        raise ValueError(f"shape {token!r} is not RxC") from None
+
+
+# Config key -> (ExperimentConfig field, parser), in the order a report
+# echoes them. origin_x and origin_y are the two halves of ``origin``.
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "area_side": ("area_side", float),
+    "cell_side": ("cell_side", float),
+    "n": ("n", int),
+    "diameter_bound": ("diameter_bound", float),
+    "epsilon": ("epsilon", float),
+    "seed": ("seed", int),
+    "synthetic": ("synthetic", str),
+    "count": ("count", int),
+    "bodies": ("bodies_path", str),
+    "qr_percents": ("qr_percents", _comma_list(float)),
+    "qr_shapes": ("qr_shapes", _comma_list(_shape)),
+    "repetitions": ("repetitions", int),
+    "objective": ("objective", str),
+    "origin_x": ("origin", float),
+    "origin_y": ("origin", float),
 }
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a config from flat string keys (file values, CLI overrides)."""
-    unknown = sorted(set(mapping) - set(_KEY_TYPES))
+    unknown = sorted(set(mapping) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    typed: dict[str, object] = {}
+    kwargs: dict[str, object] = {}
     for key, raw in mapping.items():
+        name, parse = _CONFIG_KEYS[key]
         try:
-            typed[key] = _KEY_TYPES[key](raw)
+            kwargs[key if name == "origin" else name] = parse(raw)
         except ValueError as e:
             raise ConfigError(f"config key {key}: {e}") from e
-
-    kwargs: dict[str, object] = {}
-    for key in (
-        "area_side", "cell_side", "diameter_bound", "epsilon",
-        "n", "count", "repetitions", "seed", "workers", "synthetic", "objective",
-    ):
-        if key in typed:
-            kwargs[key] = typed[key]
-    if "bodies" in typed:
-        kwargs["bodies_path"] = typed["bodies"]
-    if "origin_x" in typed or "origin_y" in typed:
-        kwargs["origin"] = (float(mapping.get("origin_x", 0.0)), float(mapping.get("origin_y", 0.0)))
-    if "qr_percents" in typed:
-        try:
-            kwargs["qr_percents"] = tuple(float(v) for v in str(typed["qr_percents"]).split(",") if v.strip())
-        except ValueError as e:
-            raise ConfigError(f"qr_percents: {e}") from e
-    if "qr_shapes" in typed:
-        shapes = []
-        for token in str(typed["qr_shapes"]).split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                r, _, c = token.partition("x")
-                shapes.append((int(r), int(c)))
-            except ValueError as e:
-                raise ConfigError(f"qr_shapes token {token!r}: {e}") from e
-        kwargs["qr_shapes"] = tuple(shapes)
+    if "origin_x" in kwargs or "origin_y" in kwargs:
+        kwargs["origin"] = (kwargs.pop("origin_x", 0.0), kwargs.pop("origin_y", 0.0))
     missing = {"area_side", "diameter_bound", "epsilon", "seed"} - set(kwargs)
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(sorted(missing))}")
@@ -237,17 +217,6 @@ def write_metrics(report: MetricsReport, stream: TextIO) -> None:
 
 
 @dataclass
-class _RepJob:
-    raw: EulerHistogram
-    cs: ConstraintSet
-    params: PrivacyParams
-    objective: str
-    noise_seed: int
-    placement_key: tuple[int, int]
-    qr_specs: list[tuple[str, list[tuple[int, int]]]]
-
-
-@dataclass
 class _RepResult:
     errors: dict[tuple[str, str], list[float]]
     l1: dict[str, float]
@@ -256,42 +225,45 @@ class _RepResult:
     repair_cost: float
 
 
-def _run_repetition(job: _RepJob) -> _RepResult:
+def _run_repetition(
+    config: ExperimentConfig, rep: int, raw: EulerHistogram, cs: ConstraintSet,
+    params: PrivacyParams, qr_specs: list[tuple[str, list[tuple[int, int]]]],
+) -> _RepResult:
     t0 = time.perf_counter()
-    noisy = perturb(job.raw, job.params, RandomSource(job.noise_seed))
+    noisy = perturb(raw, params, RandomSource(derive_seed(config.seed, rep)))
     t1 = time.perf_counter()
-    consistent, _ = infer(noisy, job.cs, objective=job.objective)
+    consistent, _ = infer(noisy, cs, objective=config.objective)
     t2 = time.perf_counter()
     rounded = round_counts(consistent)
     t3 = time.perf_counter()
-    released, rep_report = repair(rounded, job.cs)
+    released, rep_report = repair(rounded, cs)
     t4 = time.perf_counter()
 
-    n = job.raw.partition.n
-    place_rng = np.random.default_rng(job.placement_key)
+    n = raw.partition.n
+    place_rng = np.random.default_rng((config.seed, rep))
     errors: dict[tuple[str, str], list[float]] = {}
     estimates = {"DP": noisy, "LP": consistent, "R": released}
-    for label, shapes in job.qr_specs:
+    for label, shapes in qr_specs:
         for dr, dc in shapes:
             r0 = int(place_rng.integers(0, n - dr + 1))
             c0 = int(place_rng.integers(0, n - dc + 1))
             qr = QueryRegion(r0, r0 + dr - 1, c0, c0 + dc - 1)
-            truth = query(job.raw, qr)
+            truth = query(raw, qr)
             for alg in ALGORITHMS:
                 est = query(estimates[alg], qr)
                 rel = abs(est - truth) / max(truth, 1)
                 errors.setdefault((label, alg), []).append(float(rel))
 
-    raw_counts = job.raw.counts
+    raw_counts = raw.counts
     l1 = {
         "DP": float(np.abs(raw_counts - noisy.counts).sum()),
         "LP": float(np.abs(raw_counts - consistent.counts).sum()),
         "R": float(np.abs(raw_counts - released.counts).sum()),
     }
     violations = {
-        "noisy": verify_violations(noisy, job.cs),
-        "consistent": verify_violations(consistent, job.cs),
-        "released": verify_violations(released, job.cs),
+        "noisy": verify_violations(noisy, cs),
+        "consistent": verify_violations(consistent, cs),
+        "released": verify_violations(released, cs),
     }
     times = {
         "privatize": t1 - t0,
@@ -312,8 +284,6 @@ def load_experiment_bodies(config: ExperimentConfig) -> list[ConvexBody]:
         )
         rng = np.random.default_rng(config.seed)
         return generate_synthetic(config.synthetic, config.count, ingest_cfg, rng)
-    from .fileio import read_bodies_file
-
     bodies, _ = read_bodies_file(config.bodies_path)
     return bodies
 
@@ -336,23 +306,10 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
     for r, c in config.qr_shapes:
         qr_specs.append((f"{r}x{c}", [(r, c)]))
 
-    jobs = [
-        _RepJob(
-            raw=raw,
-            cs=cs,
-            params=params,
-            objective=config.objective,
-            noise_seed=derive_seed(config.seed, rep),
-            placement_key=(config.seed, rep),
-            qr_specs=qr_specs,
-        )
+    results = [
+        _run_repetition(config, rep, raw, cs, params, qr_specs)
         for rep in range(config.repetitions)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_repetition, jobs, chunksize=1))
-    else:
-        results = [_run_repetition(job) for job in jobs]
 
     report = MetricsReport()
     report.config_echo = _echo(config)
@@ -390,18 +347,19 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
 
 
 def _echo(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """Config rows in config syntax, so they read back through
+    ``config_from_mapping``; the derived ``grid_n`` comes last."""
     rows = []
-    for key in (
-        "area_side", "cell_side", "n", "diameter_bound", "epsilon", "seed",
-        "synthetic", "count", "bodies_path", "qr_percents", "qr_shapes",
-        "repetitions", "objective", "workers",
-    ):
-        value = getattr(config, key)
+    for key, (name, _) in _CONFIG_KEYS.items():
+        value = getattr(config, name)
+        if name == "origin":
+            if value == (0.0, 0.0):
+                continue
+            value = value[0 if key == "origin_x" else 1]
         if value in (None, ()):
             continue
+        if isinstance(value, tuple):
+            value = ",".join("x".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
         rows.append((key, str(value)))
-    if config.origin != (0.0, 0.0):
-        rows += [("origin_x", str(config.origin[0])), ("origin_y", str(config.origin[1]))]
     rows.append(("grid_n", str(config.grid_n)))
     return rows
-

@@ -44,7 +44,7 @@ class BodyValidationError(ValueError):
         super().__init__(f"{len(reports)} invalid bodies: {lines}{more}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerHistogram:
     """Counts of one grid partition, in dense order, tagged with their state.
 

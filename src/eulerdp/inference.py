@@ -134,10 +134,6 @@ class LinearProgram:
         return self.constraints.partition.size
 
     @property
-    def n_vars(self) -> int:
-        return len(self.c)
-
-    @property
     def n_rows(self) -> int:
         return len(self.b_ub)
 

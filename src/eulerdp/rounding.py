@@ -58,10 +58,6 @@ class RepairReport:
     rect_fixes: int = 0
     cost: float = 0.0
 
-    @property
-    def total_fixes(self) -> int:
-        return self.c1_fixes + self.c2_fixes + self.c3_fixes + self.rect_fixes
-
 
 def repair(
     h: EulerHistogram, cs: ConstraintSet | None = None

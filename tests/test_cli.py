@@ -256,6 +256,8 @@ def test_experiment_with_config_and_overrides(tmp_path, capsys):
 
     assert main(["experiment", "--config", cfg, "--set", "epsilon"]) == 1
     assert main(["experiment", "--config", cfg, "--set", "no_such_key=1"]) == 1
+    assert main(["experiment", "--config", cfg, "--set", "workers=2"]) == 1
+    assert "unknown config keys: workers" in capsys.readouterr().err
 
 
 def test_ingest_command(tmp_path, capsys):

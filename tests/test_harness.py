@@ -84,8 +84,6 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         _base_config(repetitions=0)
     with pytest.raises(ConfigError):
-        _base_config(workers=0)
-    with pytest.raises(ConfigError):
         _base_config(objective="l2")
     with pytest.raises(ConfigError):
         _base_config(qr_percents=(), qr_shapes=())
@@ -107,14 +105,13 @@ def test_config_from_mapping_full():
         "qr_percents": "10, 50",
         "qr_shapes": "2x3, 20x1",
         "origin_x": "100.5",
-        "workers": "3",
         "objective": "linf",
     })
     assert cfg.grid_n == 20
     assert cfg.qr_percents == (10.0, 50.0)
     assert cfg.qr_shapes == ((2, 3), (20, 1))
     assert cfg.origin == (100.5, 0.0)
-    assert cfg.workers == 3 and cfg.objective == "linf"
+    assert cfg.objective == "linf"
 
 
 def test_config_from_mapping_errors():
@@ -124,12 +121,16 @@ def test_config_from_mapping_errors():
         config_from_mapping({**base, "sigma": "3"})
     with pytest.raises(ConfigError, match="unknown config keys: delta"):
         config_from_mapping({**base, "delta": "0.1"})
+    with pytest.raises(ConfigError, match="unknown config keys: workers"):
+        config_from_mapping({**base, "workers": "2"})
     with pytest.raises(ConfigError, match="missing required"):
         config_from_mapping({"n": "5", "synthetic": "uniform"})
     with pytest.raises(ConfigError, match="config key n"):
         config_from_mapping({**base, "n": "five"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config key qr_shapes: shape '3by3' is not RxC"):
         config_from_mapping({**base, "qr_shapes": "3by3"})
+    with pytest.raises(ConfigError, match="config key qr_percents: could not convert"):
+        config_from_mapping({**base, "qr_percents": "(10.0, 25.0)"})
     with pytest.raises(ConfigError):
         config_from_mapping({**base, "bodies": "b.jsonl"})  # two sources
 
@@ -175,15 +176,6 @@ def test_experiment_is_deterministic_for_a_seed():
     assert c.query_rows != a.query_rows
 
 
-def test_worker_pool_matches_sequential():
-    seq = run_query_experiment(_base_config(repetitions=6))
-    par = run_query_experiment(_base_config(repetitions=6, workers=3))
-    assert seq.query_rows == par.query_rows
-    assert seq.histogram_rows == par.histogram_rows
-    assert seq.violation_rows == par.violation_rows
-    assert seq.repair_rows == par.repair_rows
-
-
 def test_experiment_report_structure():
     report = run_query_experiment(_base_config(qr_shapes=((2, 3),)))
     labels = [row[0] for row in report.query_rows]
@@ -216,6 +208,33 @@ def test_report_echoes_a_moved_origin():
     buf = io.StringIO()
     write_metrics(run_query_experiment(cfg), buf)
     assert "origin_x\t100.5\norigin_y\t0.0\n" in buf.getvalue()
+
+
+def _config_table(text: str) -> dict[str, str]:
+    block = text.split("# table: config\n", 1)[1].split("\n\n", 1)[0]
+    return dict(line.split("\t") for line in block.splitlines() if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(qr_percents=(10.0, 25.0), qr_shapes=((2, 3), (5, 1))),
+    dict(n=None, cell_side=0.5, objective="linf", origin=(100.5, -7.25), qr_shapes=((3, 3),)),
+    dict(synthetic=None, qr_percents=(50.0, 100.0), origin=(0.0, 2.5)),
+], ids=["percents_and_shapes", "linf_cell_side_moved_origin", "bodies_file"])
+def test_report_config_table_reads_back(tmp_path, kw):
+    from eulerdp.fileio import write_bodies_file
+    from eulerdp import convex_hull
+
+    if "synthetic" in kw:  # the bodies_file case reads a bodies file instead
+        path = tmp_path / "bodies.jsonl"
+        write_bodies_file([convex_hull([(1.0, 3.5), (1.5, 3.5), (1.5, 4.0)])], str(path))
+        kw = {**kw, "bodies_path": str(path)}
+    config = _base_config(repetitions=1, **kw)
+    buf = io.StringIO()
+    write_metrics(run_query_experiment(config), buf)
+    table = _config_table(buf.getvalue())
+    assert table.pop("grid_n") == str(config.grid_n)
+    assert "workers" not in table and "bodies_path" not in table
+    assert config_from_mapping(table) == config
 
 
 def test_write_metrics_layout(monkeypatch):

@@ -173,6 +173,15 @@ def test_with_counts_answers_from_its_own_counts():
         assert query(h2, qr) == slice_sum_query(h2, qr)
 
 
+def test_histograms_compare_and_hash_by_identity():
+    p = build_partition(3.0, 3)
+    h = EulerHistogram(p, np.arange(p.size, dtype=np.float64), HistogramState.RAW)
+    twin = h.with_counts(h.counts, h.state)
+    assert h == h
+    assert h != twin
+    assert len({h, twin}) == 2 and hash(h) == hash(h)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_counts_are_rejected(bad):
     p = build_partition(3.0, 3)

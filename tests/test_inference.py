@@ -92,7 +92,7 @@ def test_lad_program_shape_and_labels():
     h = EulerHistogram(p, np.arange(9, dtype=np.float64), HistogramState.NOISY)
     lp = build_lad_program(h, cs)
     assert lp.kind == "l1"
-    assert lp.n_vars == 18 and lp.n_rows == 31  # 2N residual rows + 8 + 4 + 1
+    assert len(lp.c) == 18 and lp.n_rows == 31  # 2N residual rows + 8 + 4 + 1
     rows = _lp_rows(write_lp_text(lp))
     assert len(rows) == lp.n_rows
     assert rows[0] == ("lo_f0_0", "- x_f0_0 - r_f0_0")
@@ -131,7 +131,7 @@ def test_linf_program_shape():
     h = EulerHistogram(p, np.zeros(9), HistogramState.NOISY)
     lp = build_linf_program(h, cs)
     assert lp.kind == "linf"
-    assert lp.n_vars == 10 and lp.n_rows == 31
+    assert len(lp.c) == 10 and lp.n_rows == 31
     text = write_lp_text(lp)
     assert " obj: r_max" in text.splitlines()
     assert _lp_rows(text)[0] == ("lo_f0_0", "- x_f0_0 - r_max")

@@ -130,7 +130,8 @@ def test_repair_is_idempotent_on_clean_input():
     rounded = round_counts(consistent)
     fixed, first = repair(rounded)
     again, second = repair(fixed)
-    assert second.total_fixes == 0 and second.cost == 0.0
+    fixes = second.c1_fixes + second.c2_fixes + second.c3_fixes + second.rect_fixes
+    assert fixes == 0 and second.cost == 0.0
     assert np.array_equal(again.counts, fixed.counts)
 
 
@@ -146,10 +147,9 @@ def test_repair_tolerates_solver_dust_on_real_states():
 
 def test_full_pipeline_release_is_covert_and_integral():
     consistent = _consistent_fixture(seed=37)
-    released, report = repair(round_counts(consistent))
+    released, _ = repair(round_counts(consistent))
     assert released.state is HistogramState.ROUNDED
     assert np.array_equal(released.counts, np.round(released.counts))
     assert released.counts.min() >= 0.0
     assert verify_violations(released) == (0, 0, 0)
     assert min_rectangle_count(released)[0] >= 0.0
-    assert report.total_fixes == report.c1_fixes + report.c2_fixes + report.c3_fixes + report.rect_fixes
