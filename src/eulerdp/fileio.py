@@ -151,7 +151,7 @@ def read_bodies(stream: TextIO) -> tuple[list[ConvexBody], list[str]]:
             if not isinstance(record, dict):
                 raise ValueError(f"expected a JSON object, got {type(record).__name__}")
             uid = str(record["user_id"])
-            body = ConvexBody(np.asarray(record["vertices"], dtype=np.float64))
+            body = ConvexBody(record["vertices"])
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bodies line {lineno}: {e}") from e
         ids.append(uid)

@@ -12,41 +12,55 @@ structure of raw histograms follows from this containment, not from luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A convex region given by its hull vertices in counterclockwise order.
 
     Degenerate bodies are allowed: a single vertex is a point, two vertices
     are a segment. The convexity check carries a relative slack of 1e-9 so
     hulls of ingested float data validate; clockwise winding still fails.
+
+    Immutable: ``vertices`` is copied once on construction and is read-only,
+    so ``bbox`` (xmin, xmax, ymin, ymax), stored in the same pass, never goes
+    stale. Bodies compare and hash by identity.
     """
 
     vertices: np.ndarray
+    bbox: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.vertices, dtype=np.float64)
+        pts = np.array(self.vertices, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
-        if not np.all(np.isfinite(pts)):
+        # Plain floats from here: each test below is the IEEE operation the
+        # elementwise numpy form would do, at a fraction of the call overhead.
+        xs, ys = pts.T.tolist()
+        if not all(map(math.isfinite, xs + ys)):
             raise ValueError("vertices must be finite")
-        if pts.shape[0] >= 3:
-            scale = float(np.abs(pts).max()) or 1.0
-            a = np.roll(pts, -1, axis=0) - pts
-            b = np.roll(pts, -2, axis=0) - pts
-            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-            if np.any(cross < -1e-9 * scale * scale):
-                raise ValueError("vertices must wind counterclockwise around a convex region")
+        k = len(xs)
+        if k >= 3:
+            scale = max(map(abs, xs + ys)) or 1.0
+            slack = -1e-9 * scale * scale
+            for i in range(k):
+                j, m = (i + 1) % k, (i + 2) % k
+                ax, ay = xs[j] - xs[i], ys[j] - ys[i]
+                bx, by = xs[m] - xs[i], ys[m] - ys[i]
+                if ax * by - ay * bx < slack:
+                    raise ValueError("vertices must wind counterclockwise around a convex region")
+        pts.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
+        object.__setattr__(self, "bbox", (min(xs), max(xs), min(ys), max(ys)))
 
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs, ys = self.vertices[:, 0], self.vertices[:, 1]
-        return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+    def __reduce__(self):
+        # copies and unpickled bodies go through __post_init__ too, so their
+        # vertices are read-only and their bbox is recomputed
+        return type(self), (self.vertices,)
 
 
 def _cross(o, a, b) -> float:
@@ -60,7 +74,7 @@ def convex_hull(points) -> ConvexBody:
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:
-        return ConvexBody(np.array(pts))
+        return ConvexBody(pts)
     lower: list[tuple[float, float]] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -74,7 +88,7 @@ def convex_hull(points) -> ConvexBody:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all input points collinear
         hull = [pts[0], pts[-1]]
-    return ConvexBody(np.array(hull))
+    return ConvexBody(hull)
 
 
 def diameter(body: ConvexBody) -> float:

@@ -78,7 +78,11 @@ def shapes_for_percent(n: int, percent: float) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; exactly one body source and one grid size."""
+    """Everything a run needs; exactly one body source and one grid size.
+
+    ``count`` sizes a synthetic population (1000 unless set); a bodies file
+    sets its own count, so ``count`` must stay unset with ``bodies_path``.
+    """
 
     area_side: float
     diameter_bound: float
@@ -87,7 +91,7 @@ class ExperimentConfig:
     n: int | None = None
     cell_side: float | None = None
     synthetic: str | None = None
-    count: int = 1000
+    count: int | None = None
     bodies_path: str | None = None
     qr_percents: tuple[float, ...] = (10.0, 25.0, 50.0, 75.0, 100.0)
     qr_shapes: tuple[tuple[int, int], ...] = ()
@@ -100,7 +104,12 @@ class ExperimentConfig:
             raise ConfigError("area_side, diameter_bound, epsilon must be positive")
         if (self.synthetic is None) == (self.bodies_path is None):
             raise ConfigError("exactly one of synthetic kind or bodies file required")
-        if self.count < 0:
+        if self.bodies_path is not None:
+            if self.count is not None:
+                raise ConfigError("count and bodies are exclusive: a bodies file sets its own count")
+        elif self.count is None:
+            object.__setattr__(self, "count", 1000)
+        elif self.count < 0:
             raise ConfigError("count must be >= 0")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")

@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .grid import GridPartition
 from .histogram import EulerHistogram, HistogramState
+
+# scipy is imported inside _assemble and solve, so commands that build no LP
+# never pay for loading it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,8 @@ def _residual_rows(n: int, resid_col: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _assemble(
     hn: EulerHistogram, cs: ConstraintSet, kind: str
 ) -> LinearProgram:
+    import scipy.sparse as sp
+
     n = cs.partition.size
     if kind == "l1":
         n_vars = 2 * n
@@ -219,6 +225,8 @@ _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
 
 def solve(lp: LinearProgram) -> tuple[np.ndarray | None, SolveReport]:
     """Solve with the HiGHS backend; deterministic for a fixed program."""
+    from scipy.optimize import linprog
+
     t0 = time.perf_counter()
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
     wall = time.perf_counter() - t0

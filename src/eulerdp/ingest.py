@@ -242,12 +242,11 @@ def ingest_tracks(
     return bodies, ids, skipped
 
 
-def _random_polygon(rng: np.random.Generator, center: np.ndarray, rmax: float) -> ConvexBody:
+def _random_polygon(rng: np.random.Generator, cx: float, cy: float, rmax: float) -> ConvexBody:
     nv = int(rng.integers(3, 9))
     ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, nv))
     rad = rng.uniform(0.4, 1.0, nv) * rmax
-    pts = center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    return convex_hull(pts)
+    return convex_hull(np.array([cx + rad * np.cos(ang), cy + rad * np.sin(ang)]).T)
 
 
 def generate_synthetic(
@@ -282,10 +281,8 @@ def generate_synthetic(
     centers += np.array([ox, oy])
 
     bodies = []
-    for center in centers:
-        walls = min(
-            center[0] - ox, ox + a - center[0], center[1] - oy, oy + a - center[1]
-        )
+    for cx, cy in centers.tolist():
+        walls = min(cx - ox, ox + a - cx, cy - oy, oy + a - cy)
         rmax = min(float(rng.uniform(0.3, 1.0)) * b / 2.0, max(walls, 0.0))
-        bodies.append(_random_polygon(rng, center, rmax))
+        bodies.append(_random_polygon(rng, cx, cy, rmax))
     return bodies

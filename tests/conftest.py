@@ -8,7 +8,8 @@ comparison is legitimate. The rectangle oracle tabulates every rectangle's
 Euler count at once, in O(n^4) time and memory, for small grids; the
 slice-sum oracle counts one rectangle the direct way. The grid
 oracle lists every tracked component's label and closed box straight from the
-geometry the ``grid`` module documents.
+geometry the ``grid`` module documents. The body oracle is the vectorised
+numpy form of ``ConvexBody``'s checks.
 """
 
 from __future__ import annotations
@@ -99,6 +100,27 @@ def body_intersects_box(body: ConvexBody, box) -> bool:
 def euler_truth(bodies, rect) -> int:
     """Brute-force count of bodies meeting a world-coordinate rectangle."""
     return sum(1 for b in bodies if body_intersects_box(b, rect))
+
+
+def numpy_body_oracle(vertices) -> tuple[float, float, float, float] | None:
+    """Whole-array numpy form of ``ConvexBody``'s checks: the bbox
+    (xmin, xmax, ymin, ymax) of a vertex list the checks accept, or None for
+    one they reject (bad shape, non-finite, or a turn clockwise by more than
+    the 1e-9 relative slack)."""
+    pts = np.asarray(vertices, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        return None
+    if not np.all(np.isfinite(pts)):
+        return None
+    if pts.shape[0] >= 3:
+        scale = float(np.abs(pts).max()) or 1.0
+        a = np.roll(pts, -1, axis=0) - pts
+        b = np.roll(pts, -2, axis=0) - pts
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        if np.any(cross < -1e-9 * scale * scale):
+            return None
+    xs, ys = pts[:, 0], pts[:, 1]
+    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
 def lattice_points(rng: np.random.Generator, count: int, span: float) -> np.ndarray:

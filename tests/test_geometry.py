@@ -7,6 +7,11 @@ computed without rounding on both sides.
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from conftest import (
     box_dimension,
     grid_components,
     lattice_body,
+    numpy_body_oracle,
     point_in_convex,
 )
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
@@ -87,6 +93,90 @@ def test_body_validation():
     # non-convex chain: (1,0.25) is a reflex vertex
     with pytest.raises(ValueError):
         ConvexBody(np.array([[0.0, 0.0], [1.0, 0.25], [2.0, 0.0], [1.0, 2.0]]))
+
+
+def test_body_slack_boundary():
+    # (0,0), (L,e), (2L,0) turns clockwise by 2Le at every vertex; the slack
+    # is 1e-9 * (2L)^2, so the body passes up to e = 2e-9 * L and fails beyond
+    big = 1000.0
+    for t, ok in ((0.99, True), (1.01, False)):
+        tri = np.array([[0.0, 0.0], [big, t * 2e-9 * big], [2 * big, 0.0]])
+        assert (numpy_body_oracle(tri) is not None) == ok
+        if ok:
+            assert ConvexBody(tri).bbox == (0.0, 2 * big, 0.0, t * 2e-9 * big)
+        else:
+            with pytest.raises(ValueError, match="counterclockwise"):
+                ConvexBody(tri)
+
+
+coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vertex_lists(draw) -> np.ndarray:
+    """Vertex arrays about ConvexBody's accept/reject boundary: points on a
+    circle in counterclockwise order, then reversed, given a duplicate, given
+    one vertex nudged across its neighbours' chord by about the 1e-9 slack,
+    given a NaN or infinity, or replaced by arbitrary points."""
+    k = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 40))
+    ang = np.sort(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k)))
+    cx, cy, r = draw(coordinate), draw(coordinate), draw(st.floats(1e-6, 1e4))
+    pts = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
+    how = draw(st.sampled_from(["ccw", "clockwise", "duplicate", "nudge", "special", "arbitrary"]))
+    if how == "clockwise":
+        pts = pts[::-1]
+    elif how == "duplicate":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k))
+        pts = np.insert(pts, j, pts[i], axis=0)
+    elif how == "nudge" and k >= 3:
+        i = draw(st.integers(0, k - 1))
+        prev, nxt = pts[i - 1], pts[(i + 1) % k]
+        chord = nxt - prev
+        length = float(np.hypot(*chord))
+        if length > 0.0:
+            scale = float(np.abs(pts).max())
+            t = draw(st.sampled_from([1.0, -1.0]) | st.floats(-3.0, 3.0))
+            inward = np.array([-chord[1], chord[0]]) / length  # left of prev -> nxt
+            pts[i] = (prev + nxt) / 2.0 + t * 1e-9 * scale * scale / length * inward
+    elif how == "special":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, 1))
+        pts[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif how == "arbitrary":
+        pts = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40)))
+    return pts
+
+
+@given(vertex_lists())
+@settings(max_examples=400, deadline=None)
+def test_body_checks_match_numpy_oracle(pts):
+    want = numpy_body_oracle(pts)
+    if want is None:
+        with pytest.raises(ValueError):
+            ConvexBody(pts)
+        return
+    body = ConvexBody(pts)
+    assert body.bbox == want
+    assert body.vertices.tobytes() == pts.tobytes()
+
+
+def test_body_is_read_only_and_compares_by_identity():
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    body = ConvexBody(src)
+    src[1, 0] = 5.0  # construction copied its input
+    assert body.vertices[1, 0] == 1.0 and body.bbox == (0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        body.vertices[0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        body.vertices = src
+    for twin in (copy.copy(body), copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+        assert twin is not body and twin.bbox == body.bbox
+        assert twin.vertices.tobytes() == body.vertices.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            twin.vertices[0, 0] = 2.0
+        assert twin != body
+    same = ConvexBody(body.vertices)
+    assert body == body and same != body
+    assert body in {body} and same not in {body} and hash(body) == hash(body)
 
 
 def test_intersects_boxes_matches_oracle():

@@ -133,6 +133,10 @@ def test_config_from_mapping_errors():
         config_from_mapping({**base, "qr_percents": "(10.0, 25.0)"})
     with pytest.raises(ConfigError):
         config_from_mapping({**base, "bodies": "b.jsonl"})  # two sources
+    assert config_from_mapping(base).count == 1000
+    from_file = {k: v for k, v in base.items() if k != "synthetic"}
+    with pytest.raises(ConfigError, match="count and bodies"):
+        config_from_mapping({**from_file, "bodies": "b.jsonl", "count": "40"})
 
 
 def test_config_from_mapping_bodies_source(tmp_path):
@@ -218,7 +222,7 @@ def _config_table(text: str) -> dict[str, str]:
 @pytest.mark.parametrize("kw", [
     dict(qr_percents=(10.0, 25.0), qr_shapes=((2, 3), (5, 1))),
     dict(n=None, cell_side=0.5, objective="linf", origin=(100.5, -7.25), qr_shapes=((3, 3),)),
-    dict(synthetic=None, qr_percents=(50.0, 100.0), origin=(0.0, 2.5)),
+    dict(synthetic=None, count=None, qr_percents=(50.0, 100.0), origin=(0.0, 2.5)),
 ], ids=["percents_and_shapes", "linf_cell_side_moved_origin", "bodies_file"])
 def test_report_config_table_reads_back(tmp_path, kw):
     from eulerdp.fileio import write_bodies_file
@@ -234,6 +238,7 @@ def test_report_config_table_reads_back(tmp_path, kw):
     table = _config_table(buf.getvalue())
     assert table.pop("grid_n") == str(config.grid_n)
     assert "workers" not in table and "bodies_path" not in table
+    assert ("count" in table) == (config.synthetic is not None)
     assert config_from_mapping(table) == config
 
 
