@@ -13,6 +13,7 @@ recorded anywhere. Released files carry only public parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -205,7 +206,10 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--origin", default="0,0", help="area origin as x,y (default 0,0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and the
+    # tree costs milliseconds, a large share of a short command
     parser = _Parser(prog="eulerdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

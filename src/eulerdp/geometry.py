@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ class ConvexBody:
 
     Immutable: ``vertices`` is copied once on construction and is read-only,
     so ``bbox`` (xmin, xmax, ymin, ymax), stored in the same pass, never goes
-    stale. Bodies compare and hash by identity.
+    stale. ``cached_diameter`` is :func:`diameter`, computed on first use
+    and kept. Bodies compare and hash by identity.
     """
 
     vertices: np.ndarray
@@ -59,8 +61,14 @@ class ConvexBody:
 
     def __reduce__(self):
         # copies and unpickled bodies go through __post_init__ too, so their
-        # vertices are read-only and their bbox is recomputed
+        # vertices are read-only, their bbox is recomputed and their
+        # diameter is not cached yet
         return type(self), (self.vertices,)
+
+    @cached_property
+    def cached_diameter(self) -> float:
+        # lazy, so making a body stays cheap; every build checks it again
+        return diameter(self)
 
 
 def _cross(o, a, b) -> float:

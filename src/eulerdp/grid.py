@@ -24,7 +24,9 @@ faces ``(r, c)``, ``(r, c+1)``, ``(r+1, c)`` and ``(r+1, c+1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +94,43 @@ class GridPartition:
     def vertex_offset(self) -> int:
         return self.n_faces + self.n_edges
 
+    def __reduce__(self):
+        # copies and unpickled partitions carry only the three fields, so
+        # they start with no cached lattice
+        return type(self), (self.origin, self.area_side, self.n)
+
+    @cached_property
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense indices and boxes of every component on one read-only
+        ``(2n-1) x (2n-1)`` lattice, built on first use.
+
+        Faces sit on even/even cells, horizontal edges on odd/even, vertical
+        edges on even/odd and vertices on odd/odd: face ``(r, c)`` is at
+        ``(2r, 2c)`` and vertex ``(r, c)`` at ``(2r+1, 2c+1)``. Lattice column
+        ``j`` spans grid lines ``(j+1)//2`` to ``j//2 + 1``, which is one cell
+        for even ``j`` and one line for odd ``j``; rows likewise. The cache
+        holds ``40 * (2n-1)^2`` bytes: about 300 KB at n=44, 6.4 MB at n=200.
+        """
+        n, d = self.n, self.cell_side
+        ox, oy = self.origin
+        xs = ox + np.arange(n + 1) * d
+        ys = oy + np.arange(n + 1) * d
+        j = np.arange(2 * n - 1)
+        lo, hi = (j + 1) // 2, j // 2 + 1
+        boxes = np.empty((2 * n - 1, 2 * n - 1, 4))
+        boxes[..., 0] = xs[lo][None, :]
+        boxes[..., 1] = xs[hi][None, :]
+        boxes[..., 2] = ys[lo][:, None]
+        boxes[..., 3] = ys[hi][:, None]
+        idx = np.empty((2 * n - 1, 2 * n - 1), dtype=np.int64)
+        idx[0::2, 0::2] = np.arange(self.n_faces).reshape(n, n)
+        idx[1::2, 0::2] = self.hedge_offset + np.arange(self.n_hedges).reshape(n - 1, n)
+        idx[0::2, 1::2] = self.vedge_offset + np.arange(self.n_vedges).reshape(n, n - 1)
+        idx[1::2, 1::2] = self.vertex_offset + np.arange(self.n_vertices).reshape(n - 1, n - 1)
+        idx.flags.writeable = False
+        boxes.flags.writeable = False
+        return idx, boxes
+
     def window(
         self, xlo: float, xhi: float, ylo: float, yhi: float
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,49 +139,30 @@ class GridPartition:
 
         The candidate set is padded by one ring of cells so boundary-touching
         intersections are never missed; the caller's predicate makes the final
-        call. Returns ``(indices, boxes)`` with ``boxes[i] = (xlo, xhi, ylo,
-        yhi)`` for the component at ``indices[i]``.
+        call. Returns ``(indices, boxes)`` in dense order, with ``boxes[i] =
+        (xlo, xhi, ylo, yhi)`` for the component at ``indices[i]``: one
+        strided slice of the cached lattice per section.
         """
         n, d = self.n, self.cell_side
         ox, oy = self.origin
-        clo = max(int(np.floor((xlo - ox) / d)) - 1, 0)
-        chi = min(int(np.floor((xhi - ox) / d)) + 1, n - 1)
-        rlo = max(int(np.floor((ylo - oy) / d)) - 1, 0)
-        rhi = min(int(np.floor((yhi - oy) / d)) + 1, n - 1)
+        clo = max(math.floor((xlo - ox) / d) - 1, 0)
+        chi = min(math.floor((xhi - ox) / d) + 1, n - 1)
+        rlo = max(math.floor((ylo - oy) / d) - 1, 0)
+        rhi = min(math.floor((yhi - oy) / d) + 1, n - 1)
         if clo > chi or rlo > rhi:
             return np.empty(0, dtype=np.int64), np.empty((0, 4))
-
-        xs = ox + np.arange(n + 1) * d
-        ys = oy + np.arange(n + 1) * d
-        idx_parts: list[np.ndarray] = []
-        box_parts: list[np.ndarray] = []
-
-        def emit(rows: np.ndarray, cols: np.ndarray, offset: int, width: int,
-                 xa: np.ndarray, xb: np.ndarray, ya: np.ndarray, yb: np.ndarray) -> None:
-            rr, cc = np.meshgrid(rows, cols, indexing="ij")
-            idx_parts.append(offset + rr.ravel() * width + cc.ravel())
-            box_parts.append(
-                np.column_stack([
-                    xa[cc.ravel()], xb[cc.ravel()], ya[rr.ravel()], yb[rr.ravel()],
-                ])
-            )
-
-        frows = np.arange(rlo, rhi + 1)
-        fcols = np.arange(clo, chi + 1)
-        emit(frows, fcols, 0, n, xs[:-1], xs[1:], ys[:-1], ys[1:])
-
-        hrows = np.arange(max(rlo - 1, 0), min(rhi, n - 2) + 1)
-        if hrows.size:
-            emit(hrows, fcols, self.hedge_offset, n, xs[:-1], xs[1:], ys[1:], ys[1:])
-
-        vcols = np.arange(max(clo - 1, 0), min(chi, n - 2) + 1)
-        if vcols.size:
-            emit(frows, vcols, self.vedge_offset, n - 1, xs[1:], xs[1:], ys[:-1], ys[1:])
-
-        if hrows.size and vcols.size:
-            emit(hrows, vcols, self.vertex_offset, n - 1, xs[1:], xs[1:], ys[1:], ys[1:])
-
-        return np.concatenate(idx_parts), np.concatenate(box_parts)
+        # even lattice lines hold faces' rows (columns), odd ones the edges
+        # between them; a stop past the lattice clips to its last edge line
+        frows = slice(2 * rlo, 2 * rhi + 1, 2)
+        erows = slice(max(2 * rlo - 1, 1), 2 * rhi + 2, 2)
+        fcols = slice(2 * clo, 2 * chi + 1, 2)
+        ecols = slice(max(2 * clo - 1, 1), 2 * chi + 2, 2)
+        sections = ((frows, fcols), (erows, fcols), (frows, ecols), (erows, ecols))
+        idx, boxes = self._lattice
+        return (
+            np.concatenate([idx[s].ravel() for s in sections]),
+            np.concatenate([boxes[s].reshape(-1, 4) for s in sections]),
+        )
 
 
 def build_partition(

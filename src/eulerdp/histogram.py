@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexBody, diameter, intersects_boxes
+from .geometry import ConvexBody, intersects_boxes
 from .grid import GridPartition
 
 
@@ -183,7 +183,7 @@ def validate_bodies(
         if not inside:
             rejected.append((i, "extends outside the area rectangle"))
             continue
-        if diameter_bound is not None and diameter(body) > diameter_bound + tol:
+        if diameter_bound is not None and body.cached_diameter > diameter_bound + tol:
             rejected.append((i, f"diameter exceeds the bound {diameter_bound}"))
             continue
         kept.append(body)

@@ -8,8 +8,9 @@ comparison is legitimate. The rectangle oracle tabulates every rectangle's
 Euler count at once, in O(n^4) time and memory, for small grids; the
 slice-sum oracle counts one rectangle the direct way. The grid
 oracle lists every tracked component's label and closed box straight from the
-geometry the ``grid`` module documents. The body oracle is the vectorised
-numpy form of ``ConvexBody``'s checks.
+geometry the ``grid`` module documents, and the window oracle rebuilds one
+body's candidate components from meshgrids of grid-line indices. The body
+oracle is the vectorised numpy form of ``ConvexBody``'s checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from eulerdp import ConvexBody, EulerHistogram, convex_hull
+from eulerdp.geometry import intersects_boxes
 
 LATTICE = 1.0 / 1024.0
 
@@ -160,6 +162,55 @@ def grid_components(p) -> list[tuple[str, tuple[float, float, float, float]]]:
         for c in range(n - 1):
             out.append((f"x{r}_{c}", (xs[c + 1], xs[c + 1], ys[r + 1], ys[r + 1])))
     return out
+
+
+def window_oracle(p, xlo: float, xhi: float, ylo: float, yhi: float):
+    """``GridPartition.window`` the direct way: the padded cell range of the
+    bounding box, then each section's rows x columns as a meshgrid, with
+    boxes gathered from the ``ox + arange(n+1)*d`` grid lines."""
+    n, d = p.n, p.cell_side
+    ox, oy = p.origin
+    clo = max(int(np.floor((xlo - ox) / d)) - 1, 0)
+    chi = min(int(np.floor((xhi - ox) / d)) + 1, n - 1)
+    rlo = max(int(np.floor((ylo - oy) / d)) - 1, 0)
+    rhi = min(int(np.floor((yhi - oy) / d)) + 1, n - 1)
+    if clo > chi or rlo > rhi:
+        return np.empty(0, dtype=np.int64), np.empty((0, 4))
+
+    xs = ox + np.arange(n + 1) * d
+    ys = oy + np.arange(n + 1) * d
+    idx_parts: list[np.ndarray] = []
+    box_parts: list[np.ndarray] = []
+
+    def emit(rows, cols, offset, width, xa, xb, ya, yb) -> None:
+        rr, cc = np.meshgrid(rows, cols, indexing="ij")
+        idx_parts.append(offset + rr.ravel() * width + cc.ravel())
+        box_parts.append(
+            np.column_stack([xa[cc.ravel()], xb[cc.ravel()], ya[rr.ravel()], yb[rr.ravel()]])
+        )
+
+    frows = np.arange(rlo, rhi + 1)
+    fcols = np.arange(clo, chi + 1)
+    emit(frows, fcols, 0, n, xs[:-1], xs[1:], ys[:-1], ys[1:])
+    hrows = np.arange(max(rlo - 1, 0), min(rhi, n - 2) + 1)
+    if hrows.size:
+        emit(hrows, fcols, p.hedge_offset, n, xs[:-1], xs[1:], ys[1:], ys[1:])
+    vcols = np.arange(max(clo - 1, 0), min(chi, n - 2) + 1)
+    if vcols.size:
+        emit(frows, vcols, p.vedge_offset, n - 1, xs[1:], xs[1:], ys[:-1], ys[1:])
+    if hrows.size and vcols.size:
+        emit(hrows, vcols, p.vertex_offset, n - 1, xs[1:], xs[1:], ys[1:], ys[1:])
+    return np.concatenate(idx_parts), np.concatenate(box_parts)
+
+
+def build_oracle_counts(bodies, p, tol: float = 0.0) -> np.ndarray:
+    """Raw counts of ``build`` from ``window_oracle`` and ``intersects_boxes``,
+    without validation."""
+    counts = np.zeros(p.size)
+    for body in bodies:
+        idx, boxes = window_oracle(p, *body.bbox)
+        counts[idx[intersects_boxes(body, boxes, tol)]] += 1.0
+    return counts
 
 
 def box_dimension(box) -> int:

@@ -26,7 +26,7 @@ from eulerdp import (
     repair,
     verify_violations,
 )
-from eulerdp.cli import main
+from eulerdp.cli import build_parser, main
 from eulerdp.fileio import read_bodies_file, read_histogram_file, write_bodies_file, write_histogram_file
 
 
@@ -116,7 +116,7 @@ def test_privatize_without_seed_draws_fresh_noise(bodies_file, tmp_path, capsys)
 
 _LP_MODULES_SCRIPT = """
 import sys
-from eulerdp.cli import main
+from eulerdp.cli import build_parser, main
 
 def lp_modules():
     return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
@@ -193,6 +193,25 @@ def test_flag_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_every_call(bodies_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    raw = str(tmp_path / "raw.hist")
+    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    assert main(["query", "--in", raw, "--qr", "0:3,0:3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "12"
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--in", raw])  # --qr missing
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eulerdp query") and "the following arguments are required: --qr" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: eulerdp") and "release" in out and "verify" in out
+    assert main(["verify", "--in", raw]) == 0
 
 
 @pytest.mark.parametrize(

@@ -159,9 +159,21 @@ def test_body_checks_match_numpy_oracle(pts):
     assert body.vertices.tobytes() == pts.tobytes()
 
 
+@given(vertex_lists())
+@settings(max_examples=200, deadline=None)
+def test_cached_diameter_is_bitwise_diameter(pts):
+    if numpy_body_oracle(pts) is None:
+        return
+    body = ConvexBody(pts)
+    assert "cached_diameter" not in body.__dict__  # lazy: not paid on construction
+    assert np.float64(body.cached_diameter).tobytes() == np.float64(diameter(body)).tobytes()
+    assert "cached_diameter" in body.__dict__
+
+
 def test_body_is_read_only_and_compares_by_identity():
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     body = ConvexBody(src)
+    assert body.cached_diameter == math.sqrt(2.0)
     src[1, 0] = 5.0  # construction copied its input
     assert body.vertices[1, 0] == 1.0 and body.bbox == (0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="read-only"):
@@ -170,6 +182,7 @@ def test_body_is_read_only_and_compares_by_identity():
         body.vertices = src
     for twin in (copy.copy(body), copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
         assert twin is not body and twin.bbox == body.bbox
+        assert "cached_diameter" not in twin.__dict__
         assert twin.vertices.tobytes() == body.vertices.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             twin.vertices[0, 0] = 2.0

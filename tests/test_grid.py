@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_dimension, grid_components, point_in_box
+from conftest import (
+    box_dimension,
+    build_oracle_counts,
+    grid_components,
+    lattice_body,
+    point_in_box,
+    window_oracle,
+)
 from eulerdp import GridPartition, build, build_partition, convex_hull, validate_bodies
 
 
@@ -113,6 +123,87 @@ def test_window_far_outside_is_empty():
     p = build_partition(5.0, 5)
     idx, boxes = p.window(100.0, 101.0, 100.0, 101.0)
     assert idx.size == 0 and boxes.shape == (0, 4)
+
+
+# area sides that are not dyadic multiples of n make the grid lines inexact
+area_sides = st.sampled_from([10.0, 1.0, 7.3, 2.0e4, 1.0e-3]) | st.floats(1e-3, 1e5)
+origins = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)) | st.just((0.0, 0.0))
+
+
+partitions = st.builds(build_partition, area_sides, st.integers(2, 12), origin=origins)
+
+
+@st.composite
+def bbox_spans(draw, p: GridPartition) -> tuple[float, float]:
+    """One axis of a bounding box, as fractions of the area: inside it, on a
+    grid line or the border, straddling the border, or far outside."""
+    place = st.sampled_from(["inside", "line", "straddle", "far"])
+    fractions = {
+        "inside": st.floats(0.0, 1.0),
+        "line": st.integers(0, p.n).map(lambda k: k / p.n),
+        "straddle": st.floats(-0.5, 1.5),
+        "far": st.floats(-1e6, -1.0) | st.floats(2.0, 1e6),
+    }
+    a, b = (draw(fractions[draw(place)]) for _ in range(2))
+    return min(a, b), max(a, b)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_window_matches_meshgrid_oracle(data):
+    p = data.draw(partitions)
+    (ox, oy), side = p.origin, p.area_side
+    (x0, x1), (y0, y1) = data.draw(bbox_spans(p)), data.draw(bbox_spans(p))
+    bbox = (ox + x0 * side, ox + x1 * side, oy + y0 * side, oy + y1 * side)
+    idx, boxes = p.window(*bbox)
+    want_idx, want_boxes = window_oracle(p, *bbox)
+    assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
+    assert boxes.shape == want_boxes.shape and boxes.tobytes() == want_boxes.tobytes()
+
+
+def test_lattice_is_cached_read_only_and_left_out_of_copies():
+    p = build_partition(10.0, 7, origin=(-1.5, 2.0))
+    assert "_lattice" not in p.__dict__
+    idx, boxes = p.window(*p.origin, *p.origin)
+    lattice_idx, lattice_boxes = p.__dict__["_lattice"]
+    assert lattice_idx.nbytes + lattice_boxes.nbytes == 40 * (2 * p.n - 1) ** 2
+    with pytest.raises(ValueError, match="read-only"):
+        lattice_idx[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        lattice_boxes[0, 0, 0] = 1.0
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert "_lattice" not in twin.__dict__
+        assert twin == p and hash(twin) == hash(p) and twin in {p}
+        twin_idx, twin_boxes = twin.window(*p.origin, *p.origin)
+        assert twin_idx.tolist() == idx.tolist() and twin_boxes.tobytes() == boxes.tobytes()
+    assert build_partition(10.0, 7, origin=(-1.5, 2.5)) != p
+
+
+def test_build_matches_oracle_on_lattice_corpus():
+    """The bodies of acceptance gate 2: sixteen sets of twelve lattice bodies
+    at every n = 2..10."""
+    rng = np.random.default_rng(4401)
+    for n in range(2, 11):
+        p = build_partition(float(n), n)
+        for _ in range(16):
+            bodies = [lattice_body(rng, float(n)) for _ in range(12)]
+            assert np.array_equal(build(bodies, p).counts, build_oracle_counts(bodies, p))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_build_matches_oracle_on_drawn_bodies(data):
+    p = data.draw(partitions)
+    (ox, oy), span = p.origin, p.n * p.cell_side
+    fraction = st.floats(0.0, 1.0) | st.integers(0, p.n).map(lambda k: k / p.n)
+    point = st.tuples(fraction, fraction).map(
+        lambda t: (min(ox + t[0] * span, ox + span), min(oy + t[1] * span, oy + span))
+    )
+    clouds = st.lists(st.lists(point, min_size=1, max_size=6), min_size=1, max_size=8)
+    bodies = [convex_hull(pts) for pts in data.draw(clouds)]
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    got = build(bodies, p, tol=tol).counts
+    assert np.array_equal(got, build_oracle_counts(bodies, p, tol))
 
 
 def test_partition_validation():

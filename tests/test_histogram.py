@@ -33,6 +33,7 @@ from eulerdp import (
     query,
     validate_bodies,
 )
+from eulerdp import geometry
 
 
 def slow_query(h: EulerHistogram, qr: QueryRegion) -> float:
@@ -284,6 +285,21 @@ def test_validate_bodies_rejects_outside_and_oversized():
     assert not kept and "diameter" in rejected[0][1]
     kept, _ = validate_bodies([inside], p, diameter_bound=1.5)
     assert len(kept) == 1
+
+
+def test_validate_bodies_computes_each_diameter_once(monkeypatch):
+    calls = []
+    real = geometry.diameter
+    monkeypatch.setattr(geometry, "diameter", lambda body: calls.append(body) or real(body))
+    p = build_partition(4.0, 4)
+    bodies = [convex_hull([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)]), convex_hull([(3.0, 3.0)])]
+    for _ in range(2):
+        kept, rejected = validate_bodies(bodies, p, diameter_bound=1.5)
+        assert kept == bodies and not rejected
+    build(bodies, p, diameter_bound=1.5)
+    assert calls == bodies
+    twin = copy.copy(bodies[0])  # copies start uncached
+    assert twin.cached_diameter == bodies[0].cached_diameter and calls == [*bodies, twin]
 
 
 def test_validate_bodies_tol_absorbs_dust():
