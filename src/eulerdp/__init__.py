@@ -2,7 +2,7 @@
 
 The pipeline: build an exact grid histogram that counts each body once per
 query via face/edge/vertex bookkeeping, add calibrated Laplace noise, project
-the noisy counts back onto the consistency constraints with a linear program,
+the noisy counts back onto the consistency constraints by isotonic regression,
 then round (and repair) so the release looks like an ordinary count table.
 Any number of rectangle queries can then be answered from the released
 structure at no further privacy cost.
@@ -22,14 +22,9 @@ from .histogram import (
 )
 from .inference import (
     ConstraintSet,
-    LinearProgram,
     SolveReport,
     build_constraints,
-    build_lad_program,
-    build_linf_program,
     infer,
-    solve,
-    write_lp_text,
 )
 from .ingest import (
     EmptyTrackError,
@@ -81,7 +76,6 @@ __all__ = [
     "HistogramState",
     "IngestConfig",
     "IngestError",
-    "LinearProgram",
     "MetricsReport",
     "PrivacyParams",
     "QueryRegion",
@@ -91,8 +85,6 @@ __all__ = [
     "UserTrack",
     "build",
     "build_constraints",
-    "build_lad_program",
-    "build_linf_program",
     "build_partition",
     "config_from_mapping",
     "convex_hull",
@@ -117,11 +109,9 @@ __all__ = [
     "run_query_experiment",
     "sensitivity_closed_form",
     "shapes_for_percent",
-    "solve",
     "utility_bound_dp",
     "utility_bound_end_to_end",
     "validate_bodies",
     "verify_violations",
-    "write_lp_text",
     "write_metrics",
 ]

@@ -128,11 +128,11 @@ def _cmd_privatize(args) -> int:
 
 def _cmd_infer(args) -> int:
     h = _read_state(args.input, HistogramState.NOISY, "infer")
-    consistent, report = infer(h, objective=args.objective, dump_path=args.dump_lp)
+    consistent, report = infer(h, objective=args.objective)
     fileio.write_histogram_file(consistent, args.out)
     print(
         f"consistent histogram written to {args.out} "
-        f"(status {report.status}, {report.iterations} iterations)"
+        f"(objective {report.objective:g}, {report.iterations} min-cut levels)"
     )
     return 0
 
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--objective", choices=("l1", "linf"), default="l1")
-    p.add_argument("--dump-lp", default=None, help="also write the LP in text form")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("round", help="consistent -> rounded (with covert repair)")

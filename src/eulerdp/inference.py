@@ -9,28 +9,24 @@ Raw histograms satisfy structural constraints that independent noise destroys:
   (one aggregate row per vertex).
 
 Inference finds non-negative counts satisfying all rows while staying close to
-the noisy input: the default program minimizes the L1 deviation via one
-residual variable per component; the alternative minimizes the worst-case
-deviation via a single shared residual. Both are linear programs; since they
-depend on the noisy counts only, solving them is post-processing and spends no
-extra privacy budget.
+the noisy input, in L1 (the default) or worst-case deviation. Around a vertex
+the four edges match four distinct incident faces, so C1 and x >= 0 imply C3,
+and the projection is an isotonic regression under vertex <= edge <= face:
+L1 by threshold partitioning with one minimum cut per level (Hochbaum &
+Queyranne 2003), L-infinity in closed form (Barlow et al. 1972). Both depend on
+the noisy counts only, so inference is post-processing and spends no extra
+privacy budget.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridPartition
 from .histogram import EulerHistogram, HistogramState
-
-# scipy is imported inside _assemble and solve, so commands that build no LP
-# never pay for loading it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -114,212 +110,106 @@ def build_constraints(p: GridPartition) -> ConstraintSet:
     return ConstraintSet(p, c1, c2, c3)
 
 
-# Solver dust tolerance for real-valued counts: a row whose excess stays at
-# or below this still counts as satisfied.
+# Floating-point dust tolerance for real-valued counts: a row whose excess
+# stays at or below this still counts as satisfied.
 REAL_TOL = 1e-7
 
 
 @dataclass
-class LinearProgram:
-    """Minimize c @ x s.t. a_ub @ x <= b_ub, x >= 0.
-
-    Rows are the lower residual rows of every component, then the upper
-    ones, then the rows of ``constraints`` family by family.
-    """
-
-    c: np.ndarray
-    a_ub: sp.csr_matrix
-    b_ub: np.ndarray
-    kind: str
-    constraints: ConstraintSet
-
-    @property
-    def n_components(self) -> int:
-        return self.constraints.partition.size
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.b_ub)
-
-
-@dataclass
 class SolveReport:
-    status: str
-    objective: float | None
+    """``iterations`` counts the minimum-cut levels of ``l1`` (0 for
+    ``linf``); ``wall_time`` is the projection's time in seconds."""
+
+    objective: float
     iterations: int
     wall_time: float
 
 
-# C3 row coefficients in ConstraintSet.c3 column order: vertex, 4 faces, 4 edges.
-_C3_COEFS = np.array([-1.0] * 5 + [1.0] * 4)
+def _isotonic_l1(h: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, int]:
+    """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
+    (lower, upper), and the number of minimum-cut levels it took.
+
+    Each node keeps an index interval [lo, hi) into the sorted distinct
+    values. A level cuts every open interval at mid: a node ranked at or
+    above mid gains 1 by going up (source edge), any other node by going down
+    (sink edge), and a pair inside one interval may not send its lower node
+    up and its upper node down (capacity N+1, above any cut of unit edges).
+    The nodes reachable from the source in the residual graph form the
+    minimal minimum cut, the same for every maximum flow; they go up.
+    """
+    # scipy is imported here, so commands that infer nothing never load it
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    vals, rank = np.unique(h, return_inverse=True)
+    size = len(h)
+    source, sink = size, size + 1
+    lower, upper = np.concatenate([cs.c2, cs.c1]).T
+    lo = np.zeros(size, dtype=np.int64)
+    hi = np.full(size, len(vals), dtype=np.int64)
+    levels = 0
+    while (is_open := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        nodes = np.flatnonzero(is_open)
+        up = rank[nodes] >= mid[nodes]
+        # intervals of one level are disjoint, so equal lo means one interval
+        pairs = is_open[lower] & (lo[lower] == lo[upper])
+        rows = np.concatenate([np.full(up.sum(), source), nodes[~up], lower[pairs]])
+        cols = np.concatenate([nodes[up], np.full((~up).sum(), sink), upper[pairs]])
+        caps = np.concatenate([
+            np.ones(len(nodes), dtype=np.int32),
+            np.full(pairs.sum(), size + 1, dtype=np.int32),
+        ])
+        graph = csr_array((caps, (rows, cols)), shape=(size + 2, size + 2))
+        residual = graph - maximum_flow(graph, source, sink).flow
+        residual.eliminate_zeros()  # csgraph reads stored zeros as edges
+        reached = np.zeros(size + 2, dtype=bool)
+        reached[breadth_first_order(residual, source, return_predecessors=False)] = True
+        lo = np.where(is_open & reached[:size], mid, lo)
+        hi = np.where(is_open & ~reached[:size], mid, hi)
+        levels += 1
+    return vals[lo], levels
 
 
-def _constraint_rows(
-    cs: ConstraintSet, row_offset: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C1 then C2 rows ``x[a] - x[b] <= 0``, then C3 rows, numbered from
-    ``row_offset``."""
-    pairs = np.concatenate([cs.c1, cs.c2])
-    k = len(pairs)
-    rows = np.concatenate([
-        np.repeat(np.arange(row_offset, row_offset + k), 2),
-        np.repeat(np.arange(row_offset + k, row_offset + k + len(cs.c3)), 9),
-    ])
-    cols = np.concatenate([pairs.ravel(), cs.c3.ravel()])
-    vals = np.concatenate([np.tile([1.0, -1.0], k), np.tile(_C3_COEFS, len(cs.c3))])
-    return rows, cols, vals
-
-
-def _residual_rows(n: int, resid_col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows |x_i - h_i| <= r: first all lower rows, then all upper rows.
-    ``resid_col`` maps component index to its residual variable column."""
-    i = np.arange(n)
-    rows = np.concatenate([np.repeat(i, 2), np.repeat(n + i, 2)])
-    pair = np.column_stack([i, resid_col]).ravel()
-    cols = np.concatenate([pair, pair])
-    vals = np.concatenate([
-        np.tile([-1.0, -1.0], n),
-        np.tile([1.0, -1.0], n),
-    ])
-    return rows, cols, vals
-
-
-def _assemble(
-    hn: EulerHistogram, cs: ConstraintSet, kind: str
-) -> LinearProgram:
-    import scipy.sparse as sp
-
-    n = cs.partition.size
-    if kind == "l1":
-        n_vars = 2 * n
-        resid_col = np.arange(n, 2 * n)
-        c = np.concatenate([np.zeros(n), np.ones(n)])
-    else:
-        n_vars = n + 1
-        resid_col = np.full(n, n)
-        c = np.concatenate([np.zeros(n), [1.0]])
-
-    r_rows, r_cols, r_vals = _residual_rows(n, resid_col)
-    c_rows, c_cols, c_vals = _constraint_rows(cs, 2 * n)
-    total_rows = 2 * n + sum(cs.counts_by_family)
-    rows = np.concatenate([r_rows, c_rows])
-    cols = np.concatenate([r_cols, c_cols])
-    vals = np.concatenate([r_vals, c_vals])
-    a_ub = sp.coo_matrix((vals, (rows, cols)), shape=(total_rows, n_vars)).tocsr()
-    b_ub = np.concatenate([-hn.counts, hn.counts, np.zeros(total_rows - 2 * n)])
-    return LinearProgram(c, a_ub, b_ub, kind, cs)
-
-
-def build_lad_program(hn: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
-    """Least-absolute-deviations program: one residual per component."""
-    return _assemble(hn, cs, "l1")
-
-
-def build_linf_program(hn: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
-    """Minimax program: a single residual bounds every deviation."""
-    return _assemble(hn, cs, "linf")
-
-
-_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
-
-
-def solve(lp: LinearProgram) -> tuple[np.ndarray | None, SolveReport]:
-    """Solve with the HiGHS backend; deterministic for a fixed program."""
-    from scipy.optimize import linprog
-
-    t0 = time.perf_counter()
-    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
-    wall = time.perf_counter() - t0
-    status = _STATUS.get(res.status, "error")
-    report = SolveReport(
-        status=status,
-        objective=float(res.fun) if res.fun is not None else None,
-        iterations=int(res.nit),
-        wall_time=wall,
-    )
-    if res.x is None:
-        return None, report
-    counts = np.maximum(res.x[: lp.n_components], 0.0)  # clamp solver dust
-    return counts, report
+def _isotonic_linf(h: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """L-infinity isotonic regression of ``h``: the midpoint of the largest
+    value at or below each node and the smallest value at or above it."""
+    below = h.copy()
+    np.maximum.at(below, cs.c2[:, 1], below[cs.c2[:, 0]])
+    np.maximum.at(below, cs.c1[:, 1], below[cs.c1[:, 0]])
+    above = h.copy()
+    np.minimum.at(above, cs.c1[:, 0], above[cs.c1[:, 1]])
+    np.minimum.at(above, cs.c2[:, 0], above[cs.c2[:, 1]])
+    return (below + above) / 2
 
 
 def infer(
     hn: EulerHistogram,
     cs: ConstraintSet | None = None,
     objective: str = "l1",
-    dump_path: str | None = None,
 ) -> tuple[EulerHistogram, SolveReport]:
-    """Project a NOISY histogram onto the constraint polytope."""
+    """Project a NOISY histogram onto the constraint polytope, minimizing the
+    L1 (``"l1"``) or the largest (``"linf"``) deviation from its counts."""
     if hn.state is not HistogramState.NOISY:
         raise ValueError(f"infer expects a NOISY histogram, got {hn.state.value}")
     if objective not in ("l1", "linf"):
         raise ValueError(f"objective must be 'l1' or 'linf', got {objective!r}")
     if cs is None:
         cs = build_constraints(hn.partition)
-    lp = build_lad_program(hn, cs) if objective == "l1" else build_linf_program(hn, cs)
-    if dump_path is not None:
-        with open(dump_path, "w") as f:
-            f.write(write_lp_text(lp))
-    counts, report = solve(lp)
-    if counts is None or report.status in ("infeasible", "unbounded", "error"):
-        # The polytope always contains the raw histogram, so this is a bug,
-        # not a data problem.
-        raise RuntimeError(f"inference solve failed with status {report.status}")
+    t0 = time.perf_counter()
+    if objective == "l1":
+        x, levels = _isotonic_l1(hn.counts, cs)
+    else:
+        x, levels = _isotonic_linf(hn.counts, cs), 0
+    # Clipping an isotonic optimum at 0 keeps it isotonic, and optimal under
+    # x >= 0 too, which noisy counts below zero need.
+    counts = np.maximum(x, 0.0)
+    wall = time.perf_counter() - t0
+    deviation = np.abs(counts - hn.counts)
+    objective_value = deviation.sum() if objective == "l1" else deviation.max()
     violated = cs.violation_counts(counts, REAL_TOL)
     if violated != (0, 0, 0):
-        # e.g. an iteration-limit stop: the counts are not CONSISTENT.
-        raise RuntimeError(
-            f"inference solve ended with status {report.status} and "
-            f"C1/C2/C3 rows still violated: {violated}"
-        )
+        # C1 and C2 hold exactly by construction and imply C3: this is a bug.
+        raise RuntimeError(f"inference left C1/C2/C3 rows still violated: {violated}")
+    report = SolveReport(float(objective_value), levels, wall)
     return hn.with_counts(counts, HistogramState.CONSISTENT), report
-
-
-def _lp_names(lp: LinearProgram) -> tuple[list[str], list[str]]:
-    """Variable and row names, in column and row order."""
-    cs = lp.constraints
-    n = cs.partition.n
-    comp = (
-        [f"f{r}_{c}" for r in range(n) for c in range(n)]
-        + [f"he{r}_{c}" for r in range(n - 1) for c in range(n)]
-        + [f"ve{r}_{c}" for r in range(n) for c in range(n - 1)]
-        + [f"x{r}_{c}" for r in range(n - 1) for c in range(n - 1)]
-    )
-    resid = [f"r_{lab}" for lab in comp] if lp.kind == "l1" else ["r_max"]
-    var_names = [f"x_{lab}" for lab in comp] + resid
-    row_names = (
-        [f"lo_{lab}" for lab in comp]
-        + [f"hi_{lab}" for lab in comp]
-        + [f"c1_{comp[e]}_{comp[f]}" for e, f in cs.c1.tolist()]
-        + [f"c2_{comp[v]}_{comp[e]}" for v, e in cs.c2.tolist()]
-        + [f"c3_{comp[v]}" for v in cs.c3[:, 0].tolist()]
-    )
-    return var_names, row_names
-
-
-def write_lp_text(lp: LinearProgram) -> str:
-    """Serialize in LP interchange format (CPLEX dialect). Deterministic:
-    fixed row order, repr-formatted coefficients."""
-    var_names, row_names = _lp_names(lp)
-    lines = [f"\\ kind={lp.kind} components={lp.n_components}", "Minimize"]
-    obj_terms = [var_names[j] for j in np.nonzero(lp.c)[0]]
-    for i in range(0, max(len(obj_terms), 1), 8):
-        chunk = " + ".join(obj_terms[i : i + 8])
-        prefix = " obj: " if i == 0 else "      + "
-        if chunk:
-            lines.append(prefix + chunk)
-    lines.append("Subject To")
-    indptr, indices, data = lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data
-    for r in range(lp.n_rows):
-        terms = []
-        for k in range(indptr[r], indptr[r + 1]):
-            coef, var = data[k], var_names[indices[k]]
-            sign = "-" if coef < 0 else "+"
-            mag = "" if abs(coef) == 1.0 else f"{float(abs(coef))!r} "
-            terms.append(f"{sign} {mag}{var}")
-        body = " ".join(terms).removeprefix("+ ")
-        lines.append(f" {row_names[r]}: {body} <= {float(lp.b_ub[r])!r}")
-    lines.append("Bounds")
-    lines.append("\\ all variables >= 0 (LP-format default)")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ exactness feed both sides coordinates on a dyadic lattice (multiples of
 1/1024) so every intermediate product is exactly representable and the
 comparison is legitimate. The rectangle oracle tabulates every rectangle's
 Euler count at once, in O(n^4) time and memory, for small grids; the
-slice-sum oracle counts one rectangle the direct way. The grid
+slice-sum oracle counts one rectangle the direct way. The LP oracle
+assembles constrained inference as the linear program it is (residual rows,
+then C1, C2 and C3 rows) and solves it with scipy's HiGHS. The grid
 oracle lists every tracked component's label and closed box straight from the
 geometry the ``grid`` module documents, and the window oracle rebuilds one
 body's candidate components from meshgrids of grid-line indices. The body
@@ -15,9 +17,13 @@ oracle is the vectorised numpy form of ``ConvexBody``'s checks.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
 
-from eulerdp import ConvexBody, EulerHistogram, convex_hull
+import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
+
+from eulerdp import ConstraintSet, ConvexBody, EulerHistogram, convex_hull
 from eulerdp.geometry import intersects_boxes
 
 LATTICE = 1.0 / 1024.0
@@ -281,3 +287,74 @@ def valid_region_mask(n: int) -> np.ndarray:
     r = np.arange(n)
     rows_ok = r[:, None] <= r[None, :]
     return rows_ok[:, :, None, None] & rows_ok[None, None, :, :]
+
+
+class LinearProgram(NamedTuple):
+    """Minimize c @ x s.t. a_ub @ x <= b_ub, x >= 0.
+
+    Rows are the lower residual rows of every component, then the upper
+    ones, then the C1, C2 and C3 rows of the constraint set.
+    """
+
+    c: np.ndarray
+    a_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    kind: str
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.b_ub)
+
+
+# C3 row coefficients in ConstraintSet.c3 column order: vertex, 4 faces, 4 edges.
+_C3_COEFS = np.array([-1.0] * 5 + [1.0] * 4)
+
+
+def _assemble(h: EulerHistogram, cs: ConstraintSet, kind: str) -> LinearProgram:
+    """|x_i - h_i| <= r_i (``l1``) or <= r (``linf``), then
+    ``x[a] - x[b] <= 0`` for each C1 and C2 pair, then the C3 rows."""
+    n = cs.partition.size
+    if kind == "l1":
+        resid_col = np.arange(n, 2 * n)
+        c = np.concatenate([np.zeros(n), np.ones(n)])
+    else:
+        resid_col = np.full(n, n)
+        c = np.concatenate([np.zeros(n), [1.0]])
+    i = np.arange(n)
+    pair = np.column_stack([i, resid_col]).ravel()
+    pairs = np.concatenate([cs.c1, cs.c2])
+    k = len(pairs)
+    rows = np.concatenate([
+        np.repeat(np.arange(2 * n), 2),
+        np.repeat(np.arange(2 * n, 2 * n + k), 2),
+        np.repeat(np.arange(2 * n + k, 2 * n + k + len(cs.c3)), 9),
+    ])
+    cols = np.concatenate([pair, pair, pairs.ravel(), cs.c3.ravel()])
+    vals = np.concatenate([
+        np.tile([-1.0, -1.0], n),
+        np.tile([1.0, -1.0], n),
+        np.tile([1.0, -1.0], k),
+        np.tile(_C3_COEFS, len(cs.c3)),
+    ])
+    total_rows = 2 * n + k + len(cs.c3)
+    a_ub = sp.coo_matrix((vals, (rows, cols)), shape=(total_rows, len(c))).tocsr()
+    b_ub = np.concatenate([-h.counts, h.counts, np.zeros(total_rows - 2 * n)])
+    return LinearProgram(c, a_ub, b_ub, kind)
+
+
+def build_lad_program(h: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
+    """Least-absolute-deviations program: one residual per component."""
+    return _assemble(h, cs, "l1")
+
+
+def build_linf_program(h: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
+    """Minimax program: a single residual bounds every deviation."""
+    return _assemble(h, cs, "linf")
+
+
+def lp_oracle(h: EulerHistogram, cs: ConstraintSet, objective: str) -> tuple[np.ndarray, float]:
+    """Counts and objective of ``objective``'s program, solved by HiGHS."""
+    lp = _assemble(h, cs, objective)
+    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.x[: cs.partition.size], float(res.fun)

@@ -257,7 +257,7 @@ def test_07_solver_beats_the_integer_lattice(capsys):
     ok = worst_gap <= 1e-9 and dirty == 0
     _verdict(
         capsys, 7, ok,
-        "LP objective never exceeds the exhaustive integer optimum",
+        "inference objective never exceeds the exhaustive integer optimum",
         f"worst gap {worst_gap:.2e}, constraint misses {dirty}/100, "
         f"{time.perf_counter() - t0:.0f}s",
     )

@@ -114,35 +114,38 @@ def test_privatize_without_seed_draws_fresh_noise(bodies_file, tmp_path, capsys)
     assert not np.array_equal(a.counts, b.counts)
 
 
-_LP_MODULES_SCRIPT = """
+_SCIPY_MODULES_SCRIPT = """
 import sys
 from eulerdp.cli import build_parser, main
 
-def lp_modules():
+def scipy_modules():
     return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
 
 bodies, raw, noisy, consistent = sys.argv[1:]
-loaded = {"import": lp_modules()}
+loaded = {"import": scipy_modules()}
 assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--out", raw]) == 0
 assert main(["verify", "--in", raw]) == 0
-loaded["verify"] = lp_modules()
+loaded["verify"] = scipy_modules()
 assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
              "--diameter-bound", "6.0", "--seed", "11"]) == 0
+assert main(["infer", "--in", noisy, "--out", consistent, "--objective", "linf"]) == 0
+loaded["infer linf"] = scipy_modules()
 assert main(["infer", "--in", noisy, "--out", consistent]) == 0
-loaded["infer"] = lp_modules()
+loaded["infer"] = scipy_modules()
 print(loaded)
 """
 
 
 def test_lp_free_commands_do_not_import_scipy(bodies_file, tmp_path):
-    """scipy.sparse and scipy.optimize load only once an LP is assembled."""
+    """scipy.sparse loads only once l1 inference cuts, and no command loads
+    scipy.optimize."""
     files = [str(tmp_path / f"{name}.hist") for name in ("raw", "noisy", "consistent")]
     src = str(Path(eulerdp.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", _LP_MODULES_SCRIPT, bodies_file, *files],
+        [sys.executable, "-c", _SCIPY_MODULES_SCRIPT, bodies_file, *files],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    want = {"import": [], "verify": [], "infer": ["scipy.optimize", "scipy.sparse"]}
+    want = {"import": [], "verify": [], "infer linf": [], "infer": ["scipy.sparse"]}
     assert out.splitlines()[-1] == str(want)
     assert read_histogram_file(files[2]).state is HistogramState.CONSISTENT
 
