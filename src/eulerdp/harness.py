@@ -24,7 +24,7 @@ from .grid import build_partition
 from .histogram import EulerHistogram, QueryRegion, build, query
 from .inference import ConstraintSet, build_constraints, infer
 from .ingest import IngestConfig, generate_synthetic
-from .privacy import PrivacyParams, RandomSource, derive_seed, perturb
+from .privacy import PrivacyParams, RandomSource, derive_seed, perturb, require_finite_positive
 from .rounding import repair, round_counts, verify_violations
 
 INGEST_TOL = 1e-9  # float-data intersection tolerance, matches ingest
@@ -100,8 +100,12 @@ class ExperimentConfig:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.area_side <= 0 or self.diameter_bound <= 0 or self.epsilon <= 0:
-            raise ConfigError("area_side, diameter_bound, epsilon must be positive")
+        try:
+            require_finite_positive(
+                area_side=self.area_side, diameter_bound=self.diameter_bound, epsilon=self.epsilon
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if (self.synthetic is None) == (self.bodies_path is None):
             raise ConfigError("exactly one of synthetic kind or bodies file required")
         if self.bodies_path is not None:

@@ -13,9 +13,11 @@ the noisy input, in L1 (the default) or worst-case deviation. Around a vertex
 the four edges match four distinct incident faces, so C1 and x >= 0 imply C3,
 and the projection is an isotonic regression under vertex <= edge <= face:
 L1 by threshold partitioning with one minimum cut per level (Hochbaum &
-Queyranne 2003), L-infinity in closed form (Barlow et al. 1972). Both depend on
-the noisy counts only, so inference is post-processing and spends no extra
-privacy budget.
+Queyranne 2003), L-infinity in closed form (Barlow et al. 1972). Each level's
+cut is a maximum bipartite matching, found by vectorised greedy rounds and
+finished by Hopcroft-Karp phases (Hopcroft & Karp 1973), so inference needs
+numpy alone. Both depend on the noisy counts only, so inference is
+post-processing and spends no extra privacy budget.
 """
 
 from __future__ import annotations
@@ -125,48 +127,149 @@ class SolveReport:
     wall_time: float
 
 
+def _maximal_matching(eu: np.ndarray, ed: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A maximal matching of the bipartite edges ``eu[i] -- ed[i]`` as mate
+    arrays over node indices (-1 when unmatched), in vectorised rounds.
+
+    Each round matches the edges of a node left with one free neighbour,
+    which some maximum matching also does (Karp & Sipser 1981); a round with
+    none matches any edges. A node proposing twice keeps one proposal.
+    """
+    mate_u = np.full(size, -1, dtype=np.int64)
+    mate_d = np.full(size, -1, dtype=np.int64)
+    claim = np.empty(size, dtype=np.int64)
+    while True:
+        live = (mate_u[eu] < 0) & (mate_d[ed] < 0)
+        eu, ed = eu[live], ed[live]
+        if not len(eu):
+            return mate_u, mate_d
+        pick = (np.bincount(eu, minlength=size)[eu] == 1) | (np.bincount(ed, minlength=size)[ed] == 1)
+        pu, pd = (eu[pick], ed[pick]) if pick.any() else (eu, ed)
+        idx = np.arange(len(pu))
+        claim[pu] = idx
+        keep = claim[pu] == idx
+        claim[pd[keep]] = idx[keep]
+        keep &= claim[pd] == idx
+        mate_u[pu[keep]] = pd[keep]
+        mate_d[pd[keep]] = pu[keep]
+
+
+def _alternating_layers(eu, ed, mate_u, mate_d, size):
+    """Breadth-first search from the free up-nodes along alternating paths,
+    stopped at the first layer that reaches a free down-node.
+
+    Returns the up-node and down-node layers (-1 where unreached) and the
+    free down-nodes reached, none when the matching is maximum.
+    """
+    dist_u = np.full(size, -1, dtype=np.int64)
+    dist_d = np.full(size, -1, dtype=np.int64)
+    frontier = eu[mate_u[eu] < 0]
+    dist_u[frontier] = 0
+    k = 0
+    while len(frontier):
+        step = (dist_u[eu] == k) & (dist_d[ed] < 0)
+        reached = ed[step]
+        dist_d[reached] = k
+        free = reached[mate_d[reached] < 0]
+        if len(free):
+            return dist_u, dist_d, np.unique(free)
+        frontier = mate_d[reached]
+        dist_u[frontier] = k + 1
+        k += 1
+    return dist_u, dist_d, frontier
+
+
+def _augment(eu, ed, mate_u, mate_d, dist_u, dist_d, free_d, size) -> None:
+    """Augment the matching along vertex-disjoint shortest alternating paths,
+    one Hopcroft-Karp phase: an iterative depth-first search backwards from
+    each free down-node through the layers to a free up-node."""
+    order = np.argsort(ed, kind="stable")
+    below = eu[order]
+    start = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ed, minlength=size), out=start[1:])
+    used = np.zeros(size, dtype=bool)
+    for d0 in free_d.tolist():
+        downs, ups, pos = [d0], [], [int(start[d0])]
+        while downs:
+            d = downs[-1]
+            layer, end = dist_d[d], start[d + 1]
+            i = pos[-1]
+            while i < end:
+                u = int(below[i])
+                i += 1
+                if dist_u[u] == layer and not used[u]:
+                    break
+            else:
+                downs.pop()
+                pos.pop()
+                if ups:
+                    ups.pop()
+                continue
+            pos[-1] = i
+            used[u] = True
+            ups.append(u)
+            if layer == 0:
+                mate_u[ups] = downs
+                mate_d[downs] = ups
+                break
+            downs.append(int(mate_u[u]))
+            pos.append(int(start[downs[-1]]))
+
+
+def _maximize(eu, ed, mate_u, mate_d, size) -> np.ndarray:
+    """Grow the matching in place to a maximum one by Hopcroft-Karp phases.
+    Returns the up-node layers of the last search, which reaches no free
+    down-node: -1 on the up-nodes no alternating path from a free one
+    reaches."""
+    while True:
+        dist_u, dist_d, free_d = _alternating_layers(eu, ed, mate_u, mate_d, size)
+        if not len(free_d):
+            return dist_u
+        _augment(eu, ed, mate_u, mate_d, dist_u, dist_d, free_d, size)
+
+
 def _isotonic_l1(h: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, int]:
     """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
     (lower, upper), and the number of minimum-cut levels it took.
 
     Each node keeps an index interval [lo, hi) into the sorted distinct
     values. A level cuts every open interval at mid: a node ranked at or
-    above mid gains 1 by going up (source edge), any other node by going down
-    (sink edge), and a pair inside one interval may not send its lower node
-    up and its upper node down (capacity N+1, above any cut of unit edges).
-    The nodes reachable from the source in the residual graph form the
-    minimal minimum cut, the same for every maximum flow; they go up.
+    above mid (an up-node) gains 1 by going up, any other open node (a
+    down-node) by going down, and no ordered pair inside one interval may
+    send its lower node up and its upper node down. Paths through those
+    uncuttable pairs may share nodes, so the level's minimum cut has the
+    size of a maximum matching of up-nodes to the down-nodes one or two
+    links above them in their interval. The smallest minimum cut sends up
+    the unmatched up-nodes, closed under "matched down-node -> its partner"
+    and under going up: the up-nodes that alternating paths from the free
+    ones reach, and everything above them. That set is the same for every
+    maximum matching.
     """
-    # scipy is imported here, so commands that infer nothing never load it
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-
     vals, rank = np.unique(h, return_inverse=True)
     size = len(h)
-    source, sink = size, size + 1
-    lower, upper = np.concatenate([cs.c2, cs.c1]).T
+    # every ordered pair (lower, upper): vertex-edge, edge-face, vertex-face
+    vertex_face = np.column_stack([np.repeat(cs.c3[:, 0], 4), cs.c3[:, 1:5].ravel()])
+    lower, upper = np.concatenate([cs.c2, cs.c1, vertex_face]).T
     lo = np.zeros(size, dtype=np.int64)
     hi = np.full(size, len(vals), dtype=np.int64)
     levels = 0
     while (is_open := hi - lo > 1).any():
+        # a pair split between two intervals stays split; intervals of one
+        # level are disjoint, so equal lo means one interval
+        inside = is_open[lower] & (lo[lower] == lo[upper])
+        lower, upper = lower[inside], upper[inside]
         mid = (lo + hi) // 2
-        nodes = np.flatnonzero(is_open)
-        up = rank[nodes] >= mid[nodes]
-        # intervals of one level are disjoint, so equal lo means one interval
-        pairs = is_open[lower] & (lo[lower] == lo[upper])
-        rows = np.concatenate([np.full(up.sum(), source), nodes[~up], lower[pairs]])
-        cols = np.concatenate([nodes[up], np.full((~up).sum(), sink), upper[pairs]])
-        caps = np.concatenate([
-            np.ones(len(nodes), dtype=np.int32),
-            np.full(pairs.sum(), size + 1, dtype=np.int32),
-        ])
-        graph = csr_array((caps, (rows, cols)), shape=(size + 2, size + 2))
-        residual = graph - maximum_flow(graph, source, sink).flow
-        residual.eliminate_zeros()  # csgraph reads stored zeros as edges
-        reached = np.zeros(size + 2, dtype=bool)
-        reached[breadth_first_order(residual, source, return_predecessors=False)] = True
-        lo = np.where(is_open & reached[:size], mid, lo)
-        hi = np.where(is_open & ~reached[:size], mid, hi)
+        up = is_open & (rank >= mid)
+        cross = up[lower] & ~up[upper]
+        eu, ed = lower[cross], upper[cross]
+        mate_u, mate_d = _maximal_matching(eu, ed, size)
+        dist_u = _maximize(eu, ed, mate_u, mate_d, size)
+        goes_up = up.copy()
+        goes_up[eu[dist_u[eu] < 0]] = False
+        # the pairs are closed under transitivity, so one pass closes upward
+        goes_up[upper[goes_up[lower]]] = True
+        lo = np.where(goes_up, mid, lo)
+        hi = np.where(is_open & ~goes_up, mid, hi)
         levels += 1
     return vals[lo], levels
 

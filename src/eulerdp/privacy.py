@@ -76,6 +76,14 @@ class RandomSource:
         return laplace_inverse_cdf(self.uniforms_at(start, count), lam)
 
 
+def require_finite_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not a finite number
+    above zero (an infinite epsilon would draw no noise at all)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _snapped_ceil(ratio: float) -> int:
     # Ratios that are integers up to float dust (e.g. 2 / (20/30)) must not
     # jump to the next integer.
@@ -90,8 +98,7 @@ def global_sensitivity(diameter_bound: float, cell_side: float) -> int:
 
     Exact component-count form ``4m(m-1) + 1`` with ``m = ceil(B/d) + 1``.
     """
-    if diameter_bound <= 0 or cell_side <= 0:
-        raise ValueError("diameter bound and cell side must be positive")
+    require_finite_positive(diameter_bound=diameter_bound, cell_side=cell_side)
     m = _snapped_ceil(diameter_bound / cell_side) + 1
     return 4 * m * (m - 1) + 1
 
@@ -99,8 +106,7 @@ def global_sensitivity(diameter_bound: float, cell_side: float) -> int:
 def sensitivity_closed_form(diameter_bound: float, cell_side: float) -> float:
     """Closed-form upper bound 4.5 * (ceil(B/d) + 1) * ceil(B/d); always at
     least the exact value."""
-    if diameter_bound <= 0 or cell_side <= 0:
-        raise ValueError("diameter bound and cell side must be positive")
+    require_finite_positive(diameter_bound=diameter_bound, cell_side=cell_side)
     c = _snapped_ceil(diameter_bound / cell_side)
     return 4.5 * (c + 1) * c
 
@@ -113,10 +119,7 @@ class PrivacyParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.diameter_bound <= 0:
-            raise ValueError("diameter bound must be positive")
+        require_finite_positive(epsilon=self.epsilon, diameter_bound=self.diameter_bound)
         if self.sensitivity < 1:
             raise ValueError("sensitivity must be at least 1")
         if not np.isclose(self.lam, self.sensitivity / self.epsilon, rtol=1e-12):
@@ -166,8 +169,7 @@ def utility_bound_end_to_end(
     """Sup-norm error bound of the full release (noise + inference + rounding)
     holding with probability at least 1 - delta, in closed form over the
     grid parameters."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_finite_positive(epsilon=epsilon)
     components = 4.0 * area_side**2 / cell_side**2 - 4.0 * area_side / cell_side + 1.0
     lam = 2 * sensitivity_closed_form(diameter_bound, cell_side) / epsilon
     return utility_bound_dp(delta, lam, components) + 0.5

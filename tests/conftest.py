@@ -8,7 +8,9 @@ comparison is legitimate. The rectangle oracle tabulates every rectangle's
 Euler count at once, in O(n^4) time and memory, for small grids; the
 slice-sum oracle counts one rectangle the direct way. The LP oracle
 assembles constrained inference as the linear program it is (residual rows,
-then C1, C2 and C3 rows) and solves it with scipy's HiGHS. The grid
+then C1, C2 and C3 rows) and solves it with scipy's HiGHS; the min-cut
+oracle runs the same threshold partitioning as ``infer``'s ``l1`` with one
+scipy maximum flow per level. The grid
 oracle lists every tracked component's label and closed box straight from the
 geometry the ``grid`` module documents, and the window oracle rebuilds one
 body's candidate components from meshgrids of grid-line indices. The body
@@ -22,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from eulerdp import ConstraintSet, ConvexBody, EulerHistogram, convex_hull
 from eulerdp.geometry import intersects_boxes
@@ -358,3 +361,46 @@ def lp_oracle(h: EulerHistogram, cs: ConstraintSet, objective: str) -> tuple[np.
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return res.x[: cs.partition.size], float(res.fun)
+
+
+def min_cut_oracle(h: np.ndarray, cs: ConstraintSet, method: str) -> tuple[np.ndarray, int]:
+    """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
+    (lower, upper), and the number of minimum-cut levels it took, with every
+    level's cut from a ``maximum_flow(method=method)``.
+
+    Each node keeps an index interval [lo, hi) into the sorted distinct
+    values. A level cuts every open interval at mid: a node ranked at or
+    above mid gains 1 by going up (source edge), any other node by going down
+    (sink edge), and a pair inside one interval may not send its lower node
+    up and its upper node down (capacity N+1, above any cut of unit edges).
+    The nodes reachable from the source in the residual graph form the
+    minimal minimum cut, the same for every maximum flow; they go up.
+    """
+    vals, rank = np.unique(h, return_inverse=True)
+    size = len(h)
+    source, sink = size, size + 1
+    lower, upper = np.concatenate([cs.c2, cs.c1]).T
+    lo = np.zeros(size, dtype=np.int64)
+    hi = np.full(size, len(vals), dtype=np.int64)
+    levels = 0
+    while (is_open := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        nodes = np.flatnonzero(is_open)
+        up = rank[nodes] >= mid[nodes]
+        # intervals of one level are disjoint, so equal lo means one interval
+        pairs = is_open[lower] & (lo[lower] == lo[upper])
+        rows = np.concatenate([np.full(up.sum(), source), nodes[~up], lower[pairs]])
+        cols = np.concatenate([nodes[up], np.full((~up).sum(), sink), upper[pairs]])
+        caps = np.concatenate([
+            np.ones(len(nodes), dtype=np.int32),
+            np.full(pairs.sum(), size + 1, dtype=np.int32),
+        ])
+        graph = sp.csr_array((caps, (rows, cols)), shape=(size + 2, size + 2))
+        residual = graph - maximum_flow(graph, source, sink, method=method).flow
+        residual.eliminate_zeros()  # csgraph reads stored zeros as edges
+        reached = np.zeros(size + 2, dtype=bool)
+        reached[breadth_first_order(residual, source, return_predecessors=False)] = True
+        lo = np.where(is_open & reached[:size], mid, lo)
+        hi = np.where(is_open & ~reached[:size], mid, hi)
+        levels += 1
+    return vals[lo], levels

@@ -119,9 +119,9 @@ import sys
 from eulerdp.cli import build_parser, main
 
 def scipy_modules():
-    return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
-bodies, raw, noisy, consistent = sys.argv[1:]
+bodies, raw, noisy, consistent, released = sys.argv[1:]
 loaded = {"import": scipy_modules()}
 assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--out", raw]) == 0
 assert main(["verify", "--in", raw]) == 0
@@ -132,22 +132,58 @@ assert main(["infer", "--in", noisy, "--out", consistent, "--objective", "linf"]
 loaded["infer linf"] = scipy_modules()
 assert main(["infer", "--in", noisy, "--out", consistent]) == 0
 loaded["infer"] = scipy_modules()
+assert main(["release", "--bodies", bodies, "--area", "4", "--n", "4", "--out", released,
+             "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "11"]) == 0
+loaded["release"] = scipy_modules()
+assert main(["query", "--in", released, "--qr", "0:3,0:3"]) == 0
+loaded["query"] = scipy_modules()
 print(loaded)
 """
 
 
-def test_lp_free_commands_do_not_import_scipy(bodies_file, tmp_path):
-    """scipy.sparse loads only once l1 inference cuts, and no command loads
-    scipy.optimize."""
-    files = [str(tmp_path / f"{name}.hist") for name in ("raw", "noisy", "consistent")]
+def _run_python(script: str, *args: str) -> str:
     src = str(Path(eulerdp.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_MODULES_SCRIPT, bodies_file, *files],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    want = {"import": [], "verify": [], "infer linf": [], "infer": ["scipy.sparse"]}
-    assert out.splitlines()[-1] == str(want)
+
+
+def test_no_command_imports_scipy(bodies_file, tmp_path):
+    """numpy is the only runtime dependency: no command, l1 inference and the
+    release included, loads any scipy module."""
+    names = ("raw", "noisy", "consistent", "released")
+    files = [str(tmp_path / f"{name}.hist") for name in names]
+    out = _run_python(_SCIPY_MODULES_SCRIPT, bodies_file, *files)
+    commands = ("import", "verify", "infer linf", "infer", "release", "query")
+    assert out.splitlines()[-1] == str({command: [] for command in commands})
     assert read_histogram_file(files[2]).state is HistogramState.CONSISTENT
+
+
+_WITHOUT_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from eulerdp.cli import main
+
+bodies, released, metrics = sys.argv[1:]
+assert main(["release", "--bodies", bodies, "--area", "4", "--n", "4", "--out", released,
+             "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "11"]) == 0
+assert main(["verify", "--in", released]) == 0
+assert main(["query", "--in", released, "--qr", "0:3,0:3"]) == 0
+settings = ["area_side=5", "n=5", "diameter_bound=1", "epsilon=1", "seed=7",
+            "synthetic=uniform", "count=40", "repetitions=2", "qr_percents=100"]
+assert main(["experiment", *(a for kv in settings for a in ("--set", kv)), "--out", metrics]) == 0
+print("ok")
+"""
+
+
+def test_commands_run_with_scipy_blocked(bodies_file, tmp_path):
+    """The numpy-only install, offline: release, verify, query and a tiny
+    experiment all exit 0 when importing scipy fails."""
+    released, metrics = str(tmp_path / "release.hist"), str(tmp_path / "metrics.txt")
+    assert _run_python(_WITHOUT_SCIPY_SCRIPT, bodies_file, released, metrics).splitlines()[-1] == "ok"
+    assert read_histogram_file(released).state is HistogramState.ROUNDED
+    assert "# table: query_error" in Path(metrics).read_text()
 
 
 def test_stage_order_is_enforced(bodies_file, tmp_path, capsys):
@@ -176,6 +212,24 @@ def test_query_argument_validation(bodies_file, tmp_path, capsys):
     assert "r0:r1,c0:c1" in capsys.readouterr().err
     assert main(["query", "--in", raw, "--qr", "0:4,0:3"]) == 1
     assert "does not fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--diameter-bound"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_privacy_flags_exit_one(bodies_file, tmp_path, capsys, flag, bad):
+    """An infinite epsilon would publish exact counts: both commands that draw
+    noise refuse non-finite privacy parameters as user errors."""
+    raw = str(tmp_path / "raw.hist")
+    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    privacy = {"--epsilon": "1.0", "--diameter-bound": "6.0", flag: bad}
+    flags = [a for kv in privacy.items() for a in kv]
+    field = flag[2:].replace("-", "_")
+    for command in (["privatize", "--in", raw], ["release", *_grid(bodies_file, tmp_path)]):
+        out = tmp_path / "out.hist"
+        capsys.readouterr()
+        assert main([*command, "--out", str(out), *flags, "--seed", "1"]) == 1
+        assert f"error: {field} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_input_file_is_a_user_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 
@@ -90,6 +91,13 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         _base_config(qr_shapes=((6, 2),))  # does not fit n=5
     assert _base_config(qr_shapes=((5, 2),)).grid_n == 5
+
+
+@pytest.mark.parametrize("field", ["area_side", "diameter_bound", "epsilon"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_experiment_config_refuses_non_finite_parameters(field, bad):
+    with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+        _base_config(**{field: bad})
 
 
 def test_config_from_mapping_full():

@@ -1,13 +1,14 @@
 """Constraint extraction and isotonic-regression inference, checked against
-the linear programs it solves."""
+the linear programs it solves and against a maximum-flow minimum cut."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph as csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import (
     box_contains,
@@ -17,6 +18,7 @@ from conftest import (
     grid_components,
     lattice_body,
     lp_oracle,
+    min_cut_oracle,
 )
 from eulerdp import (
     EulerHistogram,
@@ -205,24 +207,43 @@ def test_infer_matches_the_lp_oracle(noisy):
         assert x.min() >= 0.0
 
 
-def test_l1_output_is_the_same_under_either_max_flow_method(monkeypatch):
-    """The minimal minimum cut does not depend on the maximum flow found."""
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_hopcroft_karp_phases_reach_a_maximum_matching(n_up, n_down, data):
+    """From an empty matching, where a phase's shortest paths compete for
+    the same nodes, the phases leave a consistent matching as large as
+    scipy's, and the last search's layers reach no free down-node."""
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n_up - 1), st.integers(0, n_down - 1))))
+    eu = np.array([u for u, _ in sorted(pairs)], dtype=np.int64)
+    ed = np.array([n_up + d for _, d in sorted(pairs)], dtype=np.int64)
+    size = n_up + n_down
+    mate_u, mate_d = np.full(size, -1), np.full(size, -1)
+    dist_u = inference._maximize(eu, ed, mate_u, mate_d, size)
+    matched = np.flatnonzero(mate_u >= 0)
+    assert np.array_equal(mate_d[mate_u[matched]], matched)
+    assert set(zip(matched.tolist(), mate_u[matched].tolist())) <= set(zip(eu.tolist(), ed.tolist()))
+    assert (mate_d >= 0).sum() == len(matched)
+    graph = csr_array((np.ones(len(eu)), (eu, ed - n_up)), shape=(n_up, n_down))
+    assert len(matched) == (maximum_bipartite_matching(graph, perm_type="column") >= 0).sum()
+    assert np.all(mate_d[ed[dist_u[eu] >= 0]] >= 0)
+
+
+def _laplace_44() -> EulerHistogram:
     p = build_partition(44.0, 44)
     rng = np.random.default_rng(44)
     counts = rng.integers(0, 30, p.size) + rng.laplace(0.0, 8.0, p.size)
-    noisy = EulerHistogram(p, counts, HistogramState.NOISY)
-    cs = build_constraints(p)
-    original = csgraph.maximum_flow
-    out = {}
+    return EulerHistogram(p, counts, HistogramState.NOISY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_histograms())
+@example(_laplace_44())
+def test_l1_equals_the_min_cut_oracle(noisy):
+    """The matching's cut is the minimal minimum cut of every level, the one
+    a maximum flow leaves reachable whichever flow it finds."""
+    cs = build_constraints(noisy.partition)
+    x, levels = inference._isotonic_l1(noisy.counts, cs)
     for method in ("dinic", "edmonds_karp"):
-        calls = []
-
-        def forced(graph, source, sink, method=method):
-            calls.append(method)
-            return original(graph, source, sink, method=method)
-
-        monkeypatch.setattr(csgraph, "maximum_flow", forced)
-        consistent, report = infer(noisy, cs)
-        assert len(calls) == report.iterations > 0
-        out[method] = consistent.counts.tobytes()
-    assert out["dinic"] == out["edmonds_karp"]
+        oracle_x, oracle_levels = min_cut_oracle(noisy.counts, cs, method)
+        assert x.tobytes() == oracle_x.tobytes()
+        assert levels == oracle_levels

@@ -86,6 +86,24 @@ def test_privacy_params_validation():
         PrivacyParams(1.0, 1.0, 9, 10.0)  # lam inconsistent with sens/eps
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_refused_by_name(bad):
+    """An infinite epsilon would draw no noise, and an infinite bound has no
+    sensitivity: each is refused with the field's name, never computed with."""
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        PrivacyParams(bad, 1.0, 9, 0.0)
+    with pytest.raises(ValueError, match="diameter_bound must be finite and positive"):
+        PrivacyParams(1.0, bad, 9, 9.0)
+    p = build_partition(4.0, 4)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        PrivacyParams.for_partition(bad, 1.0, p)
+    for sensitivity in (global_sensitivity, sensitivity_closed_form):
+        with pytest.raises(ValueError, match="diameter_bound must be finite and positive"):
+            sensitivity(bad, 1.0)
+        with pytest.raises(ValueError, match="cell_side must be finite and positive"):
+            sensitivity(1.0, bad)
+
+
 def test_derive_seed_goldens():
     assert derive_seed(0, 0) == 13441156890354882375
     assert derive_seed(1, 0) == 13957987245808512451
