@@ -167,33 +167,42 @@ def read_bodies_file(path: str) -> tuple[list[ConvexBody], list[str]]:
 def read_tracks(stream: TextIO) -> list[UserTrack]:
     """Parse ``user_id, lat, lon[, timestamp]`` lines, grouped per user in
     first-appearance order. Blank lines and '#' comments are skipped; a
-    leading column-name row is tolerated."""
+    leading column-name row is tolerated. Fields may carry whitespace."""
     points: dict[str, array] = {}  # flat lat, lon pairs; dicts keep first-appearance order
     stamps: dict[str, list[str]] = {}
     first_data = True
+    uid_before = None
     for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        parts = line.split(",")
+        count = len(parts)
+        if count != 3 and count != 4:
+            # a comment or blank line whatever its commas, else an error
+            text = line.strip()
+            if text and text[0] != "#":
+                raise IngestError(f"tracks line {lineno}: expected 3 or 4 fields, got {count}")
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (3, 4):
-            raise IngestError(f"tracks line {lineno}: expected 3 or 4 fields, got {len(parts)}")
-        try:
+        uid = parts[0].strip()
+        if uid[:1] == "#":
+            continue
+        try:  # float() ignores surrounding whitespace itself
             lat, lon = float(parts[1]), float(parts[2])
         except ValueError:
-            if first_data and parts[0].lower() == "user_id":
+            if first_data and uid.lower() == "user_id":
                 continue
-            raise IngestError(f"tracks line {lineno}: bad coordinates {parts[1]!r}, {parts[2]!r}")
+            lat_text, lon_text = parts[1].strip(), parts[2].strip()
+            raise IngestError(f"tracks line {lineno}: bad coordinates {lat_text!r}, {lon_text!r}")
         first_data = False
-        uid = parts[0]
-        flat = points.get(uid)
-        if flat is None:
-            flat = points[uid] = array("d")
-            stamps[uid] = []
+        if uid != uid_before:  # rows of one user usually come together
+            uid_before = uid
+            flat = points.get(uid)
+            if flat is None:
+                flat = points[uid] = array("d")
+                stamps[uid] = []
+            user_stamps = stamps[uid]
         flat.append(lat)
         flat.append(lon)
-        if len(parts) == 4:
-            stamps[uid].append(parts[3])
+        if count == 4:
+            user_stamps.append(parts[3].strip())
     tracks = []
     for uid, flat in points.items():
         pts = np.frombuffer(flat).reshape(-1, 2)

@@ -71,8 +71,21 @@ class ConvexBody:
         return diameter(self)
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _chain(pts) -> list[tuple[float, float]]:
+    """One side of the monotone chain: each point in turn, after popping
+    every vertex that would not make a strict left turn. The turn test is
+    the cross product (a - o) x (p - o), written out inline."""
+    chain: list[tuple[float, float]] = []
+    for p in pts:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points) -> ConvexBody:
@@ -83,17 +96,7 @@ def convex_hull(points) -> ConvexBody:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:
         return ConvexBody(pts)
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
     if len(hull) < 2:  # all input points collinear
         hull = [pts[0], pts[-1]]
     return ConvexBody(hull)

@@ -7,6 +7,13 @@ until the set fits the diameter budget, and take the convex hull. One body
 per user; users whose tracks leave nothing usable are skipped and reported,
 never silently dropped.
 
+Users are extracted together, not one at a time. Every ping is projected in
+one pass; users with equal counts of points inside the area are then
+processed as stacks, each step the same floating-point operations a lone
+user's extraction does, so the bodies are identical to extracting users one
+at a time. Only users whose k nearest points exceed the diameter bound
+search for their trim one by one.
+
 Also provides synthetic body generators so experiments can run without any
 real tracks: ``uniform`` scatters bodies evenly, ``clustered`` draws centers
 from a small Gaussian mixture, ``concentrated`` puts most mass in a single
@@ -21,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexBody, convex_hull, diameter
+from .privacy import require_finite_positive
 
 EARTH_RADIUS_M = 6371000.0
-# float64s per block of pairwise work (32 MiB), so an n-point track never
-# materializes an n x n matrix
-PAIRWISE_BLOCK = 1 << 22
+_LAT_LON_LIMITS = np.array([90.0, 180.0])
+# float64s per block of pairwise work (512 KiB), so no temporary grows with
+# the number of users, nor with the square of a track's length
+PAIRWISE_BLOCK = 1 << 16
 
 
 class IngestError(ValueError):
@@ -52,8 +61,7 @@ class UserTrack:
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise IngestError(f"user {self.user_id!r}: expected a non-empty (k, 2) point array")
         object.__setattr__(self, "points", pts)
-        lat, lon = pts[:, 0], pts[:, 1]
-        if not (np.all(np.abs(lat) <= 90) and np.all(np.abs(lon) <= 180)):
+        if not (np.abs(pts) <= _LAT_LON_LIMITS).all():  # NaN fails too
             raise IngestError(f"user {self.user_id!r}: coordinates outside valid ranges")
         if self.timestamps is not None and len(self.timestamps) != len(pts):
             raise IngestError(f"user {self.user_id!r}: timestamp count mismatch")
@@ -75,18 +83,25 @@ class IngestConfig:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.area_side > 0 and self.diameter_bound > 0):
-            raise IngestError("area_side and diameter_bound must be positive")
+        try:
+            require_finite_positive(area_side=self.area_side, diameter_bound=self.diameter_bound)
+        except ValueError as e:
+            raise IngestError(str(e)) from None
         if self.k < 1:
             raise IngestError("k must be >= 1")
+        for name in ("origin", "center"):
+            pair = getattr(self, name)
+            if pair is not None and not all(map(math.isfinite, pair)):
+                raise IngestError(f"{name} must be finite, got {pair}")
         if self.center is not None:
             lat, lon = self.center
             if not (abs(lat) <= 90 and abs(lon) <= 180):
                 raise IngestError("projection center outside valid coordinate ranges")
 
 
-def project(track: UserTrack, config: IngestConfig) -> np.ndarray:
-    """Project to local planar meters; drop points outside the area square.
+def _planar(points: np.ndarray, config: IngestConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Planar meters of (latitude, longitude) rows, and which of them lie in
+    the area square.
 
     Equirectangular about the configured center: cheap, and over a
     city-sized window the distortion is far below the grid resolution.
@@ -95,132 +110,194 @@ def project(track: UserTrack, config: IngestConfig) -> np.ndarray:
         raise IngestError("projection requires a configured center")
     lat0, lon0 = config.center
     rad = math.pi / 180.0
-    x = EARTH_RADIUS_M * (track.points[:, 1] - lon0) * rad * math.cos(lat0 * rad)
-    y = EARTH_RADIUS_M * (track.points[:, 0] - lat0) * rad
     ox, oy = config.origin
     half = config.area_side / 2.0
-    planar = np.column_stack([x + ox + half, y + oy + half])
-    inside = (
-        (planar[:, 0] >= ox)
-        & (planar[:, 0] <= ox + config.area_side)
-        & (planar[:, 1] >= oy)
-        & (planar[:, 1] <= oy + config.area_side)
-    )
+    x = EARTH_RADIUS_M * (points[:, 1] - lon0) * rad * math.cos(lat0 * rad) + ox + half
+    y = EARTH_RADIUS_M * (points[:, 0] - lat0) * rad + oy + half
+    inside = (x >= ox) & (x <= ox + config.area_side) & (y >= oy) & (y <= oy + config.area_side)
+    return np.column_stack([x, y]), inside
+
+
+def project(track: UserTrack, config: IngestConfig) -> np.ndarray:
+    """Project one track to local planar meters; drop points outside the area square."""
+    planar, inside = _planar(track.points, config)
     kept = planar[inside]
     if len(kept) == 0:
         raise EmptyTrackError(track.user_id, "no points inside the area")
     return kept
 
 
-def _scott_matrix(points: np.ndarray) -> np.ndarray:
-    """Kernel covariance by Scott's rule: sample covariance scaled by
-    n^(-1/(d+4)), d=2.
+def _scott_matrices(stack: np.ndarray) -> np.ndarray:
+    """Kernel covariance of each of g point sets of m points, (g, m, 2):
+    the sample covariance scaled by m^(-1/(d+4)), d=2, by Scott's rule.
 
-    Degenerate covariance (repeated or collinear points) gets a small ridge
-    so the density stays evaluable.
+    Each covariance is ``np.cov``'s: the same mean, and the same BLAS
+    product of the centred points with themselves, one set at a time.
+    A degenerate covariance (repeated or collinear points) gets a small
+    ridge so the density stays evaluable: 1e-12 of its scale, times 10
+    until its Cholesky factorisation succeeds.
     """
-    n = len(points)
-    factor = n ** (-1.0 / 6.0)
-    if n == 1:
-        cov = np.eye(2)
+    g, m, _ = stack.shape
+    factor = m ** (-1.0 / 6.0)
+    if m == 1:
+        cov = np.tile(np.eye(2), (g, 1, 1))
     else:
-        cov = np.cov(points.T, ddof=1)
+        centred = stack - stack.mean(axis=1, keepdims=True)
+        cov = np.empty((g, 2, 2))
+        for u, x in enumerate(centred):
+            xt = x.T  # np.cov's (2, m) view; the product of a view with its own transpose
+            cov[u] = np.dot(xt, xt.T)
+        cov *= np.true_divide(1, m - 1)
     h = cov * factor**2
-    scale = max(float(np.trace(h)), 1.0)
+    scale = np.maximum(h[:, 0, 0] + h[:, 1, 1], 1.0)
     ridge = 1e-12 * scale
-    while True:
-        try:
-            np.linalg.cholesky(h + np.eye(2) * ridge)
-            return h + np.eye(2) * ridge
-        except np.linalg.LinAlgError:
-            ridge *= 10.0
-            if ridge > 1e6 * scale:
-                raise
+    ridged = h + np.eye(2) * ridge[:, None, None]
+    try:
+        np.linalg.cholesky(ridged)
+        return ridged
+    except np.linalg.LinAlgError:
+        pass
+    for u in range(g):  # some set in the stack is degenerate: ridge each alone
+        while True:
+            try:
+                np.linalg.cholesky(ridged[u])
+                break
+            except np.linalg.LinAlgError:
+                ridge[u] *= 10.0
+                if ridge[u] > 1e6 * scale[u]:
+                    raise
+                ridged[u] = h[u] + np.eye(2) * ridge[u]
+    return ridged
 
 
-def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel density of ``points`` evaluated at rows of ``at``.
+def _kde(stack: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel density of each point set in ``stack`` (g, m, 2),
+    evaluated at the rows of its ``at`` (g, r, 2); returns (g, r).
 
     The quadratic form d^T H^-1 d is summed from the per-axis differences
     in the order ``einsum("ijk,kl,ijl->ij", d, h_inv, d)`` accumulates it
     (k outer, l inner, each term multiplied left to right), so the result is
-    bitwise the einsum value at a fraction of its per-call cost. With the
-    same chunks and numpy reusing the temporaries, peak allocation is no
-    higher than the einsum's.
+    bitwise the einsum value at a fraction of its per-call cost. Every
+    temporary holds at most ``PAIRWISE_BLOCK`` float64s (one row at least).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    at = np.atleast_2d(np.asarray(at, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise IngestError("kde_density expects a non-empty (k, 2) points array")
-    if at.ndim != 2 or at.shape[1] != 2:
-        raise IngestError("kde_density expects an (m, 2) array of evaluation points")
-    h = _scott_matrix(pts)
-    h_inv = np.linalg.inv(h)
-    (a, b), (c, e) = h_inv.tolist()
-    norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
-    px, py = pts.T.copy()
-    out = np.empty(len(at))
-    step = max(1, PAIRWISE_BLOCK // len(pts))
-    for lo in range(0, len(at), step):
-        d0 = at[lo : lo + step, 0, None] - px
-        d1 = at[lo : lo + step, 1, None] - py
+    g, m, _ = stack.shape
+    h = _scott_matrices(stack)
+    h_inv = np.linalg.inv(h)[:, :, :, None, None]
+    a, b, c, e = h_inv[:, 0, 0], h_inv[:, 0, 1], h_inv[:, 1, 0], h_inv[:, 1, 1]
+    norm = 1.0 / (m * 2.0 * math.pi * np.sqrt(np.linalg.det(h)))[:, None]
+    px = np.ascontiguousarray(stack[:, None, :, 0])
+    py = np.ascontiguousarray(stack[:, None, :, 1])
+    out = np.empty(at.shape[:2])
+    step = max(1, PAIRWISE_BLOCK // (g * m))
+    for lo in range(0, at.shape[1], step):
+        d0 = at[:, lo : lo + step, 0, None] - px
+        d1 = at[:, lo : lo + step, 1, None] - py
         quad = (((d0 * a) * d0 + (d0 * b) * d1) + (d1 * c) * d0) + (d1 * e) * d1
         quad *= -0.5
-        out[lo : lo + step] = np.exp(quad, out=quad).sum(axis=1) * norm
+        out[:, lo : lo + step] = np.exp(quad, out=quad).sum(axis=2) * norm
     return out
+
+
+def _modes(stack: np.ndarray) -> np.ndarray:
+    """Densest input point of each set in ``stack`` (g, m, 2): the argmax of
+    its KDE over its own points."""
+    if stack.shape[1] == 1:
+        return stack[:, 0]
+    return stack[np.arange(len(stack)), _kde(stack, stack).argmax(axis=1)]
+
+
+def _points_array(points, what: str) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise IngestError(f"{what} expects a non-empty (k, 2) points array")
+    return pts
+
+
+def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel density of ``points`` evaluated at rows of ``at``."""
+    pts = _points_array(points, "kde_density")
+    at = np.atleast_2d(np.asarray(at, dtype=np.float64))
+    if at.ndim != 2 or at.shape[1] != 2:
+        raise IngestError("kde_density expects an (m, 2) array of evaluation points")
+    return _kde(pts[None], at[None])[0]
 
 
 def kde_mode(points: np.ndarray) -> np.ndarray:
     """Densest input point: argmax of the KDE over the data points themselves."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise IngestError("kde_mode expects a non-empty (k, 2) array")
-    if len(pts) == 1:
-        return pts[0].copy()
-    dens = kde_density(pts, pts)
-    return pts[int(np.argmax(dens))].copy()
+    return _modes(_points_array(points, "kde_mode")[None])[0].copy()
 
 
-def _trim_to_diameter(ordered: np.ndarray, bound: float) -> np.ndarray:
-    """Largest prefix of mode-distance-ordered points with diameter <= bound.
+def _prefix_diameters2(ordered: np.ndarray) -> np.ndarray:
+    """Squared diameter of every prefix of each ordered point set in
+    ``ordered`` (g, k, 2); returns (g, k), entry i for the first i + 1 points.
+
+    Each point's squared distance to its farthest predecessor, then a
+    running maximum, with at most ``PAIRWISE_BLOCK`` float64s per block.
+    A squared distance is dx * dx + dy * dy, the value
+    :func:`~eulerdp.geometry.diameter` sums from ``diff * diff``.
+    """
+    g, k, _ = ordered.shape
+    x, y = np.ascontiguousarray(ordered.transpose(2, 0, 1))
+    reach2 = np.empty((g, k))
+    step = max(1, PAIRWISE_BLOCK // (g * k))
+    for r in range(0, k, step):
+        dx = x[:, r : r + step, None] - x[:, None, : r + step]
+        dy = y[:, r : r + step, None] - y[:, None, : r + step]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        reach2[:, r : r + step] = np.tril(dx, r).max(axis=2)
+    return np.maximum.accumulate(reach2, axis=1)
+
+
+def _trim_length(ordered: np.ndarray, prefix2: np.ndarray, bound: float) -> int:
+    """Length of the largest prefix of mode-distance-ordered points with
+    diameter <= bound, given the prefixes' squared point-set diameters.
 
     Prefix diameter is nondecreasing in length, so binary search lands on
     the same set as repeatedly dropping the farthest point. Each probe asks
     whether ``diameter(convex_hull(prefix)) <= bound``. The hull's vertices
     are a subset of the same floats, and every pair's squared distance is
-    the same ``(diff * diff).sum`` in both, so the squared diameter of the
+    the same dx * dx + dy * dy in both, so the squared diameter of the
     prefix's whole point set is never below the hull's; as sqrt is
     monotone, a probe whose point-set diameter is within the bound gets the
     hull's answer without a hull. Every other probe builds the hull, so the
     probes, and the result, are the same as with hulls alone.
     """
-    m = len(ordered)
-    # squared distance from each point to its farthest predecessor
-    reach2 = np.empty(m)
-    step = max(1, PAIRWISE_BLOCK // (2 * m))
-    for r in range(0, m, step):
-        diff = ordered[r : r + step, None, :] - ordered[None, : r + step, :]
-        reach2[r : r + step] = np.tril((diff * diff).sum(axis=2), r).max(axis=1)
-    prefix2 = np.maximum.accumulate(reach2)  # squared diameter of prefix i + 1
-    lo, hi = 1, m  # prefix of 1 has diameter 0
+    lo, hi = 1, len(ordered)  # prefix of 1 has diameter 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if np.sqrt(prefix2[mid - 1]) <= bound or diameter(convex_hull(ordered[:mid])) <= bound:
             lo = mid
         else:
             hi = mid - 1
-    return ordered[:lo]
+    return lo
+
+
+def _bodies(stack: np.ndarray, config: IngestConfig) -> list[ConvexBody]:
+    """Bodies of g users with m projected points each, ``stack`` (g, m, 2):
+    locate each mode, keep the k nearest, trim to the diameter bound, hull.
+
+    A user whose k nearest points already fit the bound (every binary-search
+    probe would pass without a hull) keeps them all; only the others search.
+    """
+    mode = _modes(stack)
+    dx = stack[:, :, 0] - mode[:, 0, None]
+    dy = stack[:, :, 1] - mode[:, 1, None]
+    dist2 = dx * dx + dy * dy
+    order = np.argsort(dist2, axis=1, kind="stable")[:, : config.k]
+    nearest = np.take_along_axis(stack, order[:, :, None], axis=1)
+    prefix2 = _prefix_diameters2(nearest)
+    fits = (np.sqrt(prefix2[:, -1]) <= config.diameter_bound).tolist()
+    return [
+        convex_hull(pts if fit else pts[: _trim_length(pts, p2, config.diameter_bound)])
+        for pts, p2, fit in zip(nearest, prefix2, fits)
+    ]
 
 
 def extract_body(track: UserTrack, config: IngestConfig) -> ConvexBody:
     """Project, locate the mode, keep k nearest, trim to the diameter bound, hull."""
-    planar = project(track, config)
-    mode = kde_mode(planar)
-    dist2 = ((planar - mode) ** 2).sum(axis=1)
-    order = np.argsort(dist2, kind="stable")
-    nearest = planar[order[: config.k]]
-    kept = _trim_to_diameter(nearest, config.diameter_bound)
-    return convex_hull(kept)
+    return _bodies(project(track, config)[None], config)[0]
 
 
 def ingest_tracks(
@@ -228,17 +305,38 @@ def ingest_tracks(
 ) -> tuple[list[ConvexBody], list[str], list[tuple[str, str]]]:
     """Extract one body per user; returns (bodies, user ids, skipped users).
 
-    len(tracks) == len(bodies) + len(skipped) always holds.
+    Every ping is projected in one pass. Users with the same number m of
+    points inside the area are then extracted together, in stacks of
+    ``PAIRWISE_BLOCK // m**2`` users (one at least), with output identical
+    to extracting each alone. len(tracks) == len(bodies) + len(skipped)
+    always holds.
     """
+    if not tracks:
+        return [], [], []
+    planar, inside = _planar(np.concatenate([t.points for t in tracks]), config)
+    kept = planar[inside]
+    del planar
+    lengths = np.array([len(t.points) for t in tracks])
+    counts = np.add.reduceat(inside, np.cumsum(lengths) - lengths, dtype=np.intp)
+    starts = np.cumsum(counts) - counts  # of each user's points in kept
+    found: list[ConvexBody | None] = [None] * len(tracks)
+    for m in np.unique(counts[counts > 0]).tolist():
+        users = np.flatnonzero(counts == m)
+        step = max(1, PAIRWISE_BLOCK // (m * m))
+        for lo in range(0, len(users), step):
+            group = users[lo : lo + step]
+            stack = kept[starts[group, None] + np.arange(m)]
+            for u, body in zip(group.tolist(), _bodies(stack, config)):
+                found[u] = body
     bodies: list[ConvexBody] = []
     ids: list[str] = []
     skipped: list[tuple[str, str]] = []
-    for track in tracks:
-        try:
-            bodies.append(extract_body(track, config))
+    for track, body in zip(tracks, found):
+        if body is None:
+            skipped.append((track.user_id, "no points inside the area"))
+        else:
+            bodies.append(body)
             ids.append(track.user_id)
-        except EmptyTrackError as e:
-            skipped.append((e.user_id, e.reason))
     return bodies, ids, skipped
 
 

@@ -14,11 +14,16 @@ scipy maximum flow per level. The grid
 oracle lists every tracked component's label and closed box straight from the
 geometry the ``grid`` module documents, and the window oracle rebuilds one
 body's candidate components from meshgrids of grid-line indices. The body
-oracle is the vectorised numpy form of ``ConvexBody``'s checks.
+oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
+extraction oracle turns GPS tracks into bodies one user at a time, with the
+per-user numpy calls that ``ingest_tracks`` stacks across users, and the
+tracks oracle parses a tracks file the plain way.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +31,15 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from eulerdp import ConstraintSet, ConvexBody, EulerHistogram, convex_hull
+from eulerdp import (
+    ConstraintSet,
+    ConvexBody,
+    EmptyTrackError,
+    EulerHistogram,
+    IngestError,
+    UserTrack,
+    convex_hull,
+)
 from eulerdp.geometry import intersects_boxes
 
 LATTICE = 1.0 / 1024.0
@@ -404,3 +417,187 @@ def min_cut_oracle(h: np.ndarray, cs: ConstraintSet, method: str) -> tuple[np.nd
         hi = np.where(is_open & ~reached[:size], mid, hi)
         levels += 1
     return vals[lo], levels
+
+
+# The track-extraction oracle: one user at a time, each step the per-user
+# numpy code that ``ingest_tracks`` stacks across users, and the hull with
+# its own ``_cross``.
+ORACLE_PAIRWISE_BLOCK = 1 << 22
+EARTH_RADIUS_M = 6371000.0
+
+
+def oracle_convex_hull(points) -> ConvexBody:
+    pts = sorted({(x, y) for x, y in np.asarray(points, dtype=np.float64).tolist()})
+    if not pts:
+        raise ValueError("convex_hull needs at least one point")
+    if len(pts) == 1:
+        return ConvexBody(pts)
+    lower: list[tuple[float, float]] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:  # all input points collinear
+        hull = [pts[0], pts[-1]]
+    return ConvexBody(hull)
+
+
+def oracle_diameter(body: ConvexBody) -> float:
+    pts = body.vertices
+    if len(pts) == 1:
+        return 0.0
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+
+
+def oracle_project(track, config) -> np.ndarray:
+    lat0, lon0 = config.center
+    rad = math.pi / 180.0
+    x = EARTH_RADIUS_M * (track.points[:, 1] - lon0) * rad * math.cos(lat0 * rad)
+    y = EARTH_RADIUS_M * (track.points[:, 0] - lat0) * rad
+    ox, oy = config.origin
+    half = config.area_side / 2.0
+    planar = np.column_stack([x + ox + half, y + oy + half])
+    inside = (
+        (planar[:, 0] >= ox)
+        & (planar[:, 0] <= ox + config.area_side)
+        & (planar[:, 1] >= oy)
+        & (planar[:, 1] <= oy + config.area_side)
+    )
+    kept = planar[inside]
+    if len(kept) == 0:
+        raise EmptyTrackError(track.user_id, "no points inside the area")
+    return kept
+
+
+def oracle_scott_matrix(points: np.ndarray) -> np.ndarray:
+    n = len(points)
+    factor = n ** (-1.0 / 6.0)
+    if n == 1:
+        cov = np.eye(2)
+    else:
+        cov = np.cov(points.T, ddof=1)
+    h = cov * factor**2
+    scale = max(float(np.trace(h)), 1.0)
+    ridge = 1e-12 * scale
+    while True:
+        try:
+            np.linalg.cholesky(h + np.eye(2) * ridge)
+            return h + np.eye(2) * ridge
+        except np.linalg.LinAlgError:
+            ridge *= 10.0
+            if ridge > 1e6 * scale:
+                raise
+
+
+def oracle_kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    h = oracle_scott_matrix(points)
+    h_inv = np.linalg.inv(h)
+    (a, b), (c, e) = h_inv.tolist()
+    norm = 1.0 / (len(points) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
+    px, py = points.T.copy()
+    out = np.empty(len(at))
+    step = max(1, ORACLE_PAIRWISE_BLOCK // len(points))
+    for lo in range(0, len(at), step):
+        d0 = at[lo : lo + step, 0, None] - px
+        d1 = at[lo : lo + step, 1, None] - py
+        quad = (((d0 * a) * d0 + (d0 * b) * d1) + (d1 * c) * d0) + (d1 * e) * d1
+        quad *= -0.5
+        out[lo : lo + step] = np.exp(quad, out=quad).sum(axis=1) * norm
+    return out
+
+
+def oracle_kde_mode(points: np.ndarray) -> np.ndarray:
+    if len(points) == 1:
+        return points[0].copy()
+    dens = oracle_kde_density(points, points)
+    return points[int(np.argmax(dens))].copy()
+
+
+def oracle_trim_to_diameter(ordered: np.ndarray, bound: float) -> np.ndarray:
+    """Largest prefix with diameter <= bound, by binary search on hull
+    probes; a probe whose point-set diameter fits needs no hull."""
+    m = len(ordered)
+    reach2 = np.empty(m)
+    step = max(1, ORACLE_PAIRWISE_BLOCK // (2 * m))
+    for r in range(0, m, step):
+        diff = ordered[r : r + step, None, :] - ordered[None, : r + step, :]
+        reach2[r : r + step] = np.tril((diff * diff).sum(axis=2), r).max(axis=1)
+    prefix2 = np.maximum.accumulate(reach2)
+    lo, hi = 1, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (
+            np.sqrt(prefix2[mid - 1]) <= bound
+            or oracle_diameter(oracle_convex_hull(ordered[:mid])) <= bound
+        ):
+            lo = mid
+        else:
+            hi = mid - 1
+    return ordered[:lo]
+
+
+def extract_body_oracle(track, config) -> ConvexBody:
+    """Project, locate the mode, keep k nearest, trim to the diameter bound, hull."""
+    planar = oracle_project(track, config)
+    mode = oracle_kde_mode(planar)
+    dist2 = ((planar - mode) ** 2).sum(axis=1)
+    order = np.argsort(dist2, kind="stable")
+    nearest = planar[order[: config.k]]
+    kept = oracle_trim_to_diameter(nearest, config.diameter_bound)
+    return oracle_convex_hull(kept)
+
+
+def ingest_tracks_oracle(tracks, config):
+    """(bodies, ids, skipped) from ``extract_body_oracle``, user by user."""
+    bodies, ids, skipped = [], [], []
+    for track in tracks:
+        try:
+            bodies.append(extract_body_oracle(track, config))
+            ids.append(track.user_id)
+        except EmptyTrackError as e:
+            skipped.append((e.user_id, e.reason))
+    return bodies, ids, skipped
+
+
+def read_tracks_oracle(stream) -> list[UserTrack]:
+    """The tracks parser written plainly: strip each line, skip blanks and
+    comments, strip each field, then convert."""
+    points: dict[str, array] = {}  # flat lat, lon pairs; dicts keep first-appearance order
+    stamps: dict[str, list[str]] = {}
+    first_data = True
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (3, 4):
+            raise IngestError(f"tracks line {lineno}: expected 3 or 4 fields, got {len(parts)}")
+        try:
+            lat, lon = float(parts[1]), float(parts[2])
+        except ValueError:
+            if first_data and parts[0].lower() == "user_id":
+                continue
+            raise IngestError(f"tracks line {lineno}: bad coordinates {parts[1]!r}, {parts[2]!r}")
+        first_data = False
+        uid = parts[0]
+        flat = points.get(uid)
+        if flat is None:
+            flat = points[uid] = array("d")
+            stamps[uid] = []
+        flat.append(lat)
+        flat.append(lon)
+        if len(parts) == 4:
+            stamps[uid].append(parts[3])
+    tracks = []
+    for uid, flat in points.items():
+        pts = np.frombuffer(flat).reshape(-1, 2)
+        ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
+        tracks.append(UserTrack(uid, pts, ts))
+    return tracks

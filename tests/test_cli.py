@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,24 @@ def bodies_file(tmp_path):
     bodies = [lattice_body(rng, 4.0) for _ in range(12)]
     path = tmp_path / "bodies.jsonl"
     write_bodies_file(bodies, str(path))
+    return str(path)
+
+
+_TRACKS = (
+    "user_id,lat,lon\n"
+    "near,47.6201,-122.3301\n"
+    "near,47.6203,-122.3299\n"
+    "near,47.6199,-122.3302\n"
+    "near,47.6202,-122.3298\n"
+    "near,47.6200,-122.3300\n"
+    "far,10.0,10.0\n"
+)
+
+
+@pytest.fixture
+def tracks_file(tmp_path):
+    path = tmp_path / "tracks.csv"
+    path.write_text(_TRACKS)
     return str(path)
 
 
@@ -121,8 +140,11 @@ from eulerdp.cli import build_parser, main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
-bodies, raw, noisy, consistent, released = sys.argv[1:]
+tracks, ingested, bodies, raw, noisy, consistent, released = sys.argv[1:]
 loaded = {"import": scipy_modules()}
+assert main(["ingest", "--tracks", tracks, "--out", ingested, "--area", "10000",
+             "--diameter-bound", "1000", "--k", "3", "--center", "47.62,-122.33"]) == 0
+loaded["ingest"] = scipy_modules()
 assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--out", raw]) == 0
 assert main(["verify", "--in", raw]) == 0
 loaded["verify"] = scipy_modules()
@@ -149,13 +171,14 @@ def _run_python(script: str, *args: str) -> str:
     ).stdout
 
 
-def test_no_command_imports_scipy(bodies_file, tmp_path):
-    """numpy is the only runtime dependency: no command, l1 inference and the
-    release included, loads any scipy module."""
+def test_no_command_imports_scipy(tracks_file, bodies_file, tmp_path):
+    """numpy is the only runtime dependency: no command, ingest, l1 inference
+    and the release included, loads any scipy module."""
     names = ("raw", "noisy", "consistent", "released")
     files = [str(tmp_path / f"{name}.hist") for name in names]
-    out = _run_python(_SCIPY_MODULES_SCRIPT, bodies_file, *files)
-    commands = ("import", "verify", "infer linf", "infer", "release", "query")
+    ingested = str(tmp_path / "ingested.jsonl")
+    out = _run_python(_SCIPY_MODULES_SCRIPT, tracks_file, ingested, bodies_file, *files)
+    commands = ("import", "ingest", "verify", "infer linf", "infer", "release", "query")
     assert out.splitlines()[-1] == str({command: [] for command in commands})
     assert read_histogram_file(files[2]).state is HistogramState.CONSISTENT
 
@@ -165,11 +188,13 @@ import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from eulerdp.cli import main
 
-bodies, released, metrics = sys.argv[1:]
-assert main(["release", "--bodies", bodies, "--area", "4", "--n", "4", "--out", released,
-             "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "11"]) == 0
+tracks, bodies, released, metrics = sys.argv[1:]
+assert main(["ingest", "--tracks", tracks, "--out", bodies, "--area", "10000",
+             "--diameter-bound", "1000", "--k", "3", "--center", "47.62,-122.33"]) == 0
+assert main(["release", "--bodies", bodies, "--area", "10000", "--n", "8", "--out", released,
+             "--epsilon", "1.0", "--diameter-bound", "1000", "--seed", "11"]) == 0
 assert main(["verify", "--in", released]) == 0
-assert main(["query", "--in", released, "--qr", "0:3,0:3"]) == 0
+assert main(["query", "--in", released, "--qr", "0:7,0:7"]) == 0
 settings = ["area_side=5", "n=5", "diameter_bound=1", "epsilon=1", "seed=7",
             "synthetic=uniform", "count=40", "repetitions=2", "qr_percents=100"]
 assert main(["experiment", *(a for kv in settings for a in ("--set", kv)), "--out", metrics]) == 0
@@ -177,11 +202,15 @@ print("ok")
 """
 
 
-def test_commands_run_with_scipy_blocked(bodies_file, tmp_path):
-    """The numpy-only install, offline: release, verify, query and a tiny
-    experiment all exit 0 when importing scipy fails."""
+def test_commands_run_with_scipy_blocked(tracks_file, tmp_path):
+    """The numpy-only install, offline: ingest, a release of its bodies,
+    verify, query and a tiny experiment all exit 0 when importing scipy
+    fails."""
+    bodies = str(tmp_path / "ingested.jsonl")
     released, metrics = str(tmp_path / "release.hist"), str(tmp_path / "metrics.txt")
-    assert _run_python(_WITHOUT_SCIPY_SCRIPT, bodies_file, released, metrics).splitlines()[-1] == "ok"
+    out = _run_python(_WITHOUT_SCIPY_SCRIPT, tracks_file, bodies, released, metrics)
+    assert out.splitlines()[-1] == "ok"
+    assert read_bodies_file(bodies)[1] == ["near"]
     assert read_histogram_file(released).state is HistogramState.ROUNDED
     assert "# table: query_error" in Path(metrics).read_text()
 
@@ -374,20 +403,10 @@ def test_experiment_with_config_and_overrides(tmp_path, capsys):
     assert "unknown config keys: workers" in capsys.readouterr().err
 
 
-def test_ingest_command(tmp_path, capsys):
-    tracks = tmp_path / "tracks.csv"
-    tracks.write_text(
-        "user_id,lat,lon\n"
-        "near,47.6201,-122.3301\n"
-        "near,47.6203,-122.3299\n"
-        "near,47.6199,-122.3302\n"
-        "near,47.6202,-122.3298\n"
-        "near,47.6200,-122.3300\n"
-        "far,10.0,10.0\n"
-    )
+def test_ingest_command(tracks_file, tmp_path, capsys):
     out = str(tmp_path / "bodies.jsonl")
     rc = main([
-        "ingest", "--tracks", str(tracks), "--out", out,
+        "ingest", "--tracks", tracks_file, "--out", out,
         "--area", "10000", "--diameter-bound", "1000", "--k", "3",
         "--center", "47.62,-122.33",
     ])
@@ -397,3 +416,27 @@ def test_ingest_command(tmp_path, capsys):
     assert "1 bodies written" in captured.out and "1 users skipped" in captured.out
     bodies, ids = read_bodies_file(out)
     assert ids == ["near"] and len(bodies) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, bad, message",
+    [
+        ("--area", "inf", "area_side must be finite and positive, got inf"),
+        ("--area", "nan", "area_side must be finite and positive, got nan"),
+        ("--diameter-bound", "inf", "diameter_bound must be finite and positive, got inf"),
+        ("--origin", "nan,0", "origin must be finite, got (nan, 0.0)"),
+        ("--center", "47.62,inf", "center must be finite, got (47.62, inf)"),
+    ],
+)
+def test_ingest_non_finite_flags_exit_one(tracks_file, tmp_path, capsys, flag, bad, message):
+    """A non-finite size or coordinate is a user error before any track is
+    read, with no numpy warning and no bodies file."""
+    flags = {"--area": "10000", "--diameter-bound": "1000", "--center": "47.62,-122.33", flag: bad}
+    out = tmp_path / "bodies.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["ingest", "--tracks", tracks_file, "--out", str(out), "--k", "3",
+                   *(a for kv in flags.items() for a in kv)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()

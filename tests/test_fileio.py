@@ -7,7 +7,10 @@ import io
 import numpy as np
 import pytest
 
-from conftest import lattice_body
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import lattice_body, read_tracks_oracle
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -204,6 +207,98 @@ def test_tracks_errors():
     with pytest.raises(IngestError, match="bad coordinates"):
         read_tracks(io.StringIO("a, 1.0, 2.0\nb, x, y\n"))
     assert read_tracks(io.StringIO("# nothing\n")) == []
+
+
+def _tracks_result(read, text: str):
+    """What a parser makes of ``text``: the tracks as plain values, or the
+    error's type and message."""
+    try:
+        tracks = read(io.StringIO(text))
+    except IngestError as e:
+        return type(e).__name__, str(e)
+    return [(t.user_id, t.points.tobytes(), t.timestamps) for t in tracks]
+
+
+_BULK = "".join(f"u{i % 7},{47.6 + i * 1e-5!r},{-122.3 - i * 1e-5!r}\n" for i in range(600))
+
+
+@pytest.mark.parametrize(
+    "late, message",
+    [
+        ("u3, 47.6, -122.3, t, x", "tracks line 602: expected 3 or 4 fields, got 5"),
+        ("u3, 47.6", "tracks line 602: expected 3 or 4 fields, got 2"),
+        ("u3, 47.6x , -122.3", "tracks line 602: bad coordinates '47.6x', '-122.3'"),
+        ("u3,  , -122.3, t", "tracks line 602: bad coordinates '', '-122.3'"),
+    ],
+    ids=["five-fields", "two-fields", "bad-lat", "empty-lat"],
+)
+def test_tracks_late_errors_name_their_line(late, message):
+    text = "user_id,lat,lon\n" + _BULK + late + "\nu1, 47.6, -122.3\n"
+    with pytest.raises(IngestError) as exc:
+        read_tracks(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+def test_tracks_whitespace_around_fields():
+    text = "  a ,\t47.625 ,  -122.25\t, 2024-01-01T08:00:00  \r\n a,47.5,-122.5,t2\n"
+    (track,) = read_tracks(io.StringIO(text))
+    assert track.user_id == "a"
+    assert track.points.tolist() == [[47.625, -122.25], [47.5, -122.5]]
+    assert track.timestamps == ("2024-01-01T08:00:00", "t2")
+
+
+def test_tracks_header_only_before_first_data_row():
+    header = "USER_ID , Lat , Lon\n"
+    text = "# tracks\n\n" + header + "a, 1.0, 2.0\n"
+    assert [t.user_id for t in read_tracks(io.StringIO(text))] == ["a"]
+    with pytest.raises(IngestError) as exc:
+        read_tracks(io.StringIO("a, 1.0, 2.0\n" + header))
+    assert str(exc.value) == "tracks line 2: bad coordinates 'Lat', 'Lon'"
+    with pytest.raises(IngestError) as exc:
+        read_tracks(io.StringIO("someone, lat, lon\n"))
+    assert str(exc.value) == "tracks line 1: bad coordinates 'lat', 'lon'"
+
+
+def test_tracks_mixed_and_partial_timestamps():
+    text = (
+        "a, 1.0, 2.0, t1\n"
+        "b, 1.0, 2.0, s1\n"
+        "a, 1.1, 2.1, t2\n"
+        "b, 1.1, 2.1\n"
+        "c, 1.2, 2.2\n"
+    )
+    a, b, c = read_tracks(io.StringIO(text))
+    assert a.timestamps == ("t1", "t2")
+    assert b.timestamps is None and b.points.shape == (2, 2)
+    assert c.timestamps is None
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
+def test_tracks_non_finite_coordinates(value):
+    with pytest.raises(IngestError) as exc:
+        read_tracks(io.StringIO(f"a, 1.0, 2.0\nb, {value}, 2.0\n"))
+    assert str(exc.value) == "user 'b': coordinates outside valid ranges"
+
+
+_FIELD = st.sampled_from(["a", " b ", "user_id", "USER_ID", "lat", "1.5", " -2.25 ", "nan", "x", "", "#c", "t1"])
+
+
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.lists(_FIELD, min_size=1, max_size=5).map(",".join),
+            st.sampled_from(["", "   ", "# note", "  # a, b, c", ",,", "a,1,2", "b, 3 ,4, t"]),
+        ),
+        max_size=12,
+    ),
+    ending=st.sampled_from(["\n", "\r\n"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tracks_parser_matches_plain_oracle(rows, ending):
+    """Same tracks, or the same error with the same line number, as the
+    plain strip-everything parser."""
+    text = "".join(row + ending for row in rows)
+    assert _tracks_result(read_tracks, text) == _tracks_result(read_tracks_oracle, text)
 
 
 def test_config_parsing():

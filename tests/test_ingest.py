@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,15 @@ from eulerdp import (
 )
 from eulerdp import ingest
 from eulerdp.fileio import write_bodies
-from eulerdp.ingest import _scott_matrix, _trim_to_diameter
+from eulerdp.ingest import _prefix_diameters2, _scott_matrices, _trim_length
+
+from conftest import (
+    ingest_tracks_oracle,
+    oracle_kde_density,
+    oracle_kde_mode,
+    oracle_project,
+    oracle_scott_matrix,
+)
 
 CENTER = (47.62, -122.33)
 
@@ -101,6 +111,22 @@ def test_config_validation():
         IngestConfig(1.0, 1.0, 5, center=(95.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["area_side", "diameter_bound"])
+def test_config_refuses_non_finite_sizes(field, bad):
+    sizes = {"area_side": 1000.0, "diameter_bound": 100.0, field: bad}
+    with pytest.raises(IngestError, match=f"^{field} must be finite and positive, got "):
+        IngestConfig(k=5, center=CENTER, **sizes)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["origin", "center"])
+def test_config_refuses_non_finite_coordinates(field, bad):
+    for pair in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(IngestError, match=f"^{field} must be finite, got "):
+            IngestConfig(1000.0, 100.0, 5, **{field: pair})
+
+
 def test_kde_density_matches_quadratic_reference():
     rng = np.random.default_rng(8)
     pts = rng.normal(0.0, 3.0, (120, 2))
@@ -122,7 +148,7 @@ def test_kde_density_matches_quadratic_reference():
 
 def _einsum_density(pts, at):
     """kde_density as a single einsum over the unchunked difference array."""
-    h = _scott_matrix(pts)
+    h = oracle_scott_matrix(pts)
     norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
     d = at[:, None, :] - pts[None, :, :]
     quad = np.einsum("ijk,kl,ijl->ij", d, np.linalg.inv(h), d)
@@ -152,6 +178,56 @@ def test_kde_density_matches_einsum_bitwise(n, extra, scale, shape, chunk_rows, 
     with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
         got = kde_density(pts, at)
     want = _einsum_density(pts, at)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scott_matrices_ridge_each_degenerate_set_alone():
+    """When a stack holds a set whose first ridge fails, every set gets the
+    ridge the one-set oracle gives it. Real covariances never fail the first
+    ridge, so a stricter factorisation stands in: it refuses any matrix
+    whose determinant is below 1e-6 of its squared trace."""
+    real_cholesky = np.linalg.cholesky
+
+    def strict(h):
+        for m in h.reshape(-1, 2, 2):
+            if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] < 1e-6 * (m[0, 0] + m[1, 1]) ** 2:
+                raise np.linalg.LinAlgError("not positive definite enough")
+        return real_cholesky(h)
+
+    rng = np.random.default_rng(12)
+    line = rng.normal(0.0, 40.0, (25, 2))
+    line[:, 1] = 3.0 * line[:, 0]
+    stack = np.stack([rng.normal(0.0, 40.0, (25, 2)), np.full((25, 2), 7.0), line])
+    with mock.patch.object(np.linalg, "cholesky", strict):
+        got = _scott_matrices(stack)
+        want = [oracle_scott_matrix(pts) for pts in stack]
+    assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
+    plain = _scott_matrices(stack)
+    assert [np.array_equal(a, b) for a, b in zip(got, plain)] == [True, True, False]
+
+
+@given(
+    users=st.integers(1, 12),
+    m=st.integers(2, 90),
+    shape=st.sampled_from(["spread", "collinear", "repeated", "mixed"]),
+    block=st.sampled_from([None, 50, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_densities_equal_one_set_at_a_time(users, m, shape, block, seed):
+    """The stacked covariance, inverse, determinant, quadratic form, exp and
+    row sums give each set's densities at its own points bit for bit as the
+    one-set oracle does, whatever the stack's blocks."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(0.0, 1.0, (users, m, 2)) * 10.0 ** rng.uniform(-2.0, 4.0, (users, 1, 1))
+    stack += rng.uniform(0.0, 1e4, (users, 1, 2))
+    if shape in ("collinear", "mixed"):
+        stack[0, :, 1] = 0.5 * stack[0, :, 0]
+    if shape in ("repeated", "mixed"):
+        stack[-1] = stack[-1, 0]
+    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block or ingest.PAIRWISE_BLOCK):
+        got = ingest._kde(stack, stack)
+    want = np.array([oracle_kde_density(pts, pts) for pts in stack])
     assert got.tobytes() == want.tobytes()
 
 
@@ -232,11 +308,11 @@ def test_trim_matches_iterative_oracle():
         while keep > 1 and diameter(convex_hull(pts[:keep])) > bound:
             keep -= 1
         for rows in (None, 1, 3):
-            block = ingest.PAIRWISE_BLOCK if rows is None else 2 * len(pts) * rows
+            block = ingest.PAIRWISE_BLOCK if rows is None else len(pts) * rows
             with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
-                got = _trim_to_diameter(pts, bound)
-            assert len(got) == keep
-            assert np.array_equal(got, pts[:keep])
+                prefix2 = _prefix_diameters2(pts[None])[0]
+            assert _trim_length(pts, prefix2, bound) == keep
+            got = pts[:keep]
         assert diameter(convex_hull(got)) <= bound or keep == 1
         on_bound += diameter(convex_hull(got)) == bound
     assert on_bound >= 40  # the lattice sweep must keep prefixes right on the bound
@@ -388,3 +464,116 @@ def test_generate_synthetic_golden(kind):
     cfg = IngestConfig(2000.0, 300.0, 5, origin=(500.0, -100.0))
     bodies = generate_synthetic(kind, 300, cfg, np.random.default_rng(6))
     assert _sha256(_bodies_text(bodies)) == SYNTHETIC_SHA256[kind]
+
+
+_PER_M_LAT = 180.0 / (math.pi * 6371000.0)
+_PER_M_LON = _PER_M_LAT / math.cos(math.radians(CENTER[0]))
+
+
+def _track(uid: str, metres: np.ndarray) -> UserTrack:
+    """A track from planar offsets in meters about CENTER."""
+    lat0, lon0 = CENTER
+    return UserTrack(uid, np.column_stack([lat0 + metres[:, 1] * _PER_M_LAT, lon0 + metres[:, 0] * _PER_M_LON]))
+
+
+_SHAPES = [
+    "spread", "stragglers", "repeated", "half-repeated", "collinear", "diagonal", "outside", "straddling",
+]
+
+
+@given(
+    counts=st.lists(
+        st.one_of(st.sampled_from([1, 2, 3, 7, 20, 60]), st.integers(1, 120)), min_size=1, max_size=14
+    ),
+    shapes=st.lists(st.sampled_from(_SHAPES), min_size=14, max_size=14),
+    spread=st.sampled_from([2.0, 15.0, 60.0, 150.0, 400.0]),
+    k=st.sampled_from([1, 2, 5, 20, 60, 150]),
+    bound=st.sampled_from([30.0, 100.0, 500.0, 5000.0, 2.0, 3.0, 4.0, 5.0]),
+    block=st.sampled_from([None, 64, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_ingest_tracks_matches_per_user_oracle(counts, shapes, spread, k, bound, block, seed):
+    """Stacked extraction gives the oracle's vertex arrays bit for bit, with
+    the same ids and skipped list. Users share point counts or have their
+    own; their pings repeat, lie on one street, leave the area wholly or in
+    part, or spread past the bound so the trim searches with hull probes.
+    A bound below 10 is in units of the spread, which puts many users' k
+    nearest just above or below it. Small blocks split stacks into one user
+    and one row at a time."""
+    if bound < 10.0:
+        bound *= spread
+    rng = np.random.default_rng(seed)
+    tracks = []
+    for u, (count, shape) in enumerate(zip(counts, shapes)):
+        home = rng.uniform(-4000.0, 4000.0, 2)
+        pts = home + rng.normal(0.0, spread, (count, 2))
+        if shape == "stragglers":
+            far = rng.random(count) < 0.2
+            pts[far] += rng.normal(0.0, 3.0 * bound, (int(far.sum()), 2))
+        elif shape == "repeated":
+            pts[:] = pts[0]
+        elif shape == "half-repeated":
+            pts[: count // 2 + 1] = pts[0]
+        elif shape == "collinear":
+            pts[:, 1] = pts[0, 1]
+        elif shape == "diagonal":
+            pts[:, 1] = home[1] + 0.7 * (pts[:, 0] - home[0])
+        elif shape == "outside":
+            pts += 20000.0
+        elif shape == "straddling":  # some pings beyond the area's edge
+            pts[:, 0] += 4999.0 - home[0]
+        tracks.append(_track(f"u{u}", pts))
+    cfg = IngestConfig(area_side=10000.0, diameter_bound=bound, k=k, center=CENTER)
+    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block or ingest.PAIRWISE_BLOCK):
+        bodies, ids, skipped = ingest_tracks(tracks, cfg)
+    want_bodies, want_ids, want_skipped = ingest_tracks_oracle(tracks, cfg)
+    assert ids == want_ids
+    assert skipped == want_skipped
+    assert [b.vertices.tobytes() for b in bodies] == [b.vertices.tobytes() for b in want_bodies]
+
+
+def test_ingest_tracks_bound_on_a_users_diameter():
+    """With the bound at, or one ulp below, a user's k-nearest point-set
+    diameter, the first keeps that user's k nearest whole and the second
+    makes it search, both exactly as the oracle does."""
+    tracks = [t for t in _golden_tracks() if t.user_id != "ghost"]
+    cfg = IngestConfig(area_side=10000.0, diameter_bound=1.0, k=20, center=CENTER)
+    checked = 0
+    for track in tracks[::5]:
+        planar = oracle_project(track, cfg)
+        mode = oracle_kde_mode(planar)
+        nearest = planar[np.argsort(((planar - mode) ** 2).sum(axis=1), kind="stable")[:20]]
+        diff = nearest[:, None, :] - nearest[None, :, :]
+        span = float(np.sqrt((diff * diff).sum(axis=2).max()))
+        if span == 0.0:
+            continue
+        for bound in (span, float(np.nextafter(span, 0.0))):
+            cfg = IngestConfig(area_side=10000.0, diameter_bound=bound, k=20, center=CENTER)
+            bodies, ids, skipped = ingest_tracks(tracks, cfg)
+            want_bodies, want_ids, want_skipped = ingest_tracks_oracle(tracks, cfg)
+            assert (ids, skipped) == (want_ids, want_skipped)
+            assert [b.vertices.tobytes() for b in bodies] == [b.vertices.tobytes() for b in want_bodies]
+        checked += 1
+    assert checked >= 5
+
+
+def test_ingest_tracks_memory_is_bounded():
+    """1000 users x 60 pings: every pairwise temporary is blocked, so the
+    tracemalloc peak stays near the projected points and the bodies."""
+    rng = np.random.default_rng(5)
+    tracks = []
+    for u in range(1000):
+        pts = rng.uniform(-4500.0, 4500.0, 2) + rng.normal(0.0, 80.0, (60, 2))
+        far = rng.random(60) < 0.1
+        pts[far] += rng.normal(0.0, 1500.0, (int(far.sum()), 2))
+        tracks.append(_track(f"u{u}", pts))
+    cfg = IngestConfig(area_side=10000.0, diameter_bound=500.0, k=20, center=CENTER)
+    tracemalloc.start()
+    try:
+        bodies, _, _ = ingest_tracks(tracks, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bodies) == 1000
+    assert peak <= 5 * 2**20, f"ingest_tracks peaked at {peak / 2**20:.2f} MB"
