@@ -40,5 +40,5 @@ for eps, report in reports.items():
     row = "".join(f"{report.median_error(f'{p:g}%', 'R'):12.3f}" for p in PERCENTS)
     print(f"{eps:7.2f} {row}")
 
-print("\nnoisy counts (DP) vs inferred (rows labelled LP) vs release (R), epsilon = 1:\n")
+print("\nnoisy counts (DP) vs constrained (C) vs release (R), epsilon = 1:\n")
 write_metrics(reports[1.0], sys.stdout)

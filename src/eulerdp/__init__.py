@@ -27,16 +27,11 @@ from .inference import (
     infer,
 )
 from .ingest import (
-    EmptyTrackError,
     IngestConfig,
     IngestError,
     UserTrack,
-    extract_body,
     generate_synthetic,
     ingest_tracks,
-    kde_density,
-    kde_mode,
-    project,
 )
 from .privacy import (
     PrivacyParams,
@@ -69,7 +64,6 @@ __all__ = [
     "ConfigError",
     "ConstraintSet",
     "ConvexBody",
-    "EmptyTrackError",
     "EulerHistogram",
     "ExperimentConfig",
     "GridPartition",
@@ -90,18 +84,14 @@ __all__ = [
     "convex_hull",
     "derive_seed",
     "diameter",
-    "extract_body",
     "generate_synthetic",
     "global_sensitivity",
     "infer",
     "ingest_tracks",
-    "kde_density",
-    "kde_mode",
     "laplace_inverse_cdf",
     "load_experiment_bodies",
     "min_rectangle_count",
     "perturb",
-    "project",
     "query",
     "repair",
     "resolve_grid_n",

@@ -4,7 +4,7 @@ An experiment is a pure function of (config, master seed): the dataset is
 drawn once, then each repetition perturbs it with an independently derived
 seed, runs inference and rounding, and answers randomly placed rectangle
 queries with every algorithm. Reported medians compare three released forms
-against exact truth: the noisy histogram (DP), the constrained one (LP), and
+against exact truth: the noisy histogram (DP), the constrained one (C), and
 the rounded-and-repaired release (R). Wall-clock rows are the one part of a
 report that is not reproducible; everything else is.
 """
@@ -29,7 +29,7 @@ from .rounding import repair, round_counts, verify_violations
 
 INGEST_TOL = 1e-9  # float-data intersection tolerance, matches ingest
 
-ALGORITHMS = ("DP", "LP", "R")
+ALGORITHMS = ("DP", "C", "R")
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,12 @@ def resolve_grid_n(area_side: float, n: int | None, cell_side: float | None) -> 
         return n
     if cell_side is None:
         raise ConfigError("one of n or cell_side is required")
-    ratio = area_side / cell_side
-    resolved = round(ratio)
+    try:
+        require_finite_positive(area_side=area_side, cell_side=cell_side)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    ratio = area_side / cell_side  # inf for a subnormal cell side
+    resolved = round(ratio) if np.isfinite(ratio) else 0
     if resolved < 2 or abs(ratio - resolved) > 1e-9 * max(1.0, ratio):
         raise ConfigError(f"cell_side must divide area_side into >= 2 cells, got {ratio}")
     return resolved
@@ -255,7 +259,7 @@ def _run_repetition(
     n = raw.partition.n
     place_rng = np.random.default_rng((config.seed, rep))
     errors: dict[tuple[str, str], list[float]] = {}
-    estimates = {"DP": noisy, "LP": consistent, "R": released}
+    estimates = dict(zip(ALGORITHMS, (noisy, consistent, released)))
     for label, shapes in qr_specs:
         for dr, dc in shapes:
             r0 = int(place_rng.integers(0, n - dr + 1))
@@ -267,12 +271,7 @@ def _run_repetition(
                 rel = abs(est - truth) / max(truth, 1)
                 errors.setdefault((label, alg), []).append(float(rel))
 
-    raw_counts = raw.counts
-    l1 = {
-        "DP": float(np.abs(raw_counts - noisy.counts).sum()),
-        "LP": float(np.abs(raw_counts - consistent.counts).sum()),
-        "R": float(np.abs(raw_counts - released.counts).sum()),
-    }
+    l1 = {alg: float(np.abs(raw.counts - h.counts).sum()) for alg, h in estimates.items()}
     violations = {
         "noisy": verify_violations(noisy, cs),
         "consistent": verify_violations(consistent, cs),

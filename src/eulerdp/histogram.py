@@ -158,7 +158,7 @@ class QueryRegion:
 
     def validate(self, n: int) -> None:
         if self.r1 >= n or self.c1 >= n:
-            raise ValueError(f"query region {self} exceeds grid of size {n}")
+            raise ValueError(f"query region {self} does not fit an n={n} grid")
 
 
 def validate_bodies(

@@ -41,15 +41,6 @@ class IngestError(ValueError):
     pass
 
 
-class EmptyTrackError(IngestError):
-    """No usable points remain for a user; callers skip and log."""
-
-    def __init__(self, user_id: str, reason: str):
-        super().__init__(f"user {user_id!r}: {reason}")
-        self.user_id = user_id
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class UserTrack:
     user_id: str
@@ -116,15 +107,6 @@ def _planar(points: np.ndarray, config: IngestConfig) -> tuple[np.ndarray, np.nd
     y = EARTH_RADIUS_M * (points[:, 0] - lat0) * rad + oy + half
     inside = (x >= ox) & (x <= ox + config.area_side) & (y >= oy) & (y <= oy + config.area_side)
     return np.column_stack([x, y]), inside
-
-
-def project(track: UserTrack, config: IngestConfig) -> np.ndarray:
-    """Project one track to local planar meters; drop points outside the area square."""
-    planar, inside = _planar(track.points, config)
-    kept = planar[inside]
-    if len(kept) == 0:
-        raise EmptyTrackError(track.user_id, "no points inside the area")
-    return kept
 
 
 def _scott_matrices(stack: np.ndarray) -> np.ndarray:
@@ -206,27 +188,6 @@ def _modes(stack: np.ndarray) -> np.ndarray:
     return stack[np.arange(len(stack)), _kde(stack, stack).argmax(axis=1)]
 
 
-def _points_array(points, what: str) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise IngestError(f"{what} expects a non-empty (k, 2) points array")
-    return pts
-
-
-def kde_density(points: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel density of ``points`` evaluated at rows of ``at``."""
-    pts = _points_array(points, "kde_density")
-    at = np.atleast_2d(np.asarray(at, dtype=np.float64))
-    if at.ndim != 2 or at.shape[1] != 2:
-        raise IngestError("kde_density expects an (m, 2) array of evaluation points")
-    return _kde(pts[None], at[None])[0]
-
-
-def kde_mode(points: np.ndarray) -> np.ndarray:
-    """Densest input point: argmax of the KDE over the data points themselves."""
-    return _modes(_points_array(points, "kde_mode")[None])[0].copy()
-
-
 def _prefix_diameters2(ordered: np.ndarray) -> np.ndarray:
     """Squared diameter of every prefix of each ordered point set in
     ``ordered`` (g, k, 2); returns (g, k), entry i for the first i + 1 points.
@@ -293,11 +254,6 @@ def _bodies(stack: np.ndarray, config: IngestConfig) -> list[ConvexBody]:
         convex_hull(pts if fit else pts[: _trim_length(pts, p2, config.diameter_bound)])
         for pts, p2, fit in zip(nearest, prefix2, fits)
     ]
-
-
-def extract_body(track: UserTrack, config: IngestConfig) -> ConvexBody:
-    """Project, locate the mode, keep k nearest, trim to the diameter bound, hull."""
-    return _bodies(project(track, config)[None], config)[0]
 
 
 def ingest_tracks(

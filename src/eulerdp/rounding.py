@@ -10,7 +10,9 @@ non-negative: the constraint families bound components only locally, and a
 long thin rectangle can still sum to a negative value. ``repair`` closes that
 gap after rounding by raising face counts, which never breaks any constraint
 family (faces appear only as upper bounds in C1 and with positive sign in
-C3) and never lowers any rectangle answer.
+C3) and never lowers any rectangle answer. It only closes that gap: input
+that breaks C1-C3 is refused, not mended, so a ROUNDED tag never hides a
+broken constraint.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ def verify_violations(
 
 @dataclass
 class RepairReport:
-    c1_fixes: int = 0
-    c2_fixes: int = 0
-    c3_fixes: int = 0
     rect_fixes: int = 0
     cost: float = 0.0
 
@@ -62,44 +61,23 @@ class RepairReport:
 def repair(
     h: EulerHistogram, cs: ConstraintSet | None = None
 ) -> tuple[EulerHistogram, RepairReport]:
-    """Restore constraints and rectangle non-negativity.
+    """Raise faces until every rectangle query is non-negative.
 
-    Passes run in a fixed order chosen so that no pass re-breaks an earlier
-    one: edges are clamped down to their faces, vertices down to their
-    (already-clamped) edges, then faces are raised where an aggregate row or
-    a rectangle still falls short. The state tag is preserved; on integral
-    states every adjustment is an integer.
+    The input must already satisfy C1-C3, as the rounding of any
+    CONSISTENT histogram does; anything else raises ValueError naming the
+    violation counts, and nothing is changed. Face raises keep every family
+    intact, so the output satisfies C1-C3 too. The state tag is preserved;
+    on integral states every adjustment is an integer.
     """
     if cs is None:
         cs = build_constraints(h.partition)
+    c1, c2, c3 = verify_violations(h, cs)
+    if c1 or c2 or c3:
+        raise ValueError(
+            f"repair needs counts that satisfy C1-C3, got violations c1={c1} c2={c2} c3={c3}"
+        )
     counts = h.counts.copy()
-    report = RepairReport()
-    tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
-
-    # C1: edge <= min(incident faces). c1 rows come in pairs per edge.
-    edge_idx = cs.c1[0::2, 0]
-    face_pair = cs.c1[:, 1].reshape(-1, 2)
-    cap = np.minimum(counts[face_pair[:, 0]], counts[face_pair[:, 1]])
-    over = counts[edge_idx] > cap + tol
-    report.c1_fixes = int(over.sum())
-    counts[edge_idx[over]] = cap[over]
-
-    # C2: vertex <= min(incident edges), against clamped edges.
-    vert_idx = cs.c2[0::4, 0]
-    edge_quad = cs.c2[:, 1].reshape(-1, 4)
-    cap = counts[edge_quad].min(axis=1)
-    over = counts[vert_idx] > cap + tol
-    report.c2_fixes = int(over.sum())
-    counts[vert_idx[over]] = cap[over]
-
-    # C3 cannot be violated once C1 holds and counts are non-negative, but
-    # repair accepts arbitrary inputs, so close any remaining deficit by
-    # raising the smallest incident face. Face raises loosen every family.
-    deficit = cs.c3_excess(counts)
-    for k in np.nonzero(deficit > tol)[0]:
-        faces = cs.c3[k, 1:5]
-        counts[faces[np.argmin(counts[faces])]] += deficit[k]
-        report.c3_fixes += 1
+    fixes = 0
 
     # Each bump zeroes the current worst rectangle and face raises can never
     # push any rectangle back down, so the rectangle count bounds the number
@@ -114,9 +92,8 @@ def repair(
             break
         block = face_counts[qr.r0 : qr.r1 + 1, qr.c0 : qr.c1 + 1]
         block[np.unravel_index(np.argmin(block), block.shape)] -= worst
-        report.rect_fixes += 1
+        fixes += 1
     else:
         raise RuntimeError("rectangle repair failed to converge")
 
-    report.cost = float(np.abs(counts - h.counts).sum())
-    return hist, report
+    return hist, RepairReport(fixes, float(np.abs(counts - h.counts).sum()))

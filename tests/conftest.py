@@ -17,7 +17,9 @@ body's candidate components from meshgrids of grid-line indices. The body
 oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
 extraction oracle turns GPS tracks into bodies one user at a time, with the
 per-user numpy calls that ``ingest_tracks`` stacks across users, and the
-tracks oracle parses a tracks file the plain way.
+tracks oracle parses a tracks file the plain way. The repair oracle is
+``repair`` as it was when it still clamped edges and vertices and raised
+faces for the aggregate family before its rectangle pass.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from eulerdp import (
     ConstraintSet,
     ConvexBody,
-    EmptyTrackError,
     EulerHistogram,
     IngestError,
     UserTrack,
     convex_hull,
+    min_rectangle_count,
 )
 from eulerdp.geometry import intersects_boxes
+from eulerdp.histogram import INTEGRAL_STATES
+from eulerdp.inference import REAL_TOL, build_constraints
 
 LATTICE = 1.0 / 1024.0
 
@@ -426,6 +430,15 @@ ORACLE_PAIRWISE_BLOCK = 1 << 22
 EARTH_RADIUS_M = 6371000.0
 
 
+class OracleEmptyTrack(Exception):
+    """No points of a user lie inside the area; the oracle skips the user."""
+
+    def __init__(self, user_id: str, reason: str):
+        super().__init__(f"user {user_id!r}: {reason}")
+        self.user_id = user_id
+        self.reason = reason
+
+
 def oracle_convex_hull(points) -> ConvexBody:
     pts = sorted({(x, y) for x, y in np.asarray(points, dtype=np.float64).tolist()})
     if not pts:
@@ -472,7 +485,7 @@ def oracle_project(track, config) -> np.ndarray:
     )
     kept = planar[inside]
     if len(kept) == 0:
-        raise EmptyTrackError(track.user_id, "no points inside the area")
+        raise OracleEmptyTrack(track.user_id, "no points inside the area")
     return kept
 
 
@@ -561,7 +574,7 @@ def ingest_tracks_oracle(tracks, config):
         try:
             bodies.append(extract_body_oracle(track, config))
             ids.append(track.user_id)
-        except EmptyTrackError as e:
+        except OracleEmptyTrack as e:
             skipped.append((e.user_id, e.reason))
     return bodies, ids, skipped
 
@@ -601,3 +614,57 @@ def read_tracks_oracle(stream) -> list[UserTrack]:
         ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
         tracks.append(UserTrack(uid, pts, ts))
     return tracks
+
+
+def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):
+    """Counts and (c1, c2, c3, rect) fixes and cost of the clamp-pass repair.
+
+    Passes run in a fixed order chosen so that no pass re-breaks an earlier
+    one: edges are clamped down to their faces, vertices down to their
+    (already-clamped) edges, then faces are raised where an aggregate row or
+    a rectangle still falls short.
+    """
+    if cs is None:
+        cs = build_constraints(h.partition)
+    counts = h.counts.copy()
+    tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
+
+    # C1: edge <= min(incident faces). c1 rows come in pairs per edge.
+    edge_idx = cs.c1[0::2, 0]
+    face_pair = cs.c1[:, 1].reshape(-1, 2)
+    cap = np.minimum(counts[face_pair[:, 0]], counts[face_pair[:, 1]])
+    over = counts[edge_idx] > cap + tol
+    c1_fixes = int(over.sum())
+    counts[edge_idx[over]] = cap[over]
+
+    # C2: vertex <= min(incident edges), against clamped edges.
+    vert_idx = cs.c2[0::4, 0]
+    edge_quad = cs.c2[:, 1].reshape(-1, 4)
+    cap = counts[edge_quad].min(axis=1)
+    over = counts[vert_idx] > cap + tol
+    c2_fixes = int(over.sum())
+    counts[vert_idx[over]] = cap[over]
+
+    # C3: close any remaining deficit by raising the smallest incident face.
+    deficit = cs.c3_excess(counts)
+    c3_fixes = 0
+    for k in np.nonzero(deficit > tol)[0]:
+        faces = cs.c3[k, 1:5]
+        counts[faces[np.argmin(counts[faces])]] += deficit[k]
+        c3_fixes += 1
+
+    n = h.partition.n
+    face_counts = counts[: n * n].reshape(n, n)  # a view of counts
+    rect_fixes = 0
+    for _ in range((n * (n + 1) // 2) ** 2 + 1):
+        worst, qr = min_rectangle_count(h.with_counts(counts, h.state))
+        if worst >= 0:
+            break
+        block = face_counts[qr.r0 : qr.r1 + 1, qr.c0 : qr.c1 + 1]
+        block[np.unravel_index(np.argmin(block), block.shape)] -= worst
+        rect_fixes += 1
+    else:
+        raise RuntimeError("rectangle repair failed to converge")
+
+    cost = float(np.abs(counts - h.counts).sum())
+    return counts, (c1_fixes, c2_fixes, c3_fixes, rect_fixes), cost

@@ -344,7 +344,7 @@ def trend_runs():
 
 def test_10_error_trends(capsys, trend_runs):
     kinds = ("concentrated", "uniform")
-    algs = ("DP", "LP", "R")
+    algs = ("DP", "C", "R")
     percents = (10, 25, 50, 100)
     broken: list[str] = []
 
@@ -371,7 +371,7 @@ def test_10_error_trends(capsys, trend_runs):
         ladder = trend_runs[kind, "ladder"]
         for p in percents:
             dp = ladder.median_error(f"{p}%", "DP")
-            for alg in ("LP", "R"):
+            for alg in ("C", "R"):
                 total += 1
                 wins += ladder.median_error(f"{p}%", alg) <= dp + 1e-9
     dominant = wins / total >= 0.8

@@ -233,6 +233,51 @@ def test_stage_order_is_enforced(bodies_file, tmp_path, capsys):
     assert "expects a consistent histogram" in capsys.readouterr().err
 
 
+def test_round_refuses_tampered_consistent_file(bodies_file, tmp_path, capsys):
+    """A CONSISTENT file edited to put an edge above its face is refused
+    with the violation counts, not mended, and nothing is written."""
+    raw, noisy = str(tmp_path / "raw.hist"), str(tmp_path / "noisy.hist")
+    consistent = tmp_path / "consistent.hist"
+    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
+                 "--diameter-bound", "6.0", "--seed", "11"]) == 0
+    assert main(["infer", "--in", noisy, "--out", str(consistent)]) == 0
+    h = read_histogram_file(str(consistent))
+    p = h.partition
+    counts = h.counts.copy()
+    counts[p.hedge_offset] = counts[0] + counts[p.n] + 1.0  # above both its faces
+    write_histogram_file(h.with_counts(counts, HistogramState.CONSISTENT), str(consistent))
+    c1, c2, c3 = verify_violations(read_histogram_file(str(consistent)))
+    assert c1 == 2
+    capsys.readouterr()
+    out = tmp_path / "rounded.hist"
+    assert main(["round", "--in", str(consistent), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"satisfy C1-C3, got violations c1={c1} c2={c2} c3={c3}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cell_side, message",
+    [
+        ("0", "cell_side must be finite and positive, got 0.0"),
+        ("-0.0", "cell_side must be finite and positive, got -0.0"),
+        ("nan", "cell_side must be finite and positive, got nan"),
+        ("1e-320", "cell_side must divide area_side into >= 2 cells, got inf"),
+    ],
+)
+def test_bad_cell_side_exits_one(bodies_file, tmp_path, capsys, cell_side, message):
+    out = tmp_path / "release.hist"
+    rc = main(["release", "--bodies", bodies_file, "--area", "4", "--cell-side", cell_side,
+               "--epsilon", "1", "--diameter-bound", "6", "--seed", "1", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not out.exists()
+    keys = ["area_side=4", f"cell_side={cell_side}", "diameter_bound=1", "epsilon=1", "seed=7",
+            "synthetic=uniform", "count=5", "repetitions=1"]
+    assert main(["experiment", *(a for kv in keys for a in ("--set", kv))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_query_argument_validation(bodies_file, tmp_path, capsys):
     raw = str(tmp_path / "raw.hist")
     main(["build", *_grid(bodies_file, tmp_path), "--out", raw])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import pytest
 
@@ -57,6 +58,25 @@ def test_resolve_grid_n():
         resolve_grid_n(10.0, None, 3.0)
     with pytest.raises(ConfigError):
         resolve_grid_n(10.0, None, 20.0)
+
+
+@pytest.mark.parametrize(
+    "cell_side, message",
+    [
+        (0.0, "cell_side must be finite and positive, got 0.0"),
+        (-0.0, "cell_side must be finite and positive, got -0.0"),
+        (math.nan, "cell_side must be finite and positive, got nan"),
+        (math.inf, "cell_side must be finite and positive, got inf"),
+        (1e-320, "cell_side must divide area_side into >= 2 cells, got inf"),
+    ],
+)
+def test_bad_cell_side_is_a_config_error(cell_side, message):
+    """The cell side is checked before the area is divided by it, here and
+    in an experiment config."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_grid_n(5.0, None, cell_side)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _base_config(n=None, cell_side=cell_side)
 
 
 def _base_config(**kw):
@@ -192,7 +212,7 @@ def test_experiment_report_structure():
     report = run_query_experiment(_base_config(qr_shapes=((2, 3),)))
     labels = [row[0] for row in report.query_rows]
     assert labels == ["100%", "100%", "100%", "2x3", "2x3", "2x3"]
-    assert [row[1] for row in report.query_rows] == ["DP", "LP", "R"] * 2
+    assert [row[1] for row in report.query_rows] == ["DP", "C", "R"] * 2
     assert [row[0] for row in report.violation_rows] == ["noisy", "consistent", "released"]
     assert [row[0] for row in report.timing_rows] == [
         "build", "privatize", "infer", "round", "repair",

@@ -17,22 +17,17 @@ from hypothesis import strategies as st
 
 from eulerdp import (
     ConvexBody,
-    EmptyTrackError,
     IngestConfig,
     IngestError,
     UserTrack,
     diameter,
     convex_hull,
-    extract_body,
     generate_synthetic,
     ingest_tracks,
-    kde_density,
-    kde_mode,
-    project,
 )
 from eulerdp import ingest
 from eulerdp.fileio import write_bodies
-from eulerdp.ingest import _prefix_diameters2, _scott_matrices, _trim_length
+from eulerdp.ingest import _kde, _modes, _planar, _prefix_diameters2, _scott_matrices, _trim_length
 
 from conftest import (
     ingest_tracks_oracle,
@@ -49,11 +44,28 @@ def _config(area=10000.0, bound=1000.0, k=50, **kw):
     return IngestConfig(area_side=area, diameter_bound=bound, k=k, center=CENTER, **kw)
 
 
+def _project(track, config):
+    """A track's planar points inside the area."""
+    planar, inside = _planar(track.points, config)
+    return planar[inside]
+
+
+def _density(points, at):
+    """One point set's densities at the rows of ``at``."""
+    return _kde(points[None], at[None])[0]
+
+
+def _extract(track, config):
+    """The body of a lone user."""
+    (body,), _, _ = ingest_tracks([track], config)
+    return body
+
+
 def test_project_center_lands_mid_area():
     track = UserTrack("u", np.array([CENTER]))
-    got = project(track, _config())
+    got = _project(track, _config())
     assert np.allclose(got, [[5000.0, 5000.0]], atol=1e-9)
-    shifted = project(track, _config(origin=(200.0, -300.0)))
+    shifted = _project(track, _config(origin=(200.0, -300.0)))
     assert np.allclose(shifted, [[5200.0, 4700.0]], atol=1e-9)
 
 
@@ -61,7 +73,7 @@ def test_project_degree_scale():
     lat0, lon0 = 40.0, 5.0
     cfg = IngestConfig(4e6, 1000.0, 5, center=(lat0, lon0))
     track = UserTrack("u", np.array([[lat0 + 1.0, lon0], [lat0, lon0 + 1.0]]))
-    got = project(track, cfg) - 2e6
+    got = _project(track, cfg) - 2e6
     assert got[0, 1] == pytest.approx(111194.92664455873, rel=1e-12)
     assert got[0, 0] == pytest.approx(0.0, abs=1e-9)
     # one longitude degree shrinks with cos(latitude)
@@ -70,19 +82,16 @@ def test_project_degree_scale():
 
 def test_project_drops_outside_and_raises_when_empty():
     far = UserTrack("wanderer", np.array([[48.9, -122.33], [47.62, -122.33]]))
-    got = project(far, _config())  # the 1.4-degree point is way outside 10 km
+    got = _project(far, _config())  # the 1.4-degree point is way outside 10 km
     assert got.shape == (1, 2)
     all_out = UserTrack("ghost", np.array([[48.9, -122.33]]))
-    with pytest.raises(EmptyTrackError) as exc:
-        project(all_out, _config())
-    assert exc.value.user_id == "ghost"
-    assert "area" in exc.value.reason
+    assert ingest_tracks([all_out], _config()) == ([], [], [("ghost", "no points inside the area")])
 
 
 def test_project_requires_center():
     cfg = IngestConfig(100.0, 10.0, 5)
-    with pytest.raises(IngestError):
-        project(UserTrack("u", np.array([CENTER])), cfg)
+    with pytest.raises(IngestError, match="projection requires a configured center"):
+        ingest_tracks([UserTrack("u", np.array([CENTER]))], cfg)
 
 
 def test_track_validation():
@@ -131,7 +140,7 @@ def test_kde_density_matches_quadratic_reference():
     rng = np.random.default_rng(8)
     pts = rng.normal(0.0, 3.0, (120, 2))
     at = rng.normal(0.0, 3.0, (40, 2))
-    got = kde_density(pts, at)
+    got = _density(pts, at)
 
     n = len(pts)
     h = np.cov(pts.T, ddof=1) * n ** (-1.0 / 3.0)
@@ -147,7 +156,7 @@ def test_kde_density_matches_quadratic_reference():
 
 
 def _einsum_density(pts, at):
-    """kde_density as a single einsum over the unchunked difference array."""
+    """One set's density as a single einsum over the unchunked difference array."""
     h = oracle_scott_matrix(pts)
     norm = 1.0 / (len(pts) * 2.0 * math.pi * math.sqrt(float(np.linalg.det(h))))
     d = at[:, None, :] - pts[None, :, :]
@@ -176,7 +185,7 @@ def test_kde_density_matches_einsum_bitwise(n, extra, scale, shape, chunk_rows, 
     at = np.vstack([pts, rng.normal(0.0, scale, (extra, 2))])
     block = ingest.PAIRWISE_BLOCK if chunk_rows is None else chunk_rows * n
     with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
-        got = kde_density(pts, at)
+        got = _density(pts, at)
     want = _einsum_density(pts, at)
     assert got.tobytes() == want.tobytes()
 
@@ -234,28 +243,13 @@ def test_stacked_densities_equal_one_set_at_a_time(users, m, shape, block, seed)
 def test_kde_density_handles_degenerate_spreads():
     # identical points: covariance is zero, the ridge must keep this evaluable
     pts = np.zeros((10, 2))
-    dens = kde_density(pts, np.array([[0.0, 0.0], [5.0, 5.0]]))
+    dens = _density(pts, np.array([[0.0, 0.0], [5.0, 5.0]]))
     assert np.isfinite(dens).all()
     assert dens[0] > dens[1]
     # collinear points: rank-1 covariance
     line = np.column_stack([np.linspace(0, 1, 20), np.zeros(20)])
-    dens = kde_density(line, line[:3])
+    dens = _density(line, line[:3])
     assert np.isfinite(dens).all() and (dens > 0).all()
-
-
-@pytest.mark.parametrize(
-    "points, at",
-    [
-        (np.empty((0, 2)), np.zeros((1, 2))),
-        (np.zeros((5, 3)), np.zeros((1, 2))),
-        (np.zeros(4), np.zeros((1, 2))),
-        (np.ones((5, 2)), np.zeros((1, 3))),
-    ],
-    ids=["empty-points", "points-3-columns", "points-1d", "at-3-columns"],
-)
-def test_kde_density_rejects_bad_shapes(points, at):
-    with pytest.raises(IngestError, match="kde_density expects"):
-        kde_density(points, at)
 
 
 def test_kde_mode_is_argmax_over_data():
@@ -264,18 +258,16 @@ def test_kde_mode_is_argmax_over_data():
         rng.normal(10.0, 0.3, (60, 2)),
         rng.uniform(0.0, 30.0, (8, 2)),
     ])
-    mode = kde_mode(pts)
-    dens = kde_density(pts, pts)
+    mode = _modes(pts[None])[0]
+    dens = _density(pts, pts)
     assert np.array_equal(mode, pts[int(np.argmax(dens))])
     assert np.linalg.norm(mode - 10.0) < 2.0  # lands inside the tight cluster
-    assert np.array_equal(kde_mode(pts), mode)  # deterministic
+    assert np.array_equal(_modes(pts[None])[0], mode)  # deterministic
 
 
 def test_kde_mode_degenerate_inputs():
     only = np.array([[3.0, 4.0]])
-    assert np.array_equal(kde_mode(only), only[0])
-    with pytest.raises(IngestError):
-        kde_mode(np.empty((0, 2)))
+    assert np.array_equal(_modes(only[None])[0], only[0])
 
 
 def test_trim_matches_iterative_oracle():
@@ -324,9 +316,9 @@ def test_extract_body_respects_diameter_bound():
     spread = rng.normal(0.0, 0.002, (300, 2))  # a few hundred meters
     track = UserTrack("u", np.array([lat, lon]) + spread)
     cfg = _config(bound=250.0, k=200)
-    body = extract_body(track, cfg)
+    body = _extract(track, cfg)
     assert diameter(body) <= 250.0 + 1e-9
-    again = extract_body(track, cfg)
+    again = _extract(track, cfg)
     assert np.array_equal(body.vertices, again.vertices)
 
 
@@ -337,8 +329,8 @@ def test_extract_body_no_trim_equals_hull_of_nearest():
     ])
     track = UserTrack("u", np.array([lat, lon]) + offsets)
     cfg = _config(bound=100000.0, k=10)  # bound and k both slack
-    body = extract_body(track, cfg)
-    want = convex_hull(project(track, cfg))
+    body = _extract(track, cfg)
+    want = convex_hull(_project(track, cfg))
     assert set(map(tuple, body.vertices)) == set(map(tuple, want.vertices))
 
 
