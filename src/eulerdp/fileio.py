@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .geometry import ConvexBody
-from .grid import GridPartition, build_partition
+from .grid import build_partition
 from .histogram import EulerHistogram, HistogramState, INTEGRAL_STATES
 from .ingest import IngestError, UserTrack
 
@@ -30,14 +30,8 @@ def _fmt(value: float, integral: bool) -> str:
     return str(int(value)) if integral else repr(float(value))
 
 
-def _sections(p: GridPartition) -> list[tuple[str, int, int]]:
-    n = p.n
-    return [
-        ("faces", n, n),
-        ("horizontal-edges", n - 1, n),
-        ("vertical-edges", n, n - 1),
-        ("vertices", n - 1, n - 1),
-    ]
+# one block per section of GridPartition.sections, in dense order
+_SECTION_NAMES = ("faces", "horizontal-edges", "vertical-edges", "vertices")
 
 
 def write_histogram(h: EulerHistogram, stream: TextIO) -> None:
@@ -56,13 +50,10 @@ def write_histogram(h: EulerHistogram, stream: TextIO) -> None:
         lines.append(f"epsilon: {h.epsilon!r}")
     if h.diameter_bound is not None:
         lines.append(f"diameter_bound: {h.diameter_bound!r}")
-    offset = 0
-    for name, rows, cols in _sections(p):
-        lines.append(f"{name} {rows} {cols}")
-        block = h.counts[offset : offset + rows * cols].reshape(rows, cols)
+    for name, block in zip(_SECTION_NAMES, p.sections(h.counts)):
+        lines.append(f"{name} {block.shape[0]} {block.shape[1]}")
         for row in block:
             lines.append(" ".join(_fmt(v, integral) for v in row))
-        offset += rows * cols
     stream.write("\n".join(lines) + "\n")
 
 
@@ -94,21 +85,21 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
     epsilon = float(header["epsilon"]) if "epsilon" in header else None
     bound = float(header["diameter_bound"]) if "diameter_bound" in header else None
 
+    found, needed = len(lines) - i, 4 * n + 2  # 4 section headers and 4n - 2 rows
+    if found < needed:  # checked before the counts are allocated
+        raise FormatError(f"truncated histogram: n={n} needs {needed} section lines, found {found}")
     counts = np.empty(p.size)
-    offset = 0
-    for name, rows, cols in _sections(p):
-        if i >= len(lines) or lines[i] != f"{name} {rows} {cols}":
+    for name, block in zip(_SECTION_NAMES, p.sections(counts)):
+        rows, cols = block.shape
+        if lines[i] != f"{name} {rows} {cols}":
             raise FormatError(f"expected section header {name!r} at line {i + 1}")
         i += 1
         for r in range(rows):
-            if i >= len(lines):
-                raise FormatError(f"truncated section {name!r}")
             values = lines[i].split()
             if len(values) != cols:
                 raise FormatError(f"section {name!r} row {r}: expected {cols} values")
-            counts[offset + r * cols : offset + (r + 1) * cols] = [float(v) for v in values]
+            block[r] = [float(v) for v in values]
             i += 1
-        offset += rows * cols
     if not np.all(np.isfinite(counts)):
         raise FormatError("non-finite count")
     if state in INTEGRAL_STATES and not np.array_equal(counts, np.floor(counts)):

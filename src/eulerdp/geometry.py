@@ -1,13 +1,16 @@
 """Convex planar bodies and closed-set intersection predicates.
 
 All predicates treat both operands as closed point sets, so touching counts as
-intersecting. Every grid component (face, edge, vertex) is represented as an
-axis-aligned box, possibly degenerate, and tested against the body with the
-same separating-axis routine over the same axis set. Because an edge's box is
-contained in both incident face boxes (with bitwise-identical coordinates) and
-a vertex's box in all four incident edge boxes, a hit on the smaller component
-always implies a hit on the enclosing ones; the face/edge/vertex constraint
-structure of raw histograms follows from this containment, not from luck.
+intersecting. Every grid component (face, edge, vertex) is an axis-aligned
+box, possibly degenerate, tested on the same axes with the same ``tol * scale``.
+A body meets an edge box exactly when it meets both face boxes beside it, in
+floats too: the edge's box is the faces' shared side, with bitwise-identical
+coordinates, and on any axis its projected lower end is the same float sum as
+one face's lower end and its upper end as the other face's upper end, so its
+gap is at most the larger face gap. Containment gives the converse. A vertex
+box is likewise the shared side of two horizontal edges' boxes, so it is met
+exactly when all four faces round it are. ``build`` counts edges and vertices
+from these ANDs of face hits, and raw histograms' constraints follow from them.
 """
 
 from __future__ import annotations
@@ -136,8 +139,7 @@ def intersects_boxes(body: ConvexBody, boxes: np.ndarray, tol: float = 0.0) -> n
 
     ``boxes`` has rows (xlo, xhi, ylo, yhi); degenerate rows encode segments
     and points. ``tol > 0`` turns the test into within-distance-tol along
-    every axis; the same tol must be used across component kinds to keep the
-    containment monotonicity.
+    every axis.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.size == 0:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,54 +93,25 @@ class GridPartition:
     def vertex_offset(self) -> int:
         return self.n_faces + self.n_edges
 
-    def __reduce__(self):
-        # copies and unpickled partitions carry only the three fields, so
-        # they start with no cached lattice
-        return type(self), (self.origin, self.area_side, self.n)
-
-    @cached_property
-    def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense indices and boxes of every component on one read-only
-        ``(2n-1) x (2n-1)`` lattice, built on first use.
-
-        Faces sit on even/even cells, horizontal edges on odd/even, vertical
-        edges on even/odd and vertices on odd/odd: face ``(r, c)`` is at
-        ``(2r, 2c)`` and vertex ``(r, c)`` at ``(2r+1, 2c+1)``. Lattice column
-        ``j`` spans grid lines ``(j+1)//2`` to ``j//2 + 1``, which is one cell
-        for even ``j`` and one line for odd ``j``; rows likewise. The cache
-        holds ``40 * (2n-1)^2`` bytes: about 300 KB at n=44, 6.4 MB at n=200.
-        """
-        n, d = self.n, self.cell_side
-        ox, oy = self.origin
-        xs = ox + np.arange(n + 1) * d
-        ys = oy + np.arange(n + 1) * d
-        j = np.arange(2 * n - 1)
-        lo, hi = (j + 1) // 2, j // 2 + 1
-        boxes = np.empty((2 * n - 1, 2 * n - 1, 4))
-        boxes[..., 0] = xs[lo][None, :]
-        boxes[..., 1] = xs[hi][None, :]
-        boxes[..., 2] = ys[lo][:, None]
-        boxes[..., 3] = ys[hi][:, None]
-        idx = np.empty((2 * n - 1, 2 * n - 1), dtype=np.int64)
-        idx[0::2, 0::2] = np.arange(self.n_faces).reshape(n, n)
-        idx[1::2, 0::2] = self.hedge_offset + np.arange(self.n_hedges).reshape(n - 1, n)
-        idx[0::2, 1::2] = self.vedge_offset + np.arange(self.n_vedges).reshape(n, n - 1)
-        idx[1::2, 1::2] = self.vertex_offset + np.arange(self.n_vertices).reshape(n - 1, n - 1)
-        idx.flags.writeable = False
-        boxes.flags.writeable = False
-        return idx, boxes
+    def sections(self, dense: np.ndarray) -> list[np.ndarray]:
+        """Views of a dense array's faces, horizontal edges, vertical edges
+        and vertices, shaped so ``[r, c]`` addresses component ``(r, c)``."""
+        n = self.n
+        cuts = np.split(dense, [self.hedge_offset, self.vedge_offset, self.vertex_offset])
+        shapes = ((n, n), (n - 1, n), (n, n - 1), (n - 1, n - 1))
+        return [cut.reshape(shape) for cut, shape in zip(cuts, shapes)]
 
     def window(
         self, xlo: float, xhi: float, ylo: float, yhi: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense indices and boxes of every component that could meet the
-        given bounding box.
+        """Dense indices and boxes of every face that could meet the given
+        bounding box.
 
-        The candidate set is padded by one ring of cells so boundary-touching
+        The face rectangle is padded by one ring of cells so boundary-touching
         intersections are never missed; the caller's predicate makes the final
-        call. Returns ``(indices, boxes)`` in dense order, with ``boxes[i] =
-        (xlo, xhi, ylo, yhi)`` for the component at ``indices[i]``: one
-        strided slice of the cached lattice per section.
+        call. Returns ``(indices, boxes)`` row-major, with ``boxes[i] = (xlo,
+        xhi, ylo, yhi)`` for the face at ``indices[i]``, taken from the grid
+        lines ``origin + k * cell_side``.
         """
         n, d = self.n, self.cell_side
         ox, oy = self.origin
@@ -151,18 +121,12 @@ class GridPartition:
         rhi = min(math.floor((yhi - oy) / d) + 1, n - 1)
         if clo > chi or rlo > rhi:
             return np.empty(0, dtype=np.int64), np.empty((0, 4))
-        # even lattice lines hold faces' rows (columns), odd ones the edges
-        # between them; a stop past the lattice clips to its last edge line
-        frows = slice(2 * rlo, 2 * rhi + 1, 2)
-        erows = slice(max(2 * rlo - 1, 1), 2 * rhi + 2, 2)
-        fcols = slice(2 * clo, 2 * chi + 1, 2)
-        ecols = slice(max(2 * clo - 1, 1), 2 * chi + 2, 2)
-        sections = ((frows, fcols), (erows, fcols), (frows, ecols), (erows, ecols))
-        idx, boxes = self._lattice
-        return (
-            np.concatenate([idx[s].ravel() for s in sections]),
-            np.concatenate([boxes[s].reshape(-1, 4) for s in sections]),
-        )
+        cols, rows = np.arange(clo, chi + 2), np.arange(rlo, rhi + 2)
+        xs, ys = ox + cols * d, oy + rows * d
+        boxes = np.empty((rhi - rlo + 1, chi - clo + 1, 4))
+        boxes[..., 0], boxes[..., 1] = xs[:-1], xs[1:]
+        boxes[..., 2], boxes[..., 3] = ys[:-1, None], ys[1:, None]
+        return (rows[:-1, None] * n + cols[:-1]).ravel(), boxes.reshape(-1, 4)
 
 
 def build_partition(

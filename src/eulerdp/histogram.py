@@ -79,23 +79,19 @@ class EulerHistogram:
     # Section views, shaped so row/col indexing matches component ids.
     @property
     def faces(self) -> np.ndarray:
-        n = self.partition.n
-        return self.counts[: n * n].reshape(n, n)
+        return self.partition.sections(self.counts)[0]
 
     @property
     def hedges(self) -> np.ndarray:
-        p = self.partition
-        return self.counts[p.hedge_offset : p.vedge_offset].reshape(p.n - 1, p.n)
+        return self.partition.sections(self.counts)[1]
 
     @property
     def vedges(self) -> np.ndarray:
-        p = self.partition
-        return self.counts[p.vedge_offset : p.vertex_offset].reshape(p.n, p.n - 1)
+        return self.partition.sections(self.counts)[2]
 
     @property
     def vertices(self) -> np.ndarray:
-        p = self.partition
-        return self.counts[p.vertex_offset :].reshape(p.n - 1, p.n - 1)
+        return self.partition.sections(self.counts)[3]
 
     @cached_property
     def _corners(self) -> np.ndarray:
@@ -115,8 +111,7 @@ class EulerHistogram:
             out[1:, 1:] = section.cumsum(axis=0).cumsum(axis=1)
             return out
 
-        faces, hedges = prefix(self.faces), prefix(self.hedges)
-        vedges, vertices = prefix(self.vedges), prefix(self.vertices)
+        faces, hedges, vedges, vertices = map(prefix, self.partition.sections(self.counts))
 
         def corner(dr: int, dc: int) -> np.ndarray:
             # dr = 1 reads row r1 (faces and vertical edges end at r1 + 1),
@@ -200,18 +195,27 @@ def build(
 
     Bodies must already lie within the area rectangle and satisfy the diameter
     bound when one is given; offenders raise :class:`BodyValidationError` with
-    one report per body. Each body only touches components near its bounding
-    box, so the scan is windowed rather than exhaustive.
+    one report per body. Only the faces in each body's padded window are
+    tested: an edge is met exactly when both faces beside it are, a vertex
+    when all four round it are (see :mod:`eulerdp.geometry`). ``tol`` must be
+    below the cell side, so the window's one-cell padding holds every hit.
     """
+    if not tol < p.cell_side:
+        raise ValueError(f"tol must be smaller than the cell side {p.cell_side}, got {tol}")
     _, rejected = validate_bodies(bodies, p, diameter_bound, tol=tol)
     if rejected:
         raise BodyValidationError(rejected)
     counts = np.zeros(p.size, dtype=np.float64)
+    faces, hedges, vedges, vertices = p.sections(counts)
     for body in bodies:
-        xlo, xhi, ylo, yhi = body.bbox
-        idx, boxes = p.window(xlo, xhi, ylo, yhi)
-        hit = intersects_boxes(body, boxes, tol)
-        counts[idx[hit]] += 1.0
+        idx, boxes = p.window(*body.bbox)
+        (r0, c0), (r1, c1) = divmod(int(idx[0]), p.n), divmod(int(idx[-1]), p.n)
+        hit = intersects_boxes(body, boxes, tol).reshape(r1 - r0 + 1, c1 - c0 + 1)
+        across = hit[:-1] & hit[1:]  # both faces of each horizontal edge
+        faces[r0 : r1 + 1, c0 : c1 + 1] += hit
+        hedges[r0:r1, c0 : c1 + 1] += across
+        vedges[r0 : r1 + 1, c0:c1] += hit[:, :-1] & hit[:, 1:]
+        vertices[r0:r1, c0:c1] += across[:, :-1] & across[:, 1:]
     return EulerHistogram(p, counts, HistogramState.RAW, diameter_bound=diameter_bound)
 
 

@@ -124,6 +124,8 @@ class PrivacyParams:
             raise ValueError("sensitivity must be at least 1")
         if not np.isclose(self.lam, self.sensitivity / self.epsilon, rtol=1e-12):
             raise ValueError("lam must equal sensitivity / epsilon")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"epsilon {self.epsilon} is too small: the noise scale overflows")
 
     @classmethod
     def for_partition(

@@ -13,8 +13,10 @@ oracle runs the same threshold partitioning as ``infer``'s ``l1`` with one
 scipy maximum flow per level. The grid
 oracle lists every tracked component's label and closed box straight from the
 geometry the ``grid`` module documents, and the window oracle rebuilds one
-body's candidate components from meshgrids of grid-line indices. The body
-oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
+body's candidate faces, edges and vertices from meshgrids of grid-line
+indices, as ``build`` tested them before it counted edges and vertices from
+its face hits; ``partitions`` draws grids whose lines are often inexact. The
+body oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
 extraction oracle turns GPS tracks into bodies one user at a time, with the
 per-user numpy calls that ``ingest_tracks`` stacks across users, and the
 tracks oracle parses a tracks file the plain way. The repair oracle is
@@ -30,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -39,6 +42,7 @@ from eulerdp import (
     EulerHistogram,
     IngestError,
     UserTrack,
+    build_partition,
     convex_hull,
     min_rectangle_count,
 )
@@ -161,6 +165,12 @@ def lattice_body(rng: np.random.Generator, span: float, kmax: int = 6) -> Convex
     """Random convex body on the lattice; sometimes degenerate on purpose."""
     k = int(rng.integers(1, kmax + 1))
     return convex_hull(lattice_points(rng, k, span))
+
+
+# area sides that are not dyadic multiples of n make the grid lines inexact
+area_sides = st.sampled_from([10.0, 1.0, 7.3, 2.0e4, 1.0e-3]) | st.floats(1e-3, 1e5)
+origins = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)) | st.just((0.0, 0.0))
+partitions = st.builds(build_partition, area_sides, st.integers(2, 12), origin=origins)
 
 
 def grid_components(p) -> list[tuple[str, tuple[float, float, float, float]]]:

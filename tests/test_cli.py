@@ -306,6 +306,29 @@ def test_non_finite_privacy_flags_exit_one(bodies_file, tmp_path, capsys, flag, 
         assert not out.exists()
 
 
+def test_vanishing_epsilon_exits_one(bodies_file, tmp_path, capsys):
+    """sensitivity / 1e-308 overflows to an infinite noise scale, which is
+    refused by name before any noise is drawn."""
+    out = tmp_path / "out.hist"
+    rc = main(["release", *_grid(bodies_file, tmp_path), "--out", str(out),
+               "--epsilon", "1e-308", "--diameter-bound", "6", "--seed", "1"])
+    assert rc == 1
+    assert "error: epsilon 1e-308 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_histogram_claiming_a_huge_grid_exits_one(tmp_path, capsys):
+    """The header's n is checked against the lines the file holds before
+    the counts are allocated: no MemoryError, a format error."""
+    path = tmp_path / "huge.hist"
+    path.write_text(
+        "euler-histogram v1\nstate: rounded\narea_side: 1.0\nn: 300000\n"
+        "faces 300000 300000\n0\n"
+    )
+    assert main(["verify", "--in", str(path)]) == 1
+    assert "truncated histogram: n=300000" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_user_error(tmp_path, capsys):
     assert main(["privatize", "--in", str(tmp_path / "absent.hist"),
                  "--out", str(tmp_path / "x.hist"), "--epsilon", "1"]) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ def test_read_rejects_malformed_inputs():
     truncated = "\n".join(text.splitlines()[:10])
     with pytest.raises(FormatError):
         read_histogram(io.StringIO(truncated))
+
+
+def test_read_checks_the_line_count_before_allocating():
+    """A six-line file whose header claims n = 300000 would need 2.6 TiB of
+    counts; it is refused as truncated, with no large allocation."""
+    text = (
+        "euler-histogram v1\nstate: rounded\narea_side: 1.0\nn: 300000\n"
+        "faces 300000 300000\n0\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"n=300000 needs 1200002 section lines, found 2"):
+            read_histogram(io.StringIO(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one row short of the 4n - 2 rows at n = 4
+    lines = _dump(_raw_histogram()).splitlines()
+    with pytest.raises(FormatError, match="n=4 needs 18 section lines, found 17"):
+        read_histogram(io.StringIO("\n".join(lines[:-1])))
 
 
 def test_read_rejects_bad_values():

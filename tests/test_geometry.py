@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -24,6 +25,7 @@ from conftest import (
     grid_components,
     lattice_body,
     numpy_body_oracle,
+    partitions,
     point_in_convex,
 )
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
@@ -247,3 +249,55 @@ def test_component_predicates_and_monotonicity():
                 hits += dims[i] == 1
                 assert meets[j]
     assert hits > 50  # the sweep must actually exercise the implication
+
+
+@st.composite
+def area_bodies(draw, p):
+    """Up to eight hulls of one to six points in the area of ``p``. A point
+    lies anywhere or on a grid line; a body may also be a point or segment
+    drawn along one grid line."""
+    (ox, oy), span = p.origin, p.n * p.cell_side
+    line = st.integers(0, p.n).map(lambda k: k / p.n)
+    fraction = st.floats(0.0, 1.0) | line
+
+    def at(fx: float, fy: float) -> tuple[float, float]:
+        return min(ox + fx * span, ox + span), min(oy + fy * span, oy + span)
+
+    bodies = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            pts = [at(draw(fraction), draw(fraction)) for _ in range(draw(st.integers(1, 6)))]
+        else:
+            on, flip = draw(line), draw(st.booleans())
+            ends = [draw(fraction) for _ in range(draw(st.integers(1, 2)))]
+            pts = [at(on, f) if flip else at(f, on) for f in ends]
+        bodies.append(convex_hull(pts))
+    return bodies
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_edges_and_vertices_are_hit_with_all_their_faces(data):
+    """A body meets an edge box exactly when it meets both face boxes beside
+    it, and a vertex box exactly when it meets all four round it, on inexact
+    grid lines and with a tolerance too. ``build`` counts edges and vertices
+    from its face hits on this fact alone."""
+    p = data.draw(partitions)
+    bodies = data.draw(area_bodies(p))
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    comps = grid_components(p)
+    boxes = np.array([box for _, box in comps])
+    faces_of = {}
+    for label, _ in comps:
+        kind, r, c = re.fullmatch(r"([a-z]+)(\d+)_(\d+)", label).groups()
+        r, c = int(r), int(c)
+        faces_of[label] = {
+            "f": [(r, c)],
+            "he": [(r, c), (r + 1, c)],
+            "ve": [(r, c), (r, c + 1)],
+            "x": [(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)],
+        }[kind]
+    for body in bodies:
+        hit = dict(zip((label for label, _ in comps), intersects_boxes(body, boxes, tol).tolist()))
+        for label, faces in faces_of.items():
+            assert hit[label] == all(hit[f"f{r}_{c}"] for r, c in faces), label

@@ -15,10 +15,12 @@ from conftest import (
     build_oracle_counts,
     grid_components,
     lattice_body,
+    partitions,
     point_in_box,
     window_oracle,
 )
 from eulerdp import GridPartition, build, build_partition, convex_hull, validate_bodies
+from eulerdp.geometry import intersects_boxes
 
 
 def boxes_overlap(a, b) -> bool:
@@ -58,8 +60,8 @@ def test_dense_layout_pinned_n2():
         "x0_0",
     ]
     idx, boxes = p.window(0.0, 2.0, 0.0, 2.0)
-    assert idx.tolist() == list(range(p.size))
-    assert [tuple(b) for b in boxes] == [box for _, box in comps]
+    assert idx.tolist() == list(range(p.n_faces))
+    assert [tuple(b) for b in boxes] == [box for _, box in comps[: p.n_faces]]
 
 
 def test_incidence_matches_geometry():
@@ -80,8 +82,8 @@ def test_box_of_hand_values():
     p = build_partition(8.0, 8, origin=(2.0, 3.0))
     assert p.cell_side == 1.0
     idx, boxes = p.window(2.0, 10.0, 3.0, 11.0)
-    labels = [label for label, _ in grid_components(p)]
-    box_of = {labels[i]: tuple(b) for i, b in zip(idx.tolist(), boxes)}
+    assert tuple(boxes[idx.tolist().index(1 * p.n + 2)]) == (4.0, 5.0, 4.0, 5.0)  # face (1, 2)
+    box_of = dict(grid_components(p))
     assert box_of["f1_2"] == (4.0, 5.0, 4.0, 5.0)
     assert box_of["he0_0"] == (2.0, 3.0, 4.0, 4.0)
     assert box_of["ve0_0"] == (3.0, 3.0, 3.0, 4.0)
@@ -104,33 +106,25 @@ def test_grid_lines():
 
 def test_window_is_superset_of_overlaps():
     p = build_partition(5.0, 5)
-    boxes_all = [box for _, box in grid_components(p)]
+    faces = [box for _, box in grid_components(p)][: p.n_faces]
     rng = np.random.default_rng(42)
     for _ in range(80):
         pts = rng.uniform(-1.0, 6.0, 4)
         q = (min(pts[0], pts[1]), max(pts[0], pts[1]), min(pts[2], pts[3]), max(pts[2], pts[3]))
         idx, boxes = p.window(*q)
         got = set(idx.tolist())
-        for i, b in enumerate(boxes_all):
+        for i, b in enumerate(faces):
             if boxes_overlap(b, q):
                 assert i in got
         # returned boxes agree with the geometry of their dense indices
         for j, i in enumerate(idx.tolist()):
-            assert tuple(boxes[j]) == boxes_all[i]
+            assert tuple(boxes[j]) == faces[i]
 
 
 def test_window_far_outside_is_empty():
     p = build_partition(5.0, 5)
     idx, boxes = p.window(100.0, 101.0, 100.0, 101.0)
     assert idx.size == 0 and boxes.shape == (0, 4)
-
-
-# area sides that are not dyadic multiples of n make the grid lines inexact
-area_sides = st.sampled_from([10.0, 1.0, 7.3, 2.0e4, 1.0e-3]) | st.floats(1e-3, 1e5)
-origins = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)) | st.just((0.0, 0.0))
-
-
-partitions = st.builds(build_partition, area_sides, st.integers(2, 12), origin=origins)
 
 
 @st.composite
@@ -156,26 +150,19 @@ def test_window_matches_meshgrid_oracle(data):
     (x0, x1), (y0, y1) = data.draw(bbox_spans(p)), data.draw(bbox_spans(p))
     bbox = (ox + x0 * side, ox + x1 * side, oy + y0 * side, oy + y1 * side)
     idx, boxes = p.window(*bbox)
+    # the oracle lists the window's faces first, row-major, then its edges
+    # and vertices
     want_idx, want_boxes = window_oracle(p, *bbox)
+    faces = want_idx < p.n_faces
+    want_idx, want_boxes = want_idx[faces], want_boxes[faces]
     assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
     assert boxes.shape == want_boxes.shape and boxes.tobytes() == want_boxes.tobytes()
 
 
-def test_lattice_is_cached_read_only_and_left_out_of_copies():
+def test_partition_copies_and_pickles_compare_equal():
     p = build_partition(10.0, 7, origin=(-1.5, 2.0))
-    assert "_lattice" not in p.__dict__
-    idx, boxes = p.window(*p.origin, *p.origin)
-    lattice_idx, lattice_boxes = p.__dict__["_lattice"]
-    assert lattice_idx.nbytes + lattice_boxes.nbytes == 40 * (2 * p.n - 1) ** 2
-    with pytest.raises(ValueError, match="read-only"):
-        lattice_idx[0, 0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        lattice_boxes[0, 0, 0] = 1.0
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert "_lattice" not in twin.__dict__
         assert twin == p and hash(twin) == hash(p) and twin in {p}
-        twin_idx, twin_boxes = twin.window(*p.origin, *p.origin)
-        assert twin_idx.tolist() == idx.tolist() and twin_boxes.tobytes() == boxes.tobytes()
     assert build_partition(10.0, 7, origin=(-1.5, 2.5)) != p
 
 
@@ -204,6 +191,36 @@ def test_build_matches_oracle_on_drawn_bodies(data):
     tol = data.draw(st.sampled_from([0.0, 1e-9]))
     got = build(bodies, p, tol=tol).counts
     assert np.array_equal(got, build_oracle_counts(bodies, p, tol))
+
+
+def test_build_tests_faces_only(monkeypatch):
+    """Edges and vertices are counted from their faces' hits: every box that
+    ``build`` hands to the predicate is a face."""
+    seen = []
+
+    def recording(body, boxes, tol=0.0):
+        seen.append(boxes)
+        return intersects_boxes(body, boxes, tol)
+
+    monkeypatch.setattr("eulerdp.histogram.intersects_boxes", recording)
+    p = build_partition(6.0, 6)
+    rng = np.random.default_rng(5)
+    bodies = [lattice_body(rng, 6.0) for _ in range(20)]
+    assert np.array_equal(build(bodies, p).counts, build_oracle_counts(bodies, p))
+    assert len(seen) == len(bodies)
+    for boxes in seen:
+        assert (boxes[:, 0] < boxes[:, 1]).all() and (boxes[:, 2] < boxes[:, 3]).all()
+
+
+def test_build_refuses_tol_of_a_cell():
+    """The window pads a body's cells by one ring, so a tolerance of a whole
+    cell could reach past it."""
+    p = build_partition(6.0, 6)
+    bodies = [convex_hull([(2.0, 2.5)]), convex_hull([(1.5, 1.5), (4.0, 1.5)])]
+    assert np.array_equal(build(bodies, p, tol=0.999).counts, build_oracle_counts(bodies, p, 0.999))
+    for tol in (1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be smaller than the cell side"):
+            build(bodies, p, tol=tol)
 
 
 def test_partition_validation():

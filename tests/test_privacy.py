@@ -104,6 +104,18 @@ def test_non_finite_parameters_are_refused_by_name(bad):
             sensitivity(1.0, bad)
 
 
+def test_vanishing_epsilon_is_refused_by_name():
+    """A positive epsilon so small that sensitivity / epsilon overflows would
+    draw infinite noise: the params refuse it, naming epsilon."""
+    p = build_partition(4.0, 4)
+    assert math.isinf(global_sensitivity(1.0, p.cell_side) / 1e-308)
+    with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
+        PrivacyParams.for_partition(1e-308, 1.0, p)
+    with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
+        PrivacyParams(1e-308, 1.0, 9, math.inf)
+    assert PrivacyParams(1e-308, 1.0, 1, 1e308).lam == 1e308
+
+
 def test_derive_seed_goldens():
     assert derive_seed(0, 0) == 13441156890354882375
     assert derive_seed(1, 0) == 13957987245808512451
