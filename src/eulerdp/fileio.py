@@ -100,6 +100,9 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
                 raise FormatError(f"section {name!r} row {r}: expected {cols} values")
             block[r] = [float(v) for v in values]
             i += 1
+    for j in range(i, len(lines)):
+        if lines[j].strip():
+            raise FormatError(f"unexpected content after the vertices section at line {j + 1}")
     if not np.all(np.isfinite(counts)):
         raise FormatError("non-finite count")
     if state in INTEGRAL_STATES and not np.array_equal(counts, np.floor(counts)):

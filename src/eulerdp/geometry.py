@@ -43,16 +43,22 @@ class ConvexBody:
         pts = np.array(self.vertices, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
+        xs, ys = pts.T.tolist()
+        self._seal(pts, xs, ys, range(len(xs)))
+
+    def _seal(self, pts: np.ndarray, xs, ys, turns) -> None:
+        """Check that the vertices are finite and that each listed turn i
+        (vertices i, i + 1, i + 2, cyclically) bends left within the slack,
+        then store them read-only with their bbox."""
         # Plain floats from here: each test below is the IEEE operation the
         # elementwise numpy form would do, at a fraction of the call overhead.
-        xs, ys = pts.T.tolist()
         if not all(map(math.isfinite, xs + ys)):
             raise ValueError("vertices must be finite")
         k = len(xs)
         if k >= 3:
             scale = max(map(abs, xs + ys)) or 1.0
             slack = -1e-9 * scale * scale
-            for i in range(k):
+            for i in turns:
                 j, m = (i + 1) % k, (i + 2) % k
                 ax, ay = xs[j] - xs[i], ys[j] - ys[i]
                 bx, by = xs[m] - xs[i], ys[m] - ys[i]
@@ -99,10 +105,17 @@ def convex_hull(points) -> ConvexBody:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:
         return ConvexBody(pts)
-    hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+    lower = _chain(pts)
+    hull = lower[:-1] + _chain(reversed(pts))[:-1]
     if len(hull) < 2:  # all input points collinear
         hull = [pts[0], pts[-1]]
-    return ConvexBody(hull)
+    # Every turn inside a chain passed the constructor's own cross product,
+    # so only the two turns where the chains join, at pts[-1] and pts[0],
+    # are left to check.
+    body = object.__new__(ConvexBody)
+    xs, ys = zip(*hull)
+    body._seal(np.array(hull), xs, ys, (len(lower) - 2, len(hull) - 1))
+    return body
 
 
 def diameter(body: ConvexBody) -> float:

@@ -128,8 +128,13 @@ class EulerHistogram:
         return tables
 
     @cached_property
-    def _corner_lists(self) -> list[list[list[float]]]:
-        # a nested-list lookup costs a fraction of numpy scalar indexing
+    def _corner_lists(self) -> list[list[list[float]]] | list[list[list[int]]]:
+        # A nested-list lookup costs a fraction of numpy scalar indexing.
+        # Integral states hold each entry rounded to an int, so ``query``
+        # adds ints and rounds nothing. Integral counts make every entry an
+        # exact integer below 2**53, so the ints equal the floats.
+        if self.state in INTEGRAL_STATES:
+            return np.rint(self._corners).astype(np.int64).tolist()
         return self._corners.tolist()
 
     def with_counts(self, counts: np.ndarray, state: HistogramState) -> EulerHistogram:
@@ -226,14 +231,16 @@ def query(h: EulerHistogram, qr: QueryRegion) -> float | int:
     when strictly interior to it, i.e. when every face they bound lies inside.
     O(1): four lookups in the histogram's corner tables, which are built once
     per histogram in O(n^2). Returns an int for integral states (RAW,
-    ROUNDED), else a float.
+    ROUNDED), whose tables hold ints, else a float. A region that does not
+    fit the grid raises ValueError; ``QueryRegion`` already rules out
+    negative and reversed indices, so only an index past the grid can miss.
     """
-    qr.validate(h.partition.n)
     a, b, c, d = h._corner_lists
-    total = a[qr.r1][qr.c1] + b[qr.r0][qr.c1] + c[qr.r1][qr.c0] + d[qr.r0][qr.c0]
-    if h.state in INTEGRAL_STATES:
-        return int(round(total))
-    return total
+    try:
+        return a[qr.r1][qr.c1] + b[qr.r0][qr.c1] + c[qr.r1][qr.c0] + d[qr.r0][qr.c0]
+    except IndexError:
+        qr.validate(h.partition.n)
+        raise
 
 
 def min_rectangle_count(h: EulerHistogram) -> tuple[float, QueryRegion]:

@@ -6,7 +6,10 @@ exactness feed both sides coordinates on a dyadic lattice (multiples of
 1/1024) so every intermediate product is exactly representable and the
 comparison is legitimate. The rectangle oracle tabulates every rectangle's
 Euler count at once, in O(n^4) time and memory, for small grids; the
-slice-sum oracle counts one rectangle the direct way. The LP oracle
+slice-sum oracle counts one rectangle the direct way, and the float-table
+query oracle is ``query`` as it was before integral states had integer
+corner tables: a validation, four float lookups summed, and a rounding for
+integral states. The LP oracle
 assembles constrained inference as the linear program it is (residual rows,
 then C1, C2 and C3 rows) and solves it with scipy's HiGHS; the min-cut
 oracle runs the same threshold partitioning as ``infer``'s ``l1`` with one
@@ -285,6 +288,16 @@ def slice_sum_query(h: EulerHistogram, qr) -> float:
     total -= float(h.hedges[r0:r1, c0 : c1 + 1].sum())
     total -= float(h.vedges[r0 : r1 + 1, c0:c1].sum())
     total += float(h.vertices[r0:r1, c0:c1].sum())
+    return total
+
+
+def float_table_query(h: EulerHistogram, qr) -> float | int:
+    qr.validate(h.partition.n)
+    a, b, c, d = h._corners
+    r0, r1, c0, c1 = qr.r0, qr.r1, qr.c0, qr.c1
+    total = float(a[r1, c1]) + float(b[r0, c1]) + float(c[r1, c0]) + float(d[r0, c0])
+    if h.state in INTEGRAL_STATES:
+        return int(round(total))
     return total
 
 

@@ -329,6 +329,16 @@ def test_short_histogram_claiming_a_huge_grid_exits_one(tmp_path, capsys):
     assert "truncated histogram: n=300000" in capsys.readouterr().err
 
 
+def test_trailing_content_in_a_histogram_exits_one(bodies_file, tmp_path, capsys):
+    raw = tmp_path / "raw.hist"
+    main(["build", *_grid(bodies_file, tmp_path), "--out", str(raw)])
+    assert main(["verify", "--in", str(raw)]) == 0
+    raw.write_text(raw.read_text() + "5 5 5 5\ngarbage\n")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(raw)]) == 1
+    assert "after the vertices section" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_user_error(tmp_path, capsys):
     assert main(["privatize", "--in", str(tmp_path / "absent.hist"),
                  "--out", str(tmp_path / "x.hist"), "--epsilon", "1"]) == 1

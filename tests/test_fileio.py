@@ -124,6 +124,17 @@ def test_read_rejects_malformed_inputs():
         read_histogram(io.StringIO(truncated))
 
 
+def test_read_rejects_content_after_the_vertices_section():
+    text = _dump(_raw_histogram())
+    end = len(text.splitlines())
+    for extra, bad in (("5 5 5 5\ngarbage\n", end + 1), ("\n  \ngarbage\n", end + 3)):
+        with pytest.raises(FormatError, match=f"after the vertices section at line {bad}$"):
+            read_histogram(io.StringIO(text + extra))
+    # blank lines after the counts still read to the same histogram
+    back = read_histogram(io.StringIO(text + "\n \t\n\n"))
+    assert np.array_equal(back.counts, read_histogram(io.StringIO(text)).counts)
+
+
 def test_read_checks_the_line_count_before_allocating():
     """A six-line file whose header claims n = 300000 would need 2.6 TiB of
     counts; it is refused as truncated, with no large allocation."""

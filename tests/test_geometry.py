@@ -25,6 +25,7 @@ from conftest import (
     grid_components,
     lattice_body,
     numpy_body_oracle,
+    oracle_convex_hull,
     partitions,
     point_in_convex,
 )
@@ -66,6 +67,66 @@ def test_hull_contains_inputs_and_is_idempotent(pts):
         assert point_in_convex(pt, verts)
     again = convex_hull(hull.vertices)
     assert set(map(tuple, again.vertices)) == set(verts)
+
+
+_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _line_points(draw, nudge: bool):
+    """Points on one line through a float origin; ``nudge`` moves some of
+    them one ulp off it."""
+    ox, oy = draw(_point)
+    dx, dy = draw(st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    ts = draw(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
+    pts = [(ox + t * dx, oy + t * dy) for t in ts]
+    if nudge:
+        ups = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(pts), max_size=len(pts)))
+        pts = [(x, math.nextafter(y, up * math.inf) if up else y) for (x, y), up in zip(pts, ups)]
+    return pts
+
+
+_hull_inputs = st.one_of(
+    st.lists(_point, min_size=1, max_size=12),
+    _point.map(lambda p: [p]),
+    st.lists(_point, min_size=1, max_size=4).flatmap(
+        lambda ps: st.lists(st.sampled_from(ps), min_size=1, max_size=12)
+    ),
+    _line_points(nudge=False),
+    _line_points(nudge=True),
+    st.tuples(
+        st.lists(_point, max_size=6),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.booleans(),
+    ).map(lambda t: t[0] + [(t[1], 0.5) if t[2] else (0.5, t[1])]),
+)
+
+
+def _hull_or_error(points):
+    try:
+        return convex_hull(points)
+    except ValueError as e:
+        return str(e)
+
+
+@given(_hull_inputs)
+@settings(max_examples=300)
+def test_hull_equals_the_fully_checked_body(points):
+    """``convex_hull`` skips the constructor's re-check of the turns its
+    chains made, yet builds the same body and raises the same errors as
+    ``ConvexBody`` on the same chain."""
+    got = _hull_or_error(points)
+    try:
+        want = oracle_convex_hull(points)
+    except ValueError as e:
+        assert got == str(e)
+        return
+    assert isinstance(got, ConvexBody)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.bbox == want.bbox
+    assert not got.vertices.flags.writeable
 
 
 @given(st.lists(lattice_point, min_size=1, max_size=10))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     all_rectangle_counts,
     box_dimension,
     euler_truth,
+    float_table_query,
     grid_components,
     lattice_body,
     slice_sum_query,
@@ -137,6 +139,45 @@ def test_query_equals_slice_sums(n, state, high, seed):
             assert isinstance(got, int) and got == want
         else:
             assert isinstance(got, float) and abs(got - want) <= tol
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    state=st.sampled_from(list(HistogramState)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_query_matches_the_float_table_sum(n, state, seed):
+    """Integral states answer from integer tables with the value the float
+    tables' rounded sum gave; real-valued states answer bit for bit as the
+    four float lookups summed. Regions on the last row or column answer;
+    regions past it raise the validation's ValueError."""
+    p = build_partition(float(n), n)
+    rng = np.random.default_rng(seed)
+    integral = state in (HistogramState.RAW, HistogramState.ROUNDED)
+    if integral:
+        counts = rng.integers(-(2**30), 2**30, p.size, endpoint=True).astype(np.float64)
+    else:
+        counts = rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.integers(-6, 9, p.size)
+    h = EulerHistogram(p, counts, state)
+    rows = np.sort(rng.integers(0, n, (100, 2)), axis=1)
+    cols = np.sort(rng.integers(0, n, (100, 2)), axis=1)
+    rows[::4, 1] = n - 1  # the last row
+    cols[1::4, 1] = n - 1  # the last column
+    regions = [QueryRegion(*map(int, q)) for q in np.hstack([rows, cols])]
+    regions += [QueryRegion(n - 1, n - 1, n - 1, n - 1), QueryRegion(0, n - 1, 0, n - 1)]
+    for qr in regions:
+        got, want = query(h, qr), float_table_query(h, qr)
+        if integral:
+            assert type(got) is int and got == want
+        else:
+            assert type(got) is float and got.hex() == want.hex()
+    past = int(rng.integers(n, n + 3))
+    outside = (QueryRegion(0, past, 0, 0), QueryRegion(0, 0, 0, past), QueryRegion(past, past, 0, n - 1))
+    for qr in outside:
+        message = re.escape(f"query region {qr} does not fit an n={n} grid")
+        with pytest.raises(ValueError, match=message):
+            query(h, qr)
 
 
 def test_counts_are_read_only():
