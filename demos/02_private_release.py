@@ -69,7 +69,7 @@ noisy = perturb(raw, params, RandomSource(4242))
 consistent, report = infer(noisy)
 released, cost = repair(round_counts(consistent))
 
-print("constraint violations, noisy -> consistent -> released:",
+print("violations (c1, c2, negative), noisy -> consistent -> released:",
       verify_violations(noisy), "->", verify_violations(consistent),
       "->", verify_violations(released))
 worst, where = min_rectangle_count(released)

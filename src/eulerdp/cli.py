@@ -188,11 +188,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     h = fileio.read_histogram_file(args.input)
-    c1, c2, c3 = verify_violations(h, build_constraints(h.partition))
-    print(f"violations: c1={c1} c2={c2} c3={c3}")
+    c1, c2, negative = verify_violations(h, build_constraints(h.partition))
+    print(f"violations: c1={c1} c2={c2} negative={negative}")
     worst, qr = min_rectangle_count(h)
     print(f"minimum rectangle count: {worst:g} at rows {qr.r0}:{qr.r1} cols {qr.c0}:{qr.c1}")
-    return 0 if (c1, c2, c3) == (0, 0, 0) and worst >= 0 else 1
+    return 0 if (c1, c2, negative) == (0, 0, 0) and worst >= 0 else 1
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:

@@ -62,6 +62,24 @@ def write_histogram_file(h: EulerHistogram, path: str) -> None:
         write_histogram(h, f)
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):  # refuses nan too
+        raise ValueError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _field(header: dict[str, str], key: str, parse, default: str | None = None):
+    """``parse`` of a header value, or a FormatError naming the field."""
+    text = header.get(key, default)
+    if text is None:
+        raise FormatError(f"bad or missing header field: {key}")
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise FormatError(f"bad or missing header field {key}: {e}") from e
+
+
 def read_histogram(stream: TextIO) -> EulerHistogram:
     lines = stream.read().splitlines()
     if not lines or lines[0] != MAGIC:
@@ -72,18 +90,18 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
         key, _, value = lines[i].partition(": ")
         header[key] = value
         i += 1
-    try:
-        state = HistogramState(header["state"])
-        area_side = float(header["area_side"])
-        n = int(header["n"])
-    except (KeyError, ValueError) as e:
+    state = _field(header, "state", HistogramState)
+    n = _field(header, "n", int)
+    area_side = _field(header, "area_side", float)
+    origin = (_field(header, "origin_x", float, "0.0"), _field(header, "origin_y", float, "0.0"))
+    try:  # the partition refuses a bad area_side, n or origin by name
+        p = build_partition(area_side, n, origin)
+    except ValueError as e:
         raise FormatError(f"bad or missing header field: {e}") from e
-    origin = (float(header.get("origin_x", "0.0")), float(header.get("origin_y", "0.0")))
-    p = build_partition(area_side, n, origin)
-    if "cell_side" in header and float(header["cell_side"]) != p.cell_side:
+    if "cell_side" in header and _field(header, "cell_side", float) != p.cell_side:
         raise FormatError("cell_side is inconsistent with area_side and n")
-    epsilon = float(header["epsilon"]) if "epsilon" in header else None
-    bound = float(header["diameter_bound"]) if "diameter_bound" in header else None
+    epsilon = _field(header, "epsilon", _positive) if "epsilon" in header else None
+    bound = _field(header, "diameter_bound", _positive) if "diameter_bound" in header else None
 
     found, needed = len(lines) - i, 4 * n + 2  # 4 section headers and 4n - 2 rows
     if found < needed:  # checked before the counts are allocated
@@ -103,11 +121,10 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
     for j in range(i, len(lines)):
         if lines[j].strip():
             raise FormatError(f"unexpected content after the vertices section at line {j + 1}")
-    if not np.all(np.isfinite(counts)):
-        raise FormatError("non-finite count")
-    if state in INTEGRAL_STATES and not np.array_equal(counts, np.floor(counts)):
-        raise FormatError(f"{state.value} histogram contains non-integral counts")
-    return EulerHistogram(p, counts, state, epsilon=epsilon, diameter_bound=bound)
+    try:  # the constructor checks the counts against the state
+        return EulerHistogram(p, counts, state, epsilon=epsilon, diameter_bound=bound)
+    except ValueError as e:
+        raise FormatError(str(e)) from e
 
 
 def read_histogram_file(path: str) -> EulerHistogram:

@@ -228,7 +228,7 @@ def write_metrics(report: MetricsReport, stream: TextIO) -> None:
     block("config", ["key", "value"], report.config_echo)
     block("query_error", ["qr", "algorithm", "median_relative_error", "samples"], report.query_rows)
     block("histogram_l1", ["algorithm", "median_l1_to_raw", "median_ratio_to_dp"], report.histogram_rows)
-    block("violations", ["stage", "mean_c1", "mean_c2", "mean_c3"], report.violation_rows)
+    block("violations", ["stage", "mean_c1", "mean_c2", "mean_negative"], report.violation_rows)
     block("timing", ["stage", "median_seconds", "total_seconds"], report.timing_rows)
     block("repair", ["metric", "value"], report.repair_rows)
 

@@ -50,7 +50,8 @@ class EulerHistogram:
 
     Immutable: ``counts`` is copied once on construction and is read-only, so
     the corner tables cached on first use never go stale. ``with_counts``
-    makes a new histogram.
+    makes a new histogram. Counts must be finite, and integers under the
+    integral states RAW and ROUNDED.
     """
 
     partition: GridPartition
@@ -66,7 +67,9 @@ class EulerHistogram:
                 f"counts must have shape ({self.partition.size},), got {counts.shape}"
             )
         if not np.isfinite(counts).all():
-            raise ValueError("counts must be finite")
+            raise ValueError("non-finite counts")
+        if self.state in INTEGRAL_STATES and not (counts == np.floor(counts)).all():
+            raise ValueError(f"{self.state.value} histogram contains non-integral counts")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 

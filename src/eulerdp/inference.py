@@ -10,7 +10,8 @@ Raw histograms satisfy structural constraints that independent noise destroys:
 
 Inference finds non-negative counts satisfying all rows while staying close to
 the noisy input, in L1 (the default) or worst-case deviation. Around a vertex
-the four edges match four distinct incident faces, so C1 and x >= 0 imply C3,
+the four edges match four distinct incident faces, so C1 and x >= 0 imply C3.
+C3 is never checked, since its four-term float sums would need a tolerance,
 and the projection is an isotonic regression under vertex <= edge <= face:
 L1 by threshold partitioning with one minimum cut per level (Hochbaum &
 Queyranne 2003), L-infinity in closed form (Barlow et al. 1972). Each level's
@@ -49,22 +50,12 @@ class ConstraintSet:
     def counts_by_family(self) -> tuple[int, int, int]:
         return len(self.c1), len(self.c2), len(self.c3)
 
-    def c1_excess(self, counts: np.ndarray) -> np.ndarray:
-        return counts[self.c1[:, 0]] - counts[self.c1[:, 1]]
-
-    def c2_excess(self, counts: np.ndarray) -> np.ndarray:
-        return counts[self.c2[:, 0]] - counts[self.c2[:, 1]]
-
-    def c3_excess(self, counts: np.ndarray) -> np.ndarray:
-        faces = counts[self.c3[:, 1:5]].sum(axis=1)
-        edges = counts[self.c3[:, 5:9]].sum(axis=1)
-        return edges - faces - counts[self.c3[:, 0]]
-
-    def violation_counts(self, counts: np.ndarray, tol: float = 0.0) -> tuple[int, int, int]:
+    def violation_counts(self, counts: np.ndarray) -> tuple[int, int, int]:
+        """Violated C1 rows, violated C2 rows and negative components: exact."""
         return (
-            int((self.c1_excess(counts) > tol).sum()),
-            int((self.c2_excess(counts) > tol).sum()),
-            int((self.c3_excess(counts) > tol).sum()),
+            int((counts[self.c1[:, 0]] > counts[self.c1[:, 1]]).sum()),
+            int((counts[self.c2[:, 0]] > counts[self.c2[:, 1]]).sum()),
+            int((counts < 0).sum()),
         )
 
 
@@ -110,11 +101,6 @@ def build_constraints(p: GridPartition) -> ConstraintSet:
     ])
     c3 = np.column_stack([verts, f_around, e_around]).astype(np.int64)
     return ConstraintSet(p, c1, c2, c3)
-
-
-# Floating-point dust tolerance for real-valued counts: a row whose excess
-# stays at or below this still counts as satisfied.
-REAL_TOL = 1e-7
 
 
 @dataclass
@@ -310,9 +296,8 @@ def infer(
     wall = time.perf_counter() - t0
     deviation = np.abs(counts - hn.counts)
     objective_value = deviation.sum() if objective == "l1" else deviation.max()
-    violated = cs.violation_counts(counts, REAL_TOL)
-    if violated != (0, 0, 0):
-        # C1 and C2 hold exactly by construction and imply C3: this is a bug.
-        raise RuntimeError(f"inference left C1/C2/C3 rows still violated: {violated}")
+    c1, c2, negative = cs.violation_counts(counts)
+    if c1 or c2 or negative:  # isotonic and clipped at 0, so exact: this is a bug
+        raise RuntimeError(f"inference left rows still violated: c1={c1} c2={c2} negative={negative}")
     report = SolveReport(float(objective_value), levels, wall)
     return hn.with_counts(counts, HistogramState.CONSISTENT), report

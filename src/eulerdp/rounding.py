@@ -11,8 +11,9 @@ long thin rectangle can still sum to a negative value. ``repair`` closes that
 gap after rounding by raising face counts, which never breaks any constraint
 family (faces appear only as upper bounds in C1 and with positive sign in
 C3) and never lowers any rectangle answer. It only closes that gap: input
-that breaks C1-C3 is refused, not mended, so a ROUNDED tag never hides a
-broken constraint.
+that breaks C1, C2 or x >= 0 is refused, not mended, so a ROUNDED tag never
+hides a broken constraint. C3 is implied by C1 and x >= 0 and not checked;
+the checks left are exact comparisons, which round-half-up preserves.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import (
-    EulerHistogram,
-    HistogramState,
-    INTEGRAL_STATES,
-    min_rectangle_count,
-)
-from .inference import REAL_TOL, ConstraintSet, build_constraints
+from .histogram import EulerHistogram, HistogramState, min_rectangle_count
+from .inference import ConstraintSet, build_constraints
 
 
 def round_counts(h: EulerHistogram) -> EulerHistogram:
@@ -41,15 +37,10 @@ def round_counts(h: EulerHistogram) -> EulerHistogram:
 def verify_violations(
     h: EulerHistogram, cs: ConstraintSet | None = None
 ) -> tuple[int, int, int]:
-    """Count violated rows per constraint family.
-
-    Integral states are checked exactly; real-valued states get a small
-    tolerance so solver dust does not count as a violation.
-    """
+    """Violated C1 rows, violated C2 rows and negative components, exactly."""
     if cs is None:
         cs = build_constraints(h.partition)
-    tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
-    return cs.violation_counts(h.counts, tol)
+    return cs.violation_counts(h.counts)
 
 
 @dataclass
@@ -63,18 +54,19 @@ def repair(
 ) -> tuple[EulerHistogram, RepairReport]:
     """Raise faces until every rectangle query is non-negative.
 
-    The input must already satisfy C1-C3, as the rounding of any
-    CONSISTENT histogram does; anything else raises ValueError naming the
-    violation counts, and nothing is changed. Face raises keep every family
-    intact, so the output satisfies C1-C3 too. The state tag is preserved;
-    on integral states every adjustment is an integer.
+    The input must already satisfy C1, C2 and x >= 0, as the rounding of
+    any CONSISTENT histogram does; anything else raises ValueError naming
+    the violation counts, and nothing is changed. Face raises keep every
+    family intact, so the output satisfies them too. The state tag is
+    preserved; on integral states every adjustment is an integer.
     """
     if cs is None:
         cs = build_constraints(h.partition)
-    c1, c2, c3 = verify_violations(h, cs)
-    if c1 or c2 or c3:
+    c1, c2, negative = verify_violations(h, cs)
+    if c1 or c2 or negative:
         raise ValueError(
-            f"repair needs counts that satisfy C1-C3, got violations c1={c1} c2={c2} c3={c3}"
+            "repair needs counts that satisfy C1, C2 and x >= 0, "
+            f"got violations c1={c1} c2={c2} negative={negative}"
         )
     counts = h.counts.copy()
     fixes = 0

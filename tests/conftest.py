@@ -51,7 +51,7 @@ from eulerdp import (
 )
 from eulerdp.geometry import intersects_boxes
 from eulerdp.histogram import INTEGRAL_STATES
-from eulerdp.inference import REAL_TOL, build_constraints
+from eulerdp.inference import build_constraints
 
 LATTICE = 1.0 / 1024.0
 
@@ -645,12 +645,13 @@ def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):
     Passes run in a fixed order chosen so that no pass re-breaks an earlier
     one: edges are clamped down to their faces, vertices down to their
     (already-clamped) edges, then faces are raised where an aggregate row or
-    a rectangle still falls short.
+    a rectangle still falls short. Real-valued states get the 1e-7 dust
+    tolerance this repair used to apply.
     """
     if cs is None:
         cs = build_constraints(h.partition)
     counts = h.counts.copy()
-    tol = 0.0 if h.state in INTEGRAL_STATES else REAL_TOL
+    tol = 0.0 if h.state in INTEGRAL_STATES else 1e-7
 
     # C1: edge <= min(incident faces). c1 rows come in pairs per edge.
     edge_idx = cs.c1[0::2, 0]
@@ -669,10 +670,11 @@ def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):
     counts[vert_idx[over]] = cap[over]
 
     # C3: close any remaining deficit by raising the smallest incident face.
-    deficit = cs.c3_excess(counts)
+    c3 = cs.c3
+    deficit = counts[c3[:, 5:9]].sum(axis=1) - counts[c3[:, 1:5]].sum(axis=1) - counts[c3[:, 0]]
     c3_fixes = 0
     for k in np.nonzero(deficit > tol)[0]:
-        faces = cs.c3[k, 1:5]
+        faces = c3[k, 1:5]
         counts[faces[np.argmin(counts[faces])]] += deficit[k]
         c3_fixes += 1
 

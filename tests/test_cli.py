@@ -247,13 +247,13 @@ def test_round_refuses_tampered_consistent_file(bodies_file, tmp_path, capsys):
     counts = h.counts.copy()
     counts[p.hedge_offset] = counts[0] + counts[p.n] + 1.0  # above both its faces
     write_histogram_file(h.with_counts(counts, HistogramState.CONSISTENT), str(consistent))
-    c1, c2, c3 = verify_violations(read_histogram_file(str(consistent)))
+    c1, c2, negative = verify_violations(read_histogram_file(str(consistent)))
     assert c1 == 2
     capsys.readouterr()
     out = tmp_path / "rounded.hist"
     assert main(["round", "--in", str(consistent), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"satisfy C1-C3, got violations c1={c1} c2={c2} c3={c3}" in err
+    assert f"satisfy C1, C2 and x >= 0, got violations c1={c1} c2={c2} negative={negative}" in err
     assert not out.exists()
 
 
@@ -405,7 +405,7 @@ def test_verify_catches_negative_rectangles(tmp_path, capsys):
     path = _covert_gap_file(tmp_path)
     assert main(["verify", "--in", path]) == 1
     out = capsys.readouterr().out
-    assert "violations: c1=0 c2=0 c3=0" in out
+    assert "violations: c1=0 c2=0 negative=0" in out
     assert "minimum rectangle count: -3" in out
 
 
@@ -430,7 +430,7 @@ def test_repair_and_verify_at_n200(tmp_path, capsys):
     path = str(tmp_path / "fixed.hist")
     write_histogram_file(fixed, path)
     assert main(["verify", "--in", path]) == 0
-    assert "violations: c1=0 c2=0 c3=0" in capsys.readouterr().out
+    assert "violations: c1=0 c2=0 negative=0" in capsys.readouterr().out
     assert time.perf_counter() - t0 < 20.0
 
 
@@ -441,8 +441,39 @@ def test_verify_catches_family_violations(tmp_path, capsys):
     path = str(tmp_path / "bad.hist")
     write_histogram_file(EulerHistogram(p, counts, HistogramState.ROUNDED), path)
     assert main(["verify", "--in", path]) == 1
-    # both face pairings of the edge break, and its vertex alternating sum
-    assert "violations: c1=2 c2=0 c3=1" in capsys.readouterr().out
+    # both face pairings of the edge break
+    assert "violations: c1=2 c2=0 negative=0" in capsys.readouterr().out
+
+
+def test_verify_and_repair_refuse_a_negative_count(tmp_path, capsys):
+    """Faces 5, edges 2 and vertices 1 but one at -1 meet C1, C2 and every
+    aggregate row, and every rectangle counts at least 5; the negative count
+    alone exposes the noise."""
+    p = build_partition(3.0, 3)
+    counts = np.concatenate([np.full(9, 5.0), np.full(12, 2.0), [-1.0, 1.0, 1.0, 1.0]])
+    path = str(tmp_path / "negative.hist")
+    write_histogram_file(EulerHistogram(p, counts, HistogramState.ROUNDED), path)
+    assert main(["verify", "--in", path]) == 1
+    out = capsys.readouterr().out
+    assert "violations: c1=0 c2=0 negative=1" in out
+    assert "minimum rectangle count: 5 " in out
+    with pytest.raises(ValueError, match="got violations c1=0 c2=0 negative=1$"):
+        repair(read_histogram_file(path))
+
+
+def test_verify_and_round_agree_on_solver_dust(tmp_path, capsys):
+    """An edge 5e-8 above its faces breaks C1 exactly as rounding would
+    break it: verify and round both refuse the file with the same counts."""
+    p = build_partition(2.0, 2)
+    counts = np.concatenate([np.full(4, 0.49999999), [0.50000004, 0.0, 0.0, 0.0, 0.0]])
+    path = str(tmp_path / "dust.hist")
+    write_histogram_file(EulerHistogram(p, counts, HistogramState.CONSISTENT), path)
+    assert main(["verify", "--in", path]) == 1
+    assert "violations: c1=2 c2=0 negative=0" in capsys.readouterr().out
+    out = tmp_path / "rounded.hist"
+    assert main(["round", "--in", path, "--out", str(out)]) == 1
+    assert "got violations c1=2 c2=0 negative=0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _experiment_config(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,32 @@ def test_read_rejects_malformed_inputs():
     truncated = "\n".join(text.splitlines()[:10])
     with pytest.raises(FormatError):
         read_histogram(io.StringIO(truncated))
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("epsilon", "nan", "epsilon: must be finite and positive, got nan"),
+        ("epsilon", "inf", "epsilon: must be finite and positive, got inf"),
+        ("epsilon", "0.0", "epsilon: must be finite and positive, got 0.0"),
+        ("epsilon", "abc", "epsilon: could not convert string to float"),
+        ("diameter_bound", "-5", "diameter_bound: must be finite and positive, got -5"),
+        ("cell_side", "x", "cell_side: could not convert string to float"),
+        ("area_side", "abc", "area_side: could not convert string to float"),
+        ("area_side", "-4.0", "area_side must be positive and finite"),
+        ("origin_x", "y", "origin_x: could not convert string to float"),
+        ("n", "4.0", "n: invalid literal for int"),
+        ("n", "1", "grid resolution n must be at least 2"),
+        ("state", "fuzzy", "state: 'fuzzy' is not a valid HistogramState"),
+    ],
+)
+def test_read_names_a_bad_header_field(line, bad, message):
+    h = _raw_histogram(origin=(0.5, 0.0))
+    params = PrivacyParams.for_partition(0.5, 1.0, h.partition)
+    text = _dump(perturb(h, params, RandomSource(3)))
+    old = next(l for l in text.splitlines() if l.startswith(f"{line}: "))
+    with pytest.raises(FormatError, match=f"^bad or missing header field.*{re.escape(message)}"):
+        read_histogram(_mutate(text, old, f"{line}: {bad}"))
 
 
 def test_read_rejects_content_after_the_vertices_section():

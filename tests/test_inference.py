@@ -32,7 +32,6 @@ from eulerdp import (
     perturb,
 )
 from eulerdp import inference
-from eulerdp.inference import REAL_TOL
 
 
 def test_family_census():
@@ -68,20 +67,25 @@ def test_excess_and_violation_counts():
     # dense layout: faces 0..3, hedges 4..5, vedges 6..7, vertex 8
     counts = np.array([1, 1, 1, 1, 2, 0, 0, 0, 0], dtype=np.float64)
     assert cs.violation_counts(counts) == (2, 0, 0)
-    assert sorted(cs.c1_excess(counts).tolist()).count(1.0) == 2
 
     counts = np.array([1, 1, 1, 1, 0, 0, 0, 0, 1], dtype=np.float64)
     assert cs.violation_counts(counts) == (0, 4, 0)
 
     counts = np.array([1, 1, 1, 1, 2, 2, 2, 2, 0], dtype=np.float64)
-    assert cs.c3_excess(counts).tolist() == [4.0]  # 8 edge mass - 4 face mass - 0
-    c1, c2, c3 = cs.violation_counts(counts)
-    assert (c1, c3) == (8, 1)
+    c1, c2, negative = cs.violation_counts(counts)
+    assert (c1, negative) == (8, 0)
+
+    # a negative vertex breaks neither pairwise family
+    counts = np.array([5, 5, 5, 5, 2, 2, 2, 2, -1], dtype=np.float64)
+    assert cs.violation_counts(counts) == (0, 0, 1)
+
+    # no tolerance: an edge a hair above its faces is a violation
+    counts = np.array([1, 1, 1, 1, np.nextafter(1.0, 2.0), 0, 0, 0, 0])
+    assert cs.violation_counts(counts) == (2, 0, 0)
 
     # raw histograms are consistent by construction
     raw = np.array([2, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.float64)
     assert cs.violation_counts(raw) == (0, 0, 0)
-    assert cs.violation_counts(raw, tol=1e-7) == (0, 0, 0)
 
 
 def test_lad_program_rows_dense():
@@ -131,7 +135,7 @@ def test_infer_restores_consistency_and_never_overshoots():
     cs = build_constraints(raw.partition)
     consistent, report = infer(noisy, cs)
     assert consistent.state is HistogramState.CONSISTENT
-    assert cs.violation_counts(consistent.counts, tol=1e-7) == (0, 0, 0)
+    assert cs.violation_counts(consistent.counts) == (0, 0, 0)
     assert consistent.counts.min() >= 0.0
     # raw counts are feasible, so the optimum is at most the noise L1
     moved = np.abs(consistent.counts - noisy.counts).sum()
@@ -146,7 +150,7 @@ def test_infer_linf_objective():
     raw, noisy = _noisy_fixture()
     cs = build_constraints(raw.partition)
     consistent, report = infer(noisy, cs, objective="linf")
-    assert cs.violation_counts(consistent.counts, tol=1e-7) == (0, 0, 0)
+    assert cs.violation_counts(consistent.counts) == (0, 0, 0)
     moved = np.abs(consistent.counts - noisy.counts).max()
     noise_max = np.abs(raw.counts - noisy.counts).max()
     assert moved <= noise_max + 1e-6
@@ -202,8 +206,7 @@ def test_infer_matches_the_lp_oracle(noisy):
         if objective == "l1":
             # the smallest optimum lies at or below every other, HiGHS's too
             assert np.all(x <= oracle_x + dust)
-        assert cs.violation_counts(x, 0.0)[:2] == (0, 0)
-        assert cs.violation_counts(x, REAL_TOL)[2] == 0
+        assert cs.violation_counts(x) == (0, 0, 0)
         assert x.min() >= 0.0
 
 

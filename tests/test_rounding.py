@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_body, repair_oracle
@@ -71,15 +71,19 @@ def test_rounding_preserves_constraint_families():
         assert np.array_equal(rounded.counts, np.round(rounded.counts))
 
 
-def test_verify_tolerance_tracks_state():
+def test_verify_is_exact_in_every_state():
     p = build_partition(2.0, 2)
     counts = np.ones(9)
     counts[4] = 1.0 + 5e-8  # hedge a hair above both faces
-    noisy = EulerHistogram(p, counts, HistogramState.NOISY)
-    assert verify_violations(noisy) == (0, 0, 0)  # absorbed by the real tol
-    assert build_constraints(p).violation_counts(noisy.counts, 0.0) == (2, 0, 0)
-    rounded = EulerHistogram(p, counts, HistogramState.ROUNDED)
-    assert verify_violations(rounded) == (2, 0, 0)  # integral states check exactly
+    for state in (HistogramState.NOISY, HistogramState.CONSISTENT):
+        assert verify_violations(EulerHistogram(p, counts, state)) == (2, 0, 0)
+    assert build_constraints(p).violation_counts(counts) == (2, 0, 0)
+    # integral states hold integers, so the dusty counts cannot be tagged so
+    for state in (HistogramState.RAW, HistogramState.ROUNDED):
+        with pytest.raises(ValueError, match=f"{state.value} histogram contains non-integral"):
+            EulerHistogram(p, counts, state)
+    counts[4] = 2.0
+    assert verify_violations(EulerHistogram(p, counts, HistogramState.ROUNDED)) == (2, 0, 0)
 
 
 def _assert_refused(counts, violations):
@@ -88,8 +92,8 @@ def _assert_refused(counts, violations):
     h = _hist(counts)
     before = h.counts.copy()
     assert verify_violations(h) == violations
-    named = "c1={} c2={} c3={}".format(*violations)
-    with pytest.raises(ValueError, match=f"satisfy C1-C3, got violations {named}$"):
+    named = "c1={} c2={} negative={}".format(*violations)
+    with pytest.raises(ValueError, match=f"satisfy C1, C2 and x >= 0, got violations {named}$"):
         repair(h)
     assert np.array_equal(h.counts, before)
 
@@ -104,8 +108,12 @@ def test_repair_refuses_vertex_above_edge():
 
 
 def test_repair_refuses_aggregate_deficit():
-    # negative vertex makes the aggregate row fail while pairwise rows hold
+    # a negative vertex breaks x >= 0 and the aggregate row while pairwise
+    # rows hold
     _assert_refused([0, 0, 0, 0, 0, 0, 0, 0, -1], (0, 0, 1))
+    # faces 5, edges 2, vertex -1: 20 - 8 - 1 >= 0 meets the aggregate row,
+    # yet the negative count exposes the noise
+    _assert_refused([5, 5, 5, 5, 2, 2, 2, 2, -1], (0, 0, 1))
 
 
 def test_repair_covertness_gap():
@@ -138,13 +146,17 @@ def test_repair_is_idempotent_on_clean_input():
     assert np.array_equal(again.counts, fixed.counts)
 
 
-def test_repair_tolerates_solver_dust_on_real_states():
+def test_repair_refuses_solver_dust_on_real_states():
     consistent = _consistent_fixture(seed=31)
     p = consistent.partition
     counts = consistent.counts.copy()
     counts[p.hedge_offset : p.vertex_offset] += 5e-8  # edges drift up a hair
     dusty = consistent.with_counts(counts, HistogramState.CONSISTENT)
-    repair(dusty)
+    c1, c2, negative = verify_violations(dusty)
+    assert c1 > 0 and negative == 0
+    named = f"c1={c1} c2={c2} negative={negative}"
+    with pytest.raises(ValueError, match=f"got violations {named}$"):
+        repair(dusty)
 
 
 def test_full_pipeline_release_is_covert_and_integral():
@@ -181,3 +193,39 @@ def test_repair_matches_clamp_pass_oracle(n, bodies, objective, log_epsilon, see
     assert released.counts.tobytes() == counts.tobytes()
     assert fixes == (0, 0, 0, report.rect_fixes)
     assert report.cost == cost
+
+
+@st.composite
+def consistent_histograms(draw) -> EulerHistogram:
+    """CONSISTENT histograms at n = 2..6 drawn from a small pool of values in
+    [0, 20], halves and dust around them included. Each edge is lowered to
+    its faces and each vertex to its edges, so ties are common; then, in
+    some draws, a share of the counts gains 5e-8 of solver dust, which can
+    lift an edge just above a face."""
+    n = draw(st.integers(2, 6))
+    p = build_partition(float(n), n)
+    cs = build_constraints(p)
+    half = st.integers(0, 40).map(lambda k: k / 2)
+    dust = st.sampled_from([-5e-8, 0.0, 5e-8])
+    value = st.one_of(st.floats(0.0, 20.0), st.builds(lambda v, d: max(v + d, 0.0), half, dust))
+    pool = np.array(draw(st.lists(value, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = pool[rng.integers(0, len(pool), p.size)]
+    edges = cs.c1[0::2, 0]
+    counts[edges] = np.minimum(counts[edges], counts[cs.c1[:, 1]].reshape(-1, 2).min(axis=1))
+    vertices = cs.c2[0::4, 0]
+    counts[vertices] = np.minimum(counts[vertices], counts[cs.c2[:, 1]].reshape(-1, 4).min(axis=1))
+    counts[rng.random(p.size) < draw(st.sampled_from([0.0, 0.05]))] += 5e-8
+    return EulerHistogram(p, counts, HistogramState.CONSISTENT)
+
+
+@given(consistent_histograms())
+@settings(max_examples=150, deadline=None)
+def test_counts_that_verify_round_and_repair(h):
+    """Rounding keeps what ``verify_violations`` checks: CONSISTENT counts
+    that pass it round and repair without refusal into a release that
+    passes it, with no negative rectangle."""
+    assume(verify_violations(h) == (0, 0, 0))
+    released, _ = repair(round_counts(h))
+    assert verify_violations(released) == (0, 0, 0)
+    assert min_rectangle_count(released)[0] >= 0
