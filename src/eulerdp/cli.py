@@ -138,7 +138,8 @@ def _cmd_infer(args) -> int:
 
 
 def _round_and_repair(h: EulerHistogram) -> EulerHistogram:
-    repaired, _ = repair(round_counts(h))
+    cs = build_constraints(h.partition)
+    repaired, _ = repair(round_counts(h, cs), cs)
     return repaired
 
 

@@ -116,7 +116,10 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
             values = lines[i].split()
             if len(values) != cols:
                 raise FormatError(f"section {name!r} row {r}: expected {cols} values")
-            block[r] = [float(v) for v in values]
+            try:
+                block[r] = [float(v) for v in values]
+            except ValueError as e:
+                raise FormatError(f"section {name!r} row {r}: {e}") from e
             i += 1
     for j in range(i, len(lines)):
         if lines[j].strip():

@@ -11,6 +11,12 @@ gap is at most the larger face gap. Containment gives the converse. A vertex
 box is likewise the shared side of two horizontal edges' boxes, so it is met
 exactly when all four faces round it are. ``build`` counts edges and vertices
 from these ANDs of face hits, and raw histograms' constraints follow from them.
+
+Hulls come from one monotone chain (Andrew, 1979) run over a stack of point
+sets at once, in numpy: :func:`hull_vertices` sorts every set, drops repeated
+points and advances all the chains one point per step, each set getting
+exactly the hull the chain would build on it alone. :func:`convex_hulls`
+makes bodies of a stack, and :func:`convex_hull` runs the stack of one set.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+_NOT_FINITE = "vertices must be finite"
+_NOT_CONVEX = "vertices must wind counterclockwise around a convex region"
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +41,7 @@ class ConvexBody:
 
     Immutable: ``vertices`` is copied once on construction and is read-only,
     so ``bbox`` (xmin, xmax, ymin, ymax), stored in the same pass, never goes
-    stale. ``cached_diameter`` is :func:`diameter`, computed on first use
+    stale. Bodies from :func:`convex_hulls` view one read-only block instead. ``cached_diameter`` is :func:`diameter`, computed on first use
     and kept. Bodies compare and hash by identity.
     """
 
@@ -43,27 +52,21 @@ class ConvexBody:
         pts = np.array(self.vertices, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
-        xs, ys = pts.T.tolist()
-        self._seal(pts, xs, ys, range(len(xs)))
-
-    def _seal(self, pts: np.ndarray, xs, ys, turns) -> None:
-        """Check that the vertices are finite and that each listed turn i
-        (vertices i, i + 1, i + 2, cyclically) bends left within the slack,
-        then store them read-only with their bbox."""
         # Plain floats from here: each test below is the IEEE operation the
         # elementwise numpy form would do, at a fraction of the call overhead.
+        xs, ys = pts.T.tolist()
         if not all(map(math.isfinite, xs + ys)):
-            raise ValueError("vertices must be finite")
+            raise ValueError(_NOT_FINITE)
         k = len(xs)
         if k >= 3:
             scale = max(map(abs, xs + ys)) or 1.0
             slack = -1e-9 * scale * scale
-            for i in turns:
+            for i in range(k):
                 j, m = (i + 1) % k, (i + 2) % k
                 ax, ay = xs[j] - xs[i], ys[j] - ys[i]
                 bx, by = xs[m] - xs[i], ys[m] - ys[i]
                 if ax * by - ay * bx < slack:
-                    raise ValueError("vertices must wind counterclockwise around a convex region")
+                    raise ValueError(_NOT_CONVEX)
         pts.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "bbox", (min(xs), max(xs), min(ys), max(ys)))
@@ -80,51 +83,150 @@ class ConvexBody:
         return diameter(self)
 
 
-def _chain(pts) -> list[tuple[float, float]]:
-    """One side of the monotone chain: each point in turn, after popping
-    every vertex that would not make a strict left turn. The turn test is
-    the cross product (a - o) x (p - o), written out inline."""
-    chain: list[tuple[float, float]] = []
-    for p in pts:
-        px, py = p
-        while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(p)
-    return chain
+def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Andrew's monotone chain over a stack of point sets at once.
+
+    Set i is ``points[i, :counts[i]]`` of ``points`` (g, m, 2), with
+    ``1 <= counts[i] <= m``. Returns the hulls' x and y coordinates, (g, h)
+    each, and their vertex counts (g,); row i holds its hull's vertices in
+    counterclockwise order from the lowest, then copies of that first
+    vertex. Each set gets exactly what the chain run on it alone gives:
+
+    - Entries past a set's count become copies of its first point. Each set
+      is sorted by (x, y) with a stable sort, and a point equal to the one
+      before it (0.0 == -0.0, NaN equals nothing) is dropped, so of equal
+      points the first one given is kept.
+    - The lower chain runs over each set in order and the upper chain over
+      it reversed, both as rows of one stack of 2g chains. Step j pushes
+      point j of every chain with more than j points, after popping, round
+      by round, each chain whose top two vertices o, a and the point p make
+      ``(a - o) x (p - o) <= 0``, evaluated elementwise as written out below.
+      Two NaN entries under every chain's bottom stand in for the
+      two-vertex minimum: a cross product with NaN never pops.
+    - The hull is the lower chain without its last vertex, then the upper
+      chain without its last; a single point is its own hull. No three
+      hull vertices are collinear, and a collinear set gives its two ends.
+    - Every turn inside a chain is strictly left, so only the two turns
+      where the chains join, at the largest and the smallest point, are
+      checked, against the slack ``ConvexBody`` allows, after a finiteness
+      check, with ``ConvexBody``'s ValueError texts.
+    """
+    g, m, _ = points.shape
+    cols = np.arange(m)
+    pad = cols >= counts[:, None]
+    x = np.where(pad, points[:, :1, 0], points[:, :, 0])
+    y = np.where(pad, points[:, :1, 1], points[:, :, 1])
+    order = np.lexsort((y, x))
+    x = np.take_along_axis(x, order, axis=1)
+    y = np.take_along_axis(y, order, axis=1)
+    repeat = np.zeros((g, m), dtype=bool)
+    repeat[:, 1:] = (x[:, 1:] == x[:, :-1]) & (y[:, 1:] == y[:, :-1])
+    n = m - repeat.sum(axis=1)
+    order = np.argsort(repeat, axis=1, kind="stable")  # the distinct points first, in order
+    order = np.concatenate([order, np.take_along_axis(order, np.maximum(n[:, None] - 1 - cols, 0), axis=1)])
+    n = np.concatenate([n, n])
+    x = np.take_along_axis(np.concatenate([x, x]), order, axis=1)
+    y = np.take_along_axis(np.concatenate([y, y]), order, axis=1)
+
+    width = m + 2
+    sx = np.full((2 * g, width), np.nan)
+    sy = np.full((2 * g, width), np.nan)
+    sxf, syf = sx.reshape(-1), sy.reshape(-1)  # views
+    top = np.full(2 * g, 2)  # where each chain's next vertex goes
+    with np.errstate(all="ignore"):  # inf - inf and overflow, as in plain floats
+        for j in range(int(n.max(initial=0))):
+            live = np.flatnonzero(n > j)
+            px, py = x[live, j], y[live, j]
+            rows, qx, qy = live, px, py
+            while rows.size:
+                at = rows * width + top[rows]
+                ox, oy = sxf[at - 2], syf[at - 2]
+                ax, ay = sxf[at - 1], syf[at - 1]
+                pop = (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 0
+                rows, qx, qy = rows[pop], qx[pop], qy[pop]
+                top[rows] -= 1
+            at = live * width + top[live]
+            sxf[at], syf[at] = px, py
+            top[live] += 1
+
+        lower = top[:g] - 2
+        below = np.maximum(lower - 1, 1)
+        size = below + top[g:] - 3
+        h = int(size.max(initial=0))
+        cols = np.arange(h)
+        pick = np.where(cols < below[:, None], cols + 2, cols - below[:, None] + width + 2)
+        pick[cols >= size[:, None]] = 2
+        hx = np.take_along_axis(np.concatenate([sx[:g], sx[g:]], axis=1), pick, axis=1)
+        hy = np.take_along_axis(np.concatenate([sy[:g], sy[g:]], axis=1), pick, axis=1)
+
+        if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
+            raise ValueError(_NOT_FINITE)
+        scale = np.maximum(np.abs(hx).max(axis=1, initial=0.0), np.abs(hy).max(axis=1, initial=0.0))
+        scale[scale == 0.0] = 1.0
+        slack = -1e-9 * scale * scale
+        rows = np.arange(g)
+        for turn in (lower - 2, size - 1):  # the junctions at the largest and the smallest point
+            i, j, q = turn % size, (turn + 1) % size, (turn + 2) % size
+            ax, ay = hx[rows, j] - hx[rows, i], hy[rows, j] - hy[rows, i]
+            bx, by = hx[rows, q] - hx[rows, i], hy[rows, q] - hy[rows, i]
+            if ((size >= 3) & (ax * by - ay * bx < slack)).any():
+                raise ValueError(_NOT_CONVEX)
+    return hx, hy, size
+
+
+def convex_hulls(points, counts) -> list[ConvexBody]:
+    """The convex hulls of a stack of point sets, set i being
+    ``points[i, :counts[i]]``, each the body :func:`convex_hull` makes of
+    that set alone. The bodies view one compact, read-only vertex block."""
+    hx, hy, size = hull_vertices(np.asarray(points, dtype=np.float64), np.asarray(counts))
+    if not size.size:
+        return []
+    rows = np.arange(len(size))
+    # the first of equal extremes, as min() and max() pick: 0.0 and -0.0 tie
+    boxes = np.stack(
+        [hx[rows, hx.argmin(axis=1)], hx[rows, hx.argmax(axis=1)], hy[rows, hy.argmin(axis=1)], hy[rows, hy.argmax(axis=1)]],
+        axis=1,
+    ).tolist()
+    kept = np.arange(hx.shape[1]) < size[:, None]
+    block = np.stack([hx[kept], hy[kept]], axis=1)
+    block.flags.writeable = False
+    ends = np.cumsum(size).tolist()
+    bodies = []
+    for start, end, bbox in zip([0] + ends, ends, boxes):
+        body = object.__new__(ConvexBody)
+        object.__setattr__(body, "vertices", block[start:end])
+        object.__setattr__(body, "bbox", tuple(bbox))
+        bodies.append(body)
+    return bodies
 
 
 def convex_hull(points) -> ConvexBody:
     """Andrew monotone chain; strict turns only, so no three output vertices
-    are collinear. Handles degenerate input (single point, collinear set)."""
-    pts = sorted({(x, y) for x, y in np.asarray(points, dtype=np.float64).tolist()})
-    if not pts:
+    are collinear. Handles degenerate input (single point, collinear set).
+    One set through :func:`convex_hulls`."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
         raise ValueError("convex_hull needs at least one point")
-    if len(pts) == 1:
-        return ConvexBody(pts)
-    lower = _chain(pts)
-    hull = lower[:-1] + _chain(reversed(pts))[:-1]
-    if len(hull) < 2:  # all input points collinear
-        hull = [pts[0], pts[-1]]
-    # Every turn inside a chain passed the constructor's own cross product,
-    # so only the two turns where the chains join, at pts[-1] and pts[0],
-    # are left to check.
-    body = object.__new__(ConvexBody)
-    xs, ys = zip(*hull)
-    body._seal(np.array(hull), xs, ys, (len(lower) - 2, len(hull) - 1))
-    return body
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be a (k, 2) array")
+    return convex_hulls(pts[None], [len(pts)])[0]
+
+
+def diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest pairwise distance within each row of the vertex coordinates
+    ``x``, ``y`` (g, k); a squared distance is dx * dx + dy * dy."""
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - y[:, None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx.max(axis=(1, 2)))
 
 
 def diameter(body: ConvexBody) -> float:
     """Largest pairwise distance between hull vertices."""
-    pts = body.vertices
-    if len(pts) == 1:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+    x, y = body.vertices.T
+    return float(diameters(x[None], y[None])[0])
 
 
 def _axes(vertices: np.ndarray) -> list[tuple[float, float]]:

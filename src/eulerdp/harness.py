@@ -251,7 +251,7 @@ def _run_repetition(
     t1 = time.perf_counter()
     consistent, _ = infer(noisy, cs, objective=config.objective)
     t2 = time.perf_counter()
-    rounded = round_counts(consistent)
+    rounded = round_counts(consistent, cs)
     t3 = time.perf_counter()
     released, rep_report = repair(rounded, cs)
     t4 = time.perf_counter()

@@ -8,16 +8,19 @@ per user; users whose tracks leave nothing usable are skipped and reported,
 never silently dropped.
 
 Users are extracted together, not one at a time. Every ping is projected in
-one pass; users with equal counts of points inside the area are then
-processed as stacks, each step the same floating-point operations a lone
-user's extraction does, so the bodies are identical to extracting users one
-at a time. Only users whose k nearest points exceed the diameter bound
-search for their trim one by one.
+one pass; users with equal counts of points inside the area then find their
+modes and nearest points as stacks, and users keeping equal numbers of
+nearest points trim and hull as stacks, each step the same floating-point
+operations a lone user's extraction does, so the bodies are identical to
+extracting users one at a time. Users whose nearest points exceed the
+diameter bound binary-search their trims in lockstep, each round's hull
+probes one batched monotone chain (see :mod:`eulerdp.geometry`).
 
 Also provides synthetic body generators so experiments can run without any
 real tracks: ``uniform`` scatters bodies evenly, ``clustered`` draws centers
 from a small Gaussian mixture, ``concentrated`` puts most mass in a single
-hotspot over a sparse background.
+hotspot over a sparse background. Each body's random draws come one body at
+a time; its polygon's arithmetic and hull run for all bodies at once.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, convex_hull, diameter
+from .geometry import ConvexBody, convex_hulls, diameters, hull_vertices
 from .privacy import require_finite_positive
 
 EARTH_RADIUS_M = 6371000.0
 _LAT_LON_LIMITS = np.array([90.0, 180.0])
-# float64s per block of pairwise work (512 KiB), so no temporary grows with
-# the number of users, nor with the square of a track's length
+# float64s per block of pairwise work (512 KiB), and points per batch of
+# hulls, so no temporary grows with the number of users, nor with the
+# square of a track's length
 PAIRWISE_BLOCK = 1 << 16
+# most vertices a synthetic body draws
+MAX_SIDES = 8
 
 
 class IngestError(ValueError):
@@ -211,49 +217,54 @@ def _prefix_diameters2(ordered: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(reach2, axis=1)
 
 
-def _trim_length(ordered: np.ndarray, prefix2: np.ndarray, bound: float) -> int:
-    """Length of the largest prefix of mode-distance-ordered points with
-    diameter <= bound, given the prefixes' squared point-set diameters.
+def _trim_lengths(nearest: np.ndarray, prefix2: np.ndarray, bound: float) -> np.ndarray:
+    """Per user, the length of the largest prefix of ``nearest`` (g, k, 2),
+    ordered by distance from the mode, with diameter <= bound, given the
+    prefixes' squared point-set diameters ``prefix2`` (g, k).
 
-    Prefix diameter is nondecreasing in length, so binary search lands on
-    the same set as repeatedly dropping the farthest point. Each probe asks
-    whether ``diameter(convex_hull(prefix)) <= bound``. The hull's vertices
-    are a subset of the same floats, and every pair's squared distance is
-    the same dx * dx + dy * dy in both, so the squared diameter of the
-    prefix's whole point set is never below the hull's; as sqrt is
-    monotone, a probe whose point-set diameter is within the bound gets the
-    hull's answer without a hull. Every other probe builds the hull, so the
-    probes, and the result, are the same as with hulls alone.
+    Prefix diameter is nondecreasing in length in exact arithmetic, so
+    binary search lands on the set that repeatedly dropping the farthest
+    point keeps; in floats a longer prefix's hull can come out an ulp
+    narrower than a shorter one's, and then the search may stop short of
+    it. Each probe asks whether ``diameter(convex_hull(prefix)) <= bound``.
+    The hull's vertices are a subset of the same floats, and every pair's
+    squared distance is the same dx * dx + dy * dy in both, so the squared
+    diameter of the prefix's whole point set is never below the hull's; as
+    sqrt is monotone, a probe whose point-set diameter is within the bound
+    gets the hull's answer without a hull. So a user whose k points fit
+    keeps them all, and the other users search in lockstep, each round
+    hulling every probe that needs a hull in one batch. The probes, and
+    the results, are the same as with hulls alone.
     """
-    lo, hi = 1, len(ordered)  # prefix of 1 has diameter 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if np.sqrt(prefix2[mid - 1]) <= bound or diameter(convex_hull(ordered[:mid])) <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
+    g, k = prefix2.shape
+    fits = np.sqrt(prefix2) <= bound
+    lo = np.where(fits[:, -1], k, 1)  # a prefix of 1 has diameter 0
+    hi = np.full(g, k)
+    while (active := np.flatnonzero(lo < hi)).size:
+        mid = (lo[active] + hi[active] + 1) // 2
+        ok = fits[active, mid - 1]
+        probe = np.flatnonzero(~ok)
+        if probe.size:
+            hx, hy, _ = hull_vertices(nearest[active[probe]], mid[probe])
+            step = max(1, PAIRWISE_BLOCK // hx.shape[1] ** 2)
+            spans = [diameters(hx[r : r + step], hy[r : r + step]) for r in range(0, len(hx), step)]
+            ok[probe] = np.concatenate(spans) <= bound
+        lo[active] = np.where(ok, mid, lo[active])
+        hi[active] = np.where(ok, hi[active], mid - 1)
     return lo
 
 
-def _bodies(stack: np.ndarray, config: IngestConfig) -> list[ConvexBody]:
-    """Bodies of g users with m projected points each, ``stack`` (g, m, 2):
-    locate each mode, keep the k nearest, trim to the diameter bound, hull.
-
-    A user whose k nearest points already fit the bound (every binary-search
-    probe would pass without a hull) keeps them all; only the others search.
-    """
+def _nearest(stack: np.ndarray, config: IngestConfig) -> tuple[np.ndarray, np.ndarray]:
+    """For g users with m projected points each, ``stack`` (g, m, 2): the
+    min(k, m) points nearest each user's mode, nearest first, and the
+    squared diameters of their prefixes."""
     mode = _modes(stack)
     dx = stack[:, :, 0] - mode[:, 0, None]
     dy = stack[:, :, 1] - mode[:, 1, None]
     dist2 = dx * dx + dy * dy
     order = np.argsort(dist2, axis=1, kind="stable")[:, : config.k]
     nearest = np.take_along_axis(stack, order[:, :, None], axis=1)
-    prefix2 = _prefix_diameters2(nearest)
-    fits = (np.sqrt(prefix2[:, -1]) <= config.diameter_bound).tolist()
-    return [
-        convex_hull(pts if fit else pts[: _trim_length(pts, p2, config.diameter_bound)])
-        for pts, p2, fit in zip(nearest, prefix2, fits)
-    ]
+    return nearest, _prefix_diameters2(nearest)
 
 
 def ingest_tracks(
@@ -262,10 +273,11 @@ def ingest_tracks(
     """Extract one body per user; returns (bodies, user ids, skipped users).
 
     Every ping is projected in one pass. Users with the same number m of
-    points inside the area are then extracted together, in stacks of
-    ``PAIRWISE_BLOCK // m**2`` users (one at least), with output identical
-    to extracting each alone. len(tracks) == len(bodies) + len(skipped)
-    always holds.
+    points inside the area then find their modes and nearest points
+    together, in stacks of ``PAIRWISE_BLOCK // m**2`` users (one at least).
+    Users keeping the same number of nearest points trim and hull together.
+    The output is identical to extracting each user alone.
+    len(tracks) == len(bodies) + len(skipped) always holds.
     """
     if not tracks:
         return [], [], []
@@ -275,14 +287,22 @@ def ingest_tracks(
     lengths = np.array([len(t.points) for t in tracks])
     counts = np.add.reduceat(inside, np.cumsum(lengths) - lengths, dtype=np.intp)
     starts = np.cumsum(counts) - counts  # of each user's points in kept
-    found: list[ConvexBody | None] = [None] * len(tracks)
+    by_size: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     for m in np.unique(counts[counts > 0]).tolist():
         users = np.flatnonzero(counts == m)
         step = max(1, PAIRWISE_BLOCK // (m * m))
         for lo in range(0, len(users), step):
             group = users[lo : lo + step]
             stack = kept[starts[group, None] + np.arange(m)]
-            for u, body in zip(group.tolist(), _bodies(stack, config)):
+            by_size.setdefault(min(m, config.k), []).append((group, *_nearest(stack, config)))
+    found: list[ConvexBody | None] = [None] * len(tracks)
+    for size, parts in by_size.items():
+        users, nearest, prefix2 = (np.concatenate(a) for a in zip(*parts))
+        step = max(1, PAIRWISE_BLOCK // size)
+        for lo in range(0, len(users), step):
+            block = slice(lo, lo + step)
+            keep = _trim_lengths(nearest[block], prefix2[block], config.diameter_bound)
+            for u, body in zip(users[block].tolist(), convex_hulls(nearest[block], keep)):
                 found[u] = body
     bodies: list[ConvexBody] = []
     ids: list[str] = []
@@ -294,13 +314,6 @@ def ingest_tracks(
             bodies.append(body)
             ids.append(track.user_id)
     return bodies, ids, skipped
-
-
-def _random_polygon(rng: np.random.Generator, cx: float, cy: float, rmax: float) -> ConvexBody:
-    nv = int(rng.integers(3, 9))
-    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, nv))
-    rad = rng.uniform(0.4, 1.0, nv) * rmax
-    return convex_hull(np.array([cx + rad * np.cos(ang), cy + rad * np.sin(ang)]).T)
 
 
 def generate_synthetic(
@@ -334,9 +347,24 @@ def generate_synthetic(
         raise IngestError(f"unknown synthetic kind {kind!r}")
     centers += np.array([ox, oy])
 
-    bodies = []
-    for cx, cy in centers.tolist():
+    # Each body draws its size, its vertex count, then that many angles and
+    # radii, in this order; the arithmetic after the draws runs on all
+    # bodies at once, elementwise as it would on each alone.
+    rmax = np.empty(count)
+    sides = np.empty(count, dtype=np.intp)
+    ang = np.full((count, MAX_SIDES), np.inf)  # sorts after every angle
+    rad = np.empty((count, MAX_SIDES))
+    for i, (cx, cy) in enumerate(centers.tolist()):
         walls = min(cx - ox, ox + a - cx, cy - oy, oy + a - cy)
-        rmax = min(float(rng.uniform(0.3, 1.0)) * b / 2.0, max(walls, 0.0))
-        bodies.append(_random_polygon(rng, cx, cy, rmax))
-    return bodies
+        rmax[i] = min(float(rng.uniform(0.3, 1.0)) * b / 2.0, max(walls, 0.0))
+        nv = sides[i] = rng.integers(3, MAX_SIDES + 1)
+        ang[i, :nv] = rng.uniform(0.0, 2.0 * math.pi, nv)
+        rad[i, :nv] = rng.uniform(0.4, 1.0, nv)
+    ang.sort(axis=1)
+    used = np.arange(MAX_SIDES) < sides[:, None]
+    ang = ang[used]
+    rad = rad[used] * np.repeat(rmax, sides)
+    pts = np.empty((count, MAX_SIDES, 2))
+    pts[used, 0] = np.repeat(centers[:, 0], sides) + rad * np.cos(ang)
+    pts[used, 1] = np.repeat(centers[:, 1], sides) + rad * np.sin(ang)
+    return convex_hulls(pts, sides)

@@ -11,8 +11,9 @@ long thin rectangle can still sum to a negative value. ``repair`` closes that
 gap after rounding by raising face counts, which never breaks any constraint
 family (faces appear only as upper bounds in C1 and with positive sign in
 C3) and never lowers any rectangle answer. It only closes that gap: input
-that breaks C1, C2 or x >= 0 is refused, not mended, so a ROUNDED tag never
-hides a broken constraint. C3 is implied by C1 and x >= 0 and not checked;
+that breaks C1, C2 or x >= 0 is refused, not mended, by rounding and repair
+alike, so a ROUNDED tag never hides a broken constraint, nor comes from a
+CONSISTENT tag that did not hold. C3 is implied by C1 and x >= 0 and not checked;
 the checks left are exact comparisons, which round-half-up preserves.
 """
 
@@ -26,10 +27,16 @@ from .histogram import EulerHistogram, HistogramState, min_rectangle_count
 from .inference import ConstraintSet, build_constraints
 
 
-def round_counts(h: EulerHistogram) -> EulerHistogram:
-    """Round half up, elementwise. CONSISTENT -> ROUNDED."""
+def round_counts(h: EulerHistogram, cs: ConstraintSet | None = None) -> EulerHistogram:
+    """Round half up, elementwise. CONSISTENT -> ROUNDED.
+
+    The input must satisfy C1, C2 and x >= 0, as every ``infer`` output
+    does, so a CONSISTENT tag that does not hold is refused even where
+    rounding would hide the violation; the ValueError names the counts.
+    """
     if h.state is not HistogramState.CONSISTENT:
         raise ValueError(f"round_counts expects a CONSISTENT histogram, got {h.state.value}")
+    _require_constraints("round_counts", h, cs)
     rounded = np.floor(h.counts + 0.5)
     return h.with_counts(rounded, HistogramState.ROUNDED)
 
@@ -43,6 +50,17 @@ def verify_violations(
     return cs.violation_counts(h.counts)
 
 
+def _require_constraints(stage: str, h: EulerHistogram, cs: ConstraintSet | None) -> None:
+    """ValueError naming the violation counts unless ``h`` satisfies C1, C2
+    and x >= 0."""
+    c1, c2, negative = verify_violations(h, cs)
+    if c1 or c2 or negative:
+        raise ValueError(
+            f"{stage} needs counts that satisfy C1, C2 and x >= 0, "
+            f"got violations c1={c1} c2={c2} negative={negative}"
+        )
+
+
 @dataclass
 class RepairReport:
     rect_fixes: int = 0
@@ -54,20 +72,13 @@ def repair(
 ) -> tuple[EulerHistogram, RepairReport]:
     """Raise faces until every rectangle query is non-negative.
 
-    The input must already satisfy C1, C2 and x >= 0, as the rounding of
-    any CONSISTENT histogram does; anything else raises ValueError naming
+    The input must already satisfy C1, C2 and x >= 0, as every
+    ``round_counts`` output does; anything else raises ValueError naming
     the violation counts, and nothing is changed. Face raises keep every
     family intact, so the output satisfies them too. The state tag is
     preserved; on integral states every adjustment is an integer.
     """
-    if cs is None:
-        cs = build_constraints(h.partition)
-    c1, c2, negative = verify_violations(h, cs)
-    if c1 or c2 or negative:
-        raise ValueError(
-            "repair needs counts that satisfy C1, C2 and x >= 0, "
-            f"got violations c1={c1} c2={c2} negative={negative}"
-        )
+    _require_constraints("repair", h, cs)
     counts = h.counts.copy()
     fixes = 0
 

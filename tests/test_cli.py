@@ -476,6 +476,22 @@ def test_verify_and_round_agree_on_solver_dust(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_round_refuses_a_consistent_file_that_verify_refuses(tmp_path, capsys):
+    """Faces of 0.5 and an edge 4e-8 above them break C1, which rounding
+    would hide (all round to 1): round refuses the file as verify does,
+    with the same counts, and writes nothing."""
+    p = build_partition(2.0, 2)
+    counts = np.concatenate([np.full(4, 0.5), [0.50000004, 0.0, 0.0, 0.0, 0.0]])
+    path = str(tmp_path / "half.hist")
+    write_histogram_file(EulerHistogram(p, counts, HistogramState.CONSISTENT), path)
+    assert main(["verify", "--in", path]) == 1
+    assert "violations: c1=2 c2=0 negative=0" in capsys.readouterr().out
+    out = tmp_path / "rounded.hist"
+    assert main(["round", "--in", path, "--out", str(out)]) == 1
+    assert "got violations c1=2 c2=0 negative=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _experiment_config(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(

@@ -190,6 +190,13 @@ def test_read_rejects_bad_values():
         read_histogram(_mutate(text, first_count_line, "inf " + first_count_line[2:]))
     with pytest.raises(FormatError, match="non-integral"):
         read_histogram(_mutate(text, first_count_line, "0.5 " + first_count_line[2:]))
+    # a count that is no number names its section and row
+    with pytest.raises(FormatError, match="^section 'faces' row 0: could not convert string to float: 'abc'$"):
+        read_histogram(_mutate(text, first_count_line, "abc " + first_count_line[2:]))
+    lines = text.splitlines()
+    last_vertex_row = lines[-1]
+    with pytest.raises(FormatError, match="^section 'vertices' row 2: could not convert"):
+        read_histogram(io.StringIO("\n".join(lines[:-1] + [last_vertex_row[:-1] + "x"])))
 
 
 def test_non_integral_ok_for_real_states():

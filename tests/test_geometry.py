@@ -30,7 +30,7 @@ from conftest import (
     point_in_convex,
 )
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
-from eulerdp.geometry import intersects_boxes
+from eulerdp.geometry import convex_hulls, intersects_boxes
 
 lattice_coord = st.integers(min_value=0, max_value=4096).map(lambda k: k / 1024.0)
 lattice_point = st.tuples(lattice_coord, lattice_coord)
@@ -87,12 +87,15 @@ def _line_points(draw, nudge: bool):
     return pts
 
 
+_signed_zero = st.sampled_from([0.0, -0.0, 1.0])
+
 _hull_inputs = st.one_of(
     st.lists(_point, min_size=1, max_size=12),
     _point.map(lambda p: [p]),
     st.lists(_point, min_size=1, max_size=4).flatmap(
         lambda ps: st.lists(st.sampled_from(ps), min_size=1, max_size=12)
     ),
+    st.lists(st.tuples(_signed_zero, _signed_zero), min_size=1, max_size=12),
     _line_points(nudge=False),
     _line_points(nudge=True),
     st.tuples(
@@ -103,30 +106,45 @@ _hull_inputs = st.one_of(
 )
 
 
-def _hull_or_error(points):
+def _hull_or_error(hull, *args):
     try:
-        return convex_hull(points)
+        return hull(*args)
     except ValueError as e:
         return str(e)
 
 
-@given(_hull_inputs)
+def _same_body(got, want) -> bool:
+    return (
+        isinstance(got, ConvexBody)
+        and got.vertices.shape == want.vertices.shape
+        and got.vertices.tobytes() == want.vertices.tobytes()
+        and np.array(got.bbox).tobytes() == np.array(want.bbox).tobytes()  # the signs of zeros too
+        and not got.vertices.flags.writeable
+    )
+
+
+@given(st.lists(_hull_inputs, min_size=1, max_size=6), st.sampled_from([0.0, math.nan]))
 @settings(max_examples=300)
-def test_hull_equals_the_fully_checked_body(points):
-    """``convex_hull`` skips the constructor's re-check of the turns its
-    chains made, yet builds the same body and raises the same errors as
-    ``ConvexBody`` on the same chain."""
-    got = _hull_or_error(points)
-    try:
-        want = oracle_convex_hull(points)
-    except ValueError as e:
-        assert got == str(e)
-        return
-    assert isinstance(got, ConvexBody)
-    assert np.array_equal(got.vertices, want.vertices)
-    assert got.vertices.tobytes() == want.vertices.tobytes()
-    assert got.bbox == want.bbox
-    assert not got.vertices.flags.writeable
+def test_hull_equals_the_fully_checked_body(sets, fill):
+    """``convex_hull`` and a stack of sets through ``convex_hulls`` skip the
+    constructor's re-check of the turns their chains made, yet build, set
+    by set, the same body and raise the same errors as ``ConvexBody`` on
+    the chain the oracle runs on that set alone. Entries past a set's
+    count are ``fill``, which the stack must ignore."""
+    wants = [_hull_or_error(oracle_convex_hull, pts) for pts in sets]
+    for pts, want in zip(sets, wants):
+        got = _hull_or_error(convex_hull, pts)
+        assert got == want if isinstance(want, str) else _same_body(got, want)
+    counts = [len(pts) for pts in sets]
+    stack = np.full((len(sets), max(counts), 2), fill)
+    for row, pts in zip(stack, sets):
+        row[: len(pts)] = pts
+    got = _hull_or_error(convex_hulls, stack, counts)
+    errors = {want for want in wants if isinstance(want, str)}
+    if errors:  # a stack reports non-finite vertices before a bad turn
+        assert got == min(errors, key=lambda e: "finite" not in e)
+    else:
+        assert all(map(_same_body, got, wants))
 
 
 @given(st.lists(lattice_point, min_size=1, max_size=10))

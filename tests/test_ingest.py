@@ -27,10 +27,12 @@ from eulerdp import (
 )
 from eulerdp import ingest
 from eulerdp.fileio import write_bodies
-from eulerdp.ingest import _kde, _modes, _planar, _prefix_diameters2, _scott_matrices, _trim_length
+from eulerdp.ingest import _kde, _modes, _planar, _prefix_diameters2, _scott_matrices, _trim_lengths
 
 from conftest import (
     ingest_tracks_oracle,
+    oracle_convex_hull,
+    oracle_diameter,
     oracle_kde_density,
     oracle_kde_mode,
     oracle_project,
@@ -274,8 +276,11 @@ def test_trim_matches_iterative_oracle():
     """Uniform random points, then dyadic-lattice points (every squared
     distance exact) with duplicates and collinear runs and bounds set to a
     pairwise distance or one ulp below it, where the point-set diameter and
-    the hull's meet on the bound. Each case also runs with one- and
-    three-row distance blocks, so the blocks' seams are crossed."""
+    the hull's meet on the bound. Sets of equal length search in lockstep,
+    under every bound drawn for any of them, so users in one stack stop at
+    different rounds and some probes need a hull while others do not. The
+    prefix diameters also run with one- and three-row distance blocks, so
+    the blocks' seams are crossed."""
     rng = np.random.default_rng(4)
     cases = [
         (rng.uniform(0.0, 10.0, (int(rng.integers(1, 25)), 2)), float(rng.uniform(0.5, 12.0)))
@@ -294,20 +299,38 @@ def test_trim_matches_iterative_oracle():
         dists = np.unique(np.sqrt((diff * diff).sum(axis=2)))
         picked = rng.choice(dists[dists > 0.0], min(3, len(dists) - 1), replace=False)
         cases += [(pts, bound) for bound in np.concatenate([picked, np.nextafter(picked, 0.0)]).tolist()]
-    on_bound = 0
+    # v2 and its copy one ulp inside the hull: the float distance from the
+    # copy to v0 is an ulp above the hull's diameter, which the copy's hull
+    # attains at v2's place. Last in order, v0 makes the search probe all
+    # five points with a hull at exactly the bound.
+    v0, v1, v2, v3 = [6.836964691807789, 9.830996612973529], [1.1519820797950842, 5.508379534654338], \
+        [0.09721205146171252, 0.3297968512938043], [0.008861027567544921, 6.073772318463245]
+    pts = np.array([v1, v3, v2, [0.09721205146171254, 0.32979685129380437], v0])
+    cases.append((pts, oracle_diameter(oracle_convex_hull(pts))))
+    by_length: dict[int, list] = {}
     for pts, bound in cases:
-        keep = len(pts)
-        while keep > 1 and diameter(convex_hull(pts[:keep])) > bound:
-            keep -= 1
-        for rows in (None, 1, 3):
-            block = ingest.PAIRWISE_BLOCK if rows is None else len(pts) * rows
-            with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
-                prefix2 = _prefix_diameters2(pts[None])[0]
-            assert _trim_length(pts, prefix2, bound) == keep
-            got = pts[:keep]
-        assert diameter(convex_hull(got)) <= bound or keep == 1
-        on_bound += diameter(convex_hull(got)) == bound
+        by_length.setdefault(len(pts), []).append((pts, bound))
+    on_bound = lockstep = 0
+    for group in by_length.values():
+        stack = np.array(list({id(pts): pts for pts, _ in group}.values()))
+        prefix2 = _prefix_diameters2(stack)
+        for rows in (1, 3):
+            with mock.patch.object(ingest, "PAIRWISE_BLOCK", stack.shape[1] * rows):
+                assert _prefix_diameters2(stack).tobytes() == prefix2.tobytes()
+        # each prefix's hull diameter, to drop the farthest point while over
+        spans = [[oracle_diameter(oracle_convex_hull(pts[:keep])) for keep in range(1, len(pts) + 1)] for pts in stack]
+        for bound in sorted({bound for _, bound in group}):
+            want = []
+            for span in spans:
+                keep = len(span)
+                while keep > 1 and span[keep - 1] > bound:
+                    keep -= 1
+                want.append(keep)
+                on_bound += span[keep - 1] == bound
+            assert _trim_lengths(stack, prefix2, bound).tolist() == want
+            lockstep += len(set(want)) > 1
     assert on_bound >= 40  # the lattice sweep must keep prefixes right on the bound
+    assert lockstep >= 40  # and stacks whose users keep different lengths
 
 
 def test_extract_body_respects_diameter_bound():

@@ -41,11 +41,32 @@ def _hist(counts, state=HistogramState.ROUNDED, n=2):
 
 
 def test_round_half_up():
-    vals = [0.5, 1.4, 1.5, 2.5, -0.5, -1.5, 0.49, 3.0, 0.0]
+    # faces, then hedges (faces 0, 2 and 1, 3), vedges (faces 0, 1 and 2, 3)
+    # and the vertex, each at or below the counts it is bounded by
+    vals = [0.5, 1.4, 1.5, 2.5, 0.49, 1.4, 0.5, 1.5, 0.0]
     h = _hist(vals, HistogramState.CONSISTENT)
     out = round_counts(h)
-    assert out.counts.tolist() == [1.0, 1.0, 2.0, 3.0, 0.0, -1.0, 0.0, 3.0, 0.0]
+    assert out.counts.tolist() == [1.0, 1.0, 2.0, 3.0, 0.0, 1.0, 1.0, 2.0, 0.0]
     assert out.state is HistogramState.ROUNDED
+
+
+@pytest.mark.parametrize(
+    "counts, named",
+    [
+        # an edge a hair above faces of 0.5: rounding would send all to 1
+        ([0.5] * 4 + [0.50000004, 0.0, 0.0, 0.0, 0.0], "c1=2 c2=0 negative=0"),
+        ([0.5] * 4 + [0.0] * 4 + [0.25], "c1=0 c2=4 negative=0"),
+        ([0.5] * 4 + [0.0] * 4 + [-0.5], "c1=0 c2=0 negative=1"),
+    ],
+)
+def test_round_refuses_counts_that_fail_verify(counts, named):
+    """A CONSISTENT tag whose counts break C1, C2 or x >= 0 is refused by
+    name, even where the rounded counts would pass."""
+    h = _hist(counts, HistogramState.CONSISTENT)
+    with pytest.raises(ValueError, match=f"^round_counts needs counts that satisfy C1, C2 and x >= 0, got violations {named}$"):
+        round_counts(h)
+    with pytest.raises(ValueError, match=f"got violations {named}$"):
+        round_counts(h, build_constraints(h.partition))
 
 
 def test_round_requires_consistent_state():
