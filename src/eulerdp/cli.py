@@ -35,7 +35,7 @@ from .histogram import (
     min_rectangle_count,
     query,
 )
-from .inference import build_constraints, infer
+from .inference import infer
 from .ingest import IngestConfig, ingest_tracks
 from .privacy import PrivacyParams, RandomSource, perturb
 from .rounding import repair, round_counts, verify_violations
@@ -138,8 +138,7 @@ def _cmd_infer(args) -> int:
 
 
 def _round_and_repair(h: EulerHistogram) -> EulerHistogram:
-    cs = build_constraints(h.partition)
-    repaired, _ = repair(round_counts(h, cs), cs)
+    repaired, _ = repair(round_counts(h))
     return repaired
 
 
@@ -189,7 +188,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     h = fileio.read_histogram_file(args.input)
-    c1, c2, negative = verify_violations(h, build_constraints(h.partition))
+    c1, c2, negative = verify_violations(h)
     print(f"violations: c1={c1} c2={c2} negative={negative}")
     worst, qr = min_rectangle_count(h)
     print(f"minimum rectangle count: {worst:g} at rows {qr.r0}:{qr.r1} cols {qr.c0}:{qr.c1}")

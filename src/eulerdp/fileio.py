@@ -80,6 +80,10 @@ def _field(header: dict[str, str], key: str, parse, default: str | None = None):
         raise FormatError(f"bad or missing header field {key}: {e}") from e
 
 
+# tokens per numpy conversion while reading counts
+PARSE_BLOCK = 1 << 14
+
+
 def read_histogram(stream: TextIO) -> EulerHistogram:
     lines = stream.read().splitlines()
     if not lines or lines[0] != MAGIC:
@@ -112,15 +116,26 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
         if lines[i] != f"{name} {rows} {cols}":
             raise FormatError(f"expected section header {name!r} at line {i + 1}")
         i += 1
-        for r in range(rows):
-            values = lines[i].split()
-            if len(values) != cols:
-                raise FormatError(f"section {name!r} row {r}: expected {cols} values")
-            try:
-                block[r] = [float(v) for v in values]
-            except ValueError as e:
-                raise FormatError(f"section {name!r} row {r}: {e}") from e
-            i += 1
+        step = max(1, PARSE_BLOCK // cols)
+        for top in range(0, rows, step):
+            chunk, tokens = lines[i : i + min(step, rows - top)], []
+            for values in map(str.split, chunk):
+                if len(values) != cols:
+                    break
+                tokens += values
+            good = len(tokens) // cols  # the rows before the first of the wrong length
+            try:  # numpy converts each token with float()
+                block[top : top + good] = np.array(tokens, dtype=np.float64).reshape(good, cols)
+            except ValueError:  # name the first row holding a bad token
+                for r, line in enumerate(chunk[:good], top):
+                    try:
+                        [float(v) for v in line.split()]
+                    except ValueError as e:
+                        raise FormatError(f"section {name!r} row {r}: {e}") from e
+                raise
+            if good < len(chunk):
+                raise FormatError(f"section {name!r} row {top + good}: expected {cols} values")
+            i += good
     for j in range(i, len(lines)):
         if lines[j].strip():
             raise FormatError(f"unexpected content after the vertices section at line {j + 1}")

@@ -212,21 +212,16 @@ def convex_hull(points) -> ConvexBody:
     return convex_hulls(pts[None], [len(pts)])[0]
 
 
-def diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Largest pairwise distance within each row of the vertex coordinates
-    ``x``, ``y`` (g, k); a squared distance is dx * dx + dy * dy."""
-    dx = x[:, :, None] - x[:, None, :]
-    dy = y[:, :, None] - y[:, None, :]
+def diameter(body: ConvexBody) -> float:
+    """Largest pairwise distance between hull vertices; a squared distance
+    is dx * dx + dy * dy."""
+    x, y = body.vertices.T
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx.max(axis=(1, 2)))
-
-
-def diameter(body: ConvexBody) -> float:
-    """Largest pairwise distance between hull vertices."""
-    x, y = body.vertices.T
-    return float(diameters(x[None], y[None])[0])
+    return float(np.sqrt(dx.max()))
 
 
 def _axes(vertices: np.ndarray) -> list[tuple[float, float]]:

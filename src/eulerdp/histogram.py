@@ -246,28 +246,41 @@ def query(h: EulerHistogram, qr: QueryRegion) -> float | int:
         raise
 
 
+# float64s per block of min_rectangle_count's top rows: the whole grid up
+# to n=20, four rows at n=44, one row from n=91
+SCAN_BLOCK = 1 << 13
+
+
 def min_rectangle_count(h: EulerHistogram) -> tuple[float, QueryRegion]:
     """Smallest Euler count over all rectangular query regions.
 
     Ties go to the first region in (r0, r1, c0, c1) lexicographic order;
     ``repair`` raises a face inside the region returned, so the choice fixes
-    the release. O(n^3) time and O(n^2) memory: for each top row r0, the
-    corner tables write a rectangle's count as ``u[c1] - w[c0]`` per bottom
-    row r1, and one suffix-minimum pass over ``u`` finds each band's minimum
-    (the maximum-subarray scan, after Bentley's *Programming Pearls*).
+    the release. O(n^3) time and O(n^2) memory plus one block of
+    ``SCAN_BLOCK`` float64s: for each top row r0, the corner tables write a
+    rectangle's count as ``u[c1] + v[c0]`` per bottom row r1, and one
+    suffix-minimum pass over ``u`` finds each band's minimum (the
+    maximum-subarray scan, after Bentley's *Programming Pearls*). Top rows
+    go in blocks of ``max(1, SCAN_BLOCK // n**2)``, each block one array of
+    bands; values, regions and the tie order are those of one top row at a
+    time.
     """
     n = h.partition.n
     a, b, c, d = h._corners
     value, region = np.inf, None
-    for r0 in range(n):
-        # rows index r1 - r0: count(r0..r1, c0..c1) = u[r1 - r0, c1] - w[r1 - r0, c0]
-        u = a[r0:] + b[r0]
-        w = -(c[r0:] + d[r0])
-        reach = np.minimum.accumulate(u[:, ::-1], axis=1)[:, ::-1]  # min of u[c0:]
-        best = reach - w
-        k = int(np.argmin(best))
-        if best.flat[k] < value:
+    step = max(1, SCAN_BLOCK // (n * n))
+    for top in range(0, n, step):
+        rows = min(step, n - top)
+        # [j, r] is the band of rows top + j .. top + r:
+        # count(r0..r1, c0..c1) = u[r0 - top, r1 - top, c1] + best[r0 - top, r1 - top, c0]
+        u = a[None, top:] + b[top : top + rows, None]
+        best = c[None, top:] + d[top : top + rows, None]
+        best += np.minimum.accumulate(u[..., ::-1], axis=2)[..., ::-1]  # min of u[c0:]
+        for j in range(1, rows):
+            best[j, :j] = np.inf  # bottom rows above the top row
+        for j, k in enumerate(best.reshape(rows, -1).argmin(axis=1).tolist()):
             r, c0 = divmod(k, n)
-            value = float(best.flat[k])
-            region = QueryRegion(r0, r0 + r, c0, c0 + int(np.argmin(u[r, c0:])))
+            if best[j, r, c0] < value:
+                value = float(best[j, r, c0])
+                region = QueryRegion(top + j, top + r, c0, c0 + int(np.argmin(u[j, r, c0:])))
     return value, region

@@ -19,12 +19,19 @@ cut is a maximum bipartite matching, found by vectorised greedy rounds and
 finished by Hopcroft-Karp phases (Hopcroft & Karp 1973), so inference needs
 numpy alone. Both depend on the noisy counts only, so inference is
 post-processing and spends no extra privacy budget.
+
+Every check of the rows, and the L-infinity projection, compares
+neighbouring slices of the face, edge and vertex sections. The rows'
+dense-index pairs are built on first access; in the library only the L1
+projection's pair list reads them, so checking a histogram allocates no
+index table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,71 +43,58 @@ from .histogram import EulerHistogram, HistogramState
 class ConstraintSet:
     """Constraint rows for one partition, in canonical order.
 
+    ``violation_counts`` compares neighbouring slices of the partition's
+    sections and needs no index table, so ``verify``, rounding and repair
+    never build one. The index pairs are built on first access, by the
+    ``l1`` projection's pair list and by the tests' oracles and census:
     ``c1`` holds (edge, face) dense-index pairs ordered by edge then by the
     edge's face order; ``c2`` holds (vertex, edge) pairs ordered by vertex
     then edge; ``c3`` holds one row (vertex, f1..f4, e1..e4) per vertex.
     """
 
     partition: GridPartition
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
 
     @property
     def counts_by_family(self) -> tuple[int, int, int]:
-        return len(self.c1), len(self.c2), len(self.c3)
+        p = self.partition
+        return 2 * p.n_edges, 4 * p.n_vertices, p.n_vertices
 
     def violation_counts(self, counts: np.ndarray) -> tuple[int, int, int]:
-        """Violated C1 rows, violated C2 rows and negative components: exact."""
-        return (
-            int((counts[self.c1[:, 0]] > counts[self.c1[:, 1]]).sum()),
-            int((counts[self.c2[:, 0]] > counts[self.c2[:, 1]]).sum()),
-            int((counts < 0).sum()),
-        )
+        """Violated C1 rows, violated C2 rows and negative components: exact.
+        Each family is four comparisons of neighbouring sections' slices, as
+        :mod:`eulerdp.grid` lays out which edges bound a face or vertex."""
+        faces, hedges, vedges, vertices = self.partition.sections(counts)
+        over = np.count_nonzero
+        c1 = over(hedges > faces[:-1]) + over(hedges > faces[1:])
+        c1 += over(vedges > faces[:, :-1]) + over(vedges > faces[:, 1:])
+        c2 = over(vertices > hedges[:, :-1]) + over(vertices > hedges[:, 1:])
+        c2 += over(vertices > vedges[:-1]) + over(vertices > vedges[1:])
+        return int(c1), int(c2), int(over(counts < 0))
+
+    @cached_property
+    def c1(self) -> np.ndarray:
+        faces, hedges, vedges, _ = self.partition.sections(np.arange(self.partition.size, dtype=np.int64))
+        return np.concatenate([
+            np.stack([hedges, faces[:-1], hedges, faces[1:]], axis=-1).reshape(-1, 2),
+            np.stack([vedges, faces[:, :-1], vedges, faces[:, 1:]], axis=-1).reshape(-1, 2),
+        ])
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        return np.column_stack([np.repeat(self.c3[:, 0], 4), self.c3[:, 5:].ravel()])
+
+    @cached_property
+    def c3(self) -> np.ndarray:
+        faces, hedges, vedges, vertices = self.partition.sections(np.arange(self.partition.size, dtype=np.int64))
+        return np.stack([
+            vertices, faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:],
+            hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:],
+        ], axis=-1).reshape(-1, 9)
 
 
 def build_constraints(p: GridPartition) -> ConstraintSet:
-    n = p.n
-    # Horizontal edge local index k maps to faces (k, k + n): both sections
-    # are row-major over the same columns.
-    hk = np.arange(p.n_hedges)
-    h_edges = p.hedge_offset + hk
-    h_f1, h_f2 = hk, hk + n
-    vk = np.arange(p.n_vedges)
-    vr, vc = vk // (n - 1), vk % (n - 1)
-    v_edges = p.vedge_offset + vk
-    v_f1, v_f2 = vr * n + vc, vr * n + vc + 1
-
-    edges = np.concatenate([h_edges, v_edges])
-    f1 = np.concatenate([h_f1, v_f1])
-    f2 = np.concatenate([h_f2, v_f2])
-    c1 = np.empty((2 * len(edges), 2), dtype=np.int64)
-    c1[0::2, 0] = edges
-    c1[0::2, 1] = f1
-    c1[1::2, 0] = edges
-    c1[1::2, 1] = f2
-
-    xk = np.arange(p.n_vertices)
-    xr, xc = xk // (n - 1), xk % (n - 1)
-    verts = p.vertex_offset + xk
-    e_around = np.column_stack([
-        p.hedge_offset + xr * n + xc,
-        p.hedge_offset + xr * n + xc + 1,
-        p.vedge_offset + xk,
-        p.vedge_offset + xk + (n - 1),
-    ])
-    c2 = np.empty((4 * len(verts), 2), dtype=np.int64)
-    c2[:, 0] = np.repeat(verts, 4)
-    c2[:, 1] = e_around.ravel()
-
-    f_around = np.column_stack([
-        xr * n + xc,
-        xr * n + xc + 1,
-        (xr + 1) * n + xc,
-        (xr + 1) * n + xc + 1,
-    ])
-    c3 = np.column_stack([verts, f_around, e_around]).astype(np.int64)
-    return ConstraintSet(p, c1, c2, c3)
+    """The constraint set of ``p``; its index pairs wait for first access."""
+    return ConstraintSet(p)
 
 
 @dataclass
@@ -260,15 +254,24 @@ def _isotonic_l1(h: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, int]:
     return vals[lo], levels
 
 
-def _isotonic_linf(h: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+def _isotonic_linf(h: np.ndarray, p: GridPartition) -> np.ndarray:
     """L-infinity isotonic regression of ``h``: the midpoint of the largest
-    value at or below each node and the smallest value at or above it."""
-    below = h.copy()
-    np.maximum.at(below, cs.c2[:, 1], below[cs.c2[:, 0]])
-    np.maximum.at(below, cs.c1[:, 1], below[cs.c1[:, 0]])
-    above = h.copy()
-    np.minimum.at(above, cs.c1[:, 0], above[cs.c1[:, 1]])
-    np.minimum.at(above, cs.c2[:, 0], above[cs.c2[:, 1]])
+    value at or below each node and the smallest value at or above it.
+
+    Each section takes the maximum (minimum) with its neighbours' slices,
+    in the order of the C2 and C1 rows, so a tie between 0.0 and -0.0 keeps
+    the sign a pass over the rows, one pair at a time, would keep."""
+    below, above = h.copy(), h.copy()
+    faces, hedges, vedges, vertices = p.sections(below)
+    for lower, upper in ((vertices, hedges[:, 1:]), (vertices, hedges[:, :-1]), (vertices, vedges[1:]),
+                         (vertices, vedges[:-1]), (hedges, faces[1:]), (hedges, faces[:-1]),
+                         (vedges, faces[:, 1:]), (vedges, faces[:, :-1])):
+        np.maximum(upper, lower, out=upper)
+    faces, hedges, vedges, vertices = p.sections(above)
+    for lower, upper in ((hedges, faces[:-1]), (hedges, faces[1:]), (vedges, faces[:, :-1]),
+                         (vedges, faces[:, 1:]), (vertices, hedges[:, :-1]), (vertices, hedges[:, 1:]),
+                         (vertices, vedges[:-1]), (vertices, vedges[1:])):
+        np.minimum(lower, upper, out=lower)
     return (below + above) / 2
 
 
@@ -289,7 +292,7 @@ def infer(
     if objective == "l1":
         x, levels = _isotonic_l1(hn.counts, cs)
     else:
-        x, levels = _isotonic_linf(hn.counts, cs), 0
+        x, levels = _isotonic_linf(hn.counts, hn.partition), 0
     # Clipping an isotonic optimum at 0 keeps it isotonic, and optimal under
     # x >= 0 too, which noisy counts below zero need.
     counts = np.maximum(x, 0.0)

@@ -12,9 +12,10 @@ one pass; users with equal counts of points inside the area then find their
 modes and nearest points as stacks, and users keeping equal numbers of
 nearest points trim and hull as stacks, each step the same floating-point
 operations a lone user's extraction does, so the bodies are identical to
-extracting users one at a time. Users whose nearest points exceed the
-diameter bound binary-search their trims in lockstep, each round's hull
-probes one batched monotone chain (see :mod:`eulerdp.geometry`).
+extracting users one at a time. A user keeps the longest prefix of its
+nearest points whose largest pairwise distance is within the diameter
+bound, read off the prefixes' running diameters, and the kept prefixes
+hull in one batched monotone chain (see :mod:`eulerdp.geometry`).
 
 Also provides synthetic body generators so experiments can run without any
 real tracks: ``uniform`` scatters bodies evenly, ``clustered`` draws centers
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, convex_hulls, diameters, hull_vertices
+from .geometry import ConvexBody, convex_hulls
 from .privacy import require_finite_positive
 
 EARTH_RADIUS_M = 6371000.0
@@ -217,41 +218,15 @@ def _prefix_diameters2(ordered: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(reach2, axis=1)
 
 
-def _trim_lengths(nearest: np.ndarray, prefix2: np.ndarray, bound: float) -> np.ndarray:
-    """Per user, the length of the largest prefix of ``nearest`` (g, k, 2),
-    ordered by distance from the mode, with diameter <= bound, given the
-    prefixes' squared point-set diameters ``prefix2`` (g, k).
-
-    Prefix diameter is nondecreasing in length in exact arithmetic, so
-    binary search lands on the set that repeatedly dropping the farthest
-    point keeps; in floats a longer prefix's hull can come out an ulp
-    narrower than a shorter one's, and then the search may stop short of
-    it. Each probe asks whether ``diameter(convex_hull(prefix)) <= bound``.
-    The hull's vertices are a subset of the same floats, and every pair's
-    squared distance is the same dx * dx + dy * dy in both, so the squared
-    diameter of the prefix's whole point set is never below the hull's; as
-    sqrt is monotone, a probe whose point-set diameter is within the bound
-    gets the hull's answer without a hull. So a user whose k points fit
-    keeps them all, and the other users search in lockstep, each round
-    hulling every probe that needs a hull in one batch. The probes, and
-    the results, are the same as with hulls alone.
-    """
-    g, k = prefix2.shape
-    fits = np.sqrt(prefix2) <= bound
-    lo = np.where(fits[:, -1], k, 1)  # a prefix of 1 has diameter 0
-    hi = np.full(g, k)
-    while (active := np.flatnonzero(lo < hi)).size:
-        mid = (lo[active] + hi[active] + 1) // 2
-        ok = fits[active, mid - 1]
-        probe = np.flatnonzero(~ok)
-        if probe.size:
-            hx, hy, _ = hull_vertices(nearest[active[probe]], mid[probe])
-            step = max(1, PAIRWISE_BLOCK // hx.shape[1] ** 2)
-            spans = [diameters(hx[r : r + step], hy[r : r + step]) for r in range(0, len(hx), step)]
-            ok[probe] = np.concatenate(spans) <= bound
-        lo[active] = np.where(ok, mid, lo[active])
-        hi[active] = np.where(ok, hi[active], mid - 1)
-    return lo
+def _trim_lengths(prefix2: np.ndarray, bound: float) -> np.ndarray:
+    """Per user, the length of the longest prefix of its nearest points,
+    ordered by distance from the mode, whose largest distance between two
+    points is within the bound, given the prefixes' squared diameters
+    ``prefix2`` (g, k). They are a running maximum, so never fall, in
+    floats too, and the prefixes within the bound are the first ones. The
+    hull keeps a subset of the prefix's points, with the same squared
+    distance between each pair, so its diameter is within the bound too."""
+    return np.maximum(1, np.count_nonzero(np.sqrt(prefix2) <= bound, axis=1))
 
 
 def _nearest(stack: np.ndarray, config: IngestConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +276,7 @@ def ingest_tracks(
         step = max(1, PAIRWISE_BLOCK // size)
         for lo in range(0, len(users), step):
             block = slice(lo, lo + step)
-            keep = _trim_lengths(nearest[block], prefix2[block], config.diameter_bound)
+            keep = _trim_lengths(prefix2[block], config.diameter_bound)
             for u, body in zip(users[block].tolist(), convex_hulls(nearest[block], keep)):
                 found[u] = body
     bodies: list[ConvexBody] = []

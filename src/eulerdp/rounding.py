@@ -45,9 +45,7 @@ def verify_violations(
     h: EulerHistogram, cs: ConstraintSet | None = None
 ) -> tuple[int, int, int]:
     """Violated C1 rows, violated C2 rows and negative components, exactly."""
-    if cs is None:
-        cs = build_constraints(h.partition)
-    return cs.violation_counts(h.counts)
+    return (cs or build_constraints(h.partition)).violation_counts(h.counts)
 
 
 def _require_constraints(stage: str, h: EulerHistogram, cs: ConstraintSet | None) -> None:

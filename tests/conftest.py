@@ -9,7 +9,10 @@ Euler count at once, in O(n^4) time and memory, for small grids; the
 slice-sum oracle counts one rectangle the direct way, and the float-table
 query oracle is ``query`` as it was before integral states had integer
 corner tables: a validation, four float lookups summed, and a rounding for
-integral states. The LP oracle
+integral states. The row-scan oracle is ``min_rectangle_count`` one top row
+at a time, the violation oracle reads C1 and C2 off the constraint set's
+index pairs, and the L-infinity oracle runs ``np.maximum.at`` and
+``np.minimum.at`` over them. The LP oracle
 assembles constrained inference as the linear program it is (residual rows,
 then C1, C2 and C3 rows) and solves it with scipy's HiGHS; the min-cut
 oracle runs the same threshold partitioning as ``infer``'s ``l1`` with one
@@ -44,6 +47,7 @@ from eulerdp import (
     ConvexBody,
     EulerHistogram,
     IngestError,
+    QueryRegion,
     UserTrack,
     build_partition,
     convex_hull,
@@ -332,6 +336,47 @@ def valid_region_mask(n: int) -> np.ndarray:
     return rows_ok[:, :, None, None] & rows_ok[None, None, :, :]
 
 
+def scan_by_row_oracle(h: EulerHistogram) -> tuple[float, QueryRegion]:
+    """``min_rectangle_count`` one top row at a time, as it ran before its
+    top rows went in blocks."""
+    n = h.partition.n
+    a, b, c, d = h._corners
+    value, region = np.inf, None
+    for r0 in range(n):
+        u = a[r0:] + b[r0]
+        w = -(c[r0:] + d[r0])
+        reach = np.minimum.accumulate(u[:, ::-1], axis=1)[:, ::-1]
+        best = reach - w
+        k = int(np.argmin(best))
+        if best.flat[k] < value:
+            r, c0 = divmod(k, n)
+            value = float(best.flat[k])
+            region = QueryRegion(r0, r0 + r, c0, c0 + int(np.argmin(u[r, c0:])))
+    return value, region
+
+
+def violation_counts_oracle(cs: ConstraintSet, counts: np.ndarray) -> tuple[int, int, int]:
+    """Violated C1 and C2 rows, one index pair at a time, and negative
+    components: the check as it ran before it compared section slices."""
+    return (
+        int((counts[cs.c1[:, 0]] > counts[cs.c1[:, 1]]).sum()),
+        int((counts[cs.c2[:, 0]] > counts[cs.c2[:, 1]]).sum()),
+        int((counts < 0).sum()),
+    )
+
+
+def isotonic_linf_oracle(h: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """The L-infinity isotonic regression ``infer`` clips, from unbuffered
+    maximum and minimum passes over the C2 and C1 index pairs."""
+    below = h.copy()
+    np.maximum.at(below, cs.c2[:, 1], below[cs.c2[:, 0]])
+    np.maximum.at(below, cs.c1[:, 1], below[cs.c1[:, 0]])
+    above = h.copy()
+    np.minimum.at(above, cs.c1[:, 0], above[cs.c1[:, 1]])
+    np.minimum.at(above, cs.c2[:, 0], above[cs.c2[:, 1]])
+    return (below + above) / 2
+
+
 class LinearProgram(NamedTuple):
     """Minimize c @ x s.t. a_ub @ x <= b_ub, x >= 0.
 
@@ -557,26 +602,18 @@ def oracle_kde_mode(points: np.ndarray) -> np.ndarray:
 
 
 def oracle_trim_to_diameter(ordered: np.ndarray, bound: float) -> np.ndarray:
-    """Largest prefix with diameter <= bound, by binary search on hull
-    probes; a probe whose point-set diameter fits needs no hull."""
+    """Longest prefix whose point-set diameter is <= bound: drop the last
+    point while the prefix's largest pairwise distance exceeds the bound."""
     m = len(ordered)
     reach2 = np.empty(m)
     step = max(1, ORACLE_PAIRWISE_BLOCK // (2 * m))
     for r in range(0, m, step):
         diff = ordered[r : r + step, None, :] - ordered[None, : r + step, :]
         reach2[r : r + step] = np.tril((diff * diff).sum(axis=2), r).max(axis=1)
-    prefix2 = np.maximum.accumulate(reach2)
-    lo, hi = 1, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (
-            np.sqrt(prefix2[mid - 1]) <= bound
-            or oracle_diameter(oracle_convex_hull(ordered[:mid])) <= bound
-        ):
-            lo = mid
-        else:
-            hi = mid - 1
-    return ordered[:lo]
+    keep = m
+    while keep > 1 and np.sqrt(reach2[:keep].max()) > bound:
+        keep -= 1
+    return ordered[:keep]
 
 
 def extract_body_oracle(track, config) -> ConvexBody:

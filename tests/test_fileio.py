@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_body, read_tracks_oracle
+from eulerdp import fileio
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -197,6 +199,67 @@ def test_read_rejects_bad_values():
     last_vertex_row = lines[-1]
     with pytest.raises(FormatError, match="^section 'vertices' row 2: could not convert"):
         read_histogram(io.StringIO("\n".join(lines[:-1] + [last_vertex_row[:-1] + "x"])))
+
+
+def _line(i: int, new: str):
+    return lambda lines: lines[:i] + [new] + lines[i + 1 :]
+
+
+# Lines 8-11 of the n=4 raw file are the faces rows, 13-15 the horizontal
+# edges, 17-20 the vertical edges and 22-24 the vertices; each text is the
+# one reading row by row gave.
+_BAD_COUNTS = {
+    "short row": (_line(9, "7 10 13"), "section 'faces' row 1: expected 4 values"),
+    "long row": (_line(15, "3 5 5 5 9"), "section 'horizontal-edges' row 2: expected 4 values"),
+    "bad token in faces": (
+        _line(8, "abc 5 8 6"), "section 'faces' row 0: could not convert string to float: 'abc'"),
+    "bad token in vertices": (
+        _line(24, "1 4 4x"), "section 'vertices' row 2: could not convert string to float: '4x'"),
+    "bad token above a short row": (
+        lambda lines: _line(19, "5 8")(_line(17, "2 x 5")(lines)),
+        "section 'vertical-edges' row 0: could not convert string to float: 'x'",
+    ),
+    "short row above a bad token": (
+        lambda lines: _line(20, "2 y 5")(_line(18, "4 9")(lines)),
+        "section 'vertical-edges' row 1: expected 3 values",
+    ),
+    "truncated": (lambda lines: lines[:-1], "truncated histogram: n=4 needs 18 section lines, found 17"),
+    "trailing content": (
+        lambda lines: lines + ["5 5 5 5", "garbage"], "unexpected content after the vertices section at line 26"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 8])
+@pytest.mark.parametrize("case", list(_BAD_COUNTS))
+def test_read_names_bad_counts_as_row_by_row_reading_did(case, block):
+    """The same FormatError texts with counts converted a block of rows at
+    a time: as set, one row per block, and two rows per block."""
+    lines = _dump(_raw_histogram()).splitlines()
+    assert lines[7:9] == ["faces 4 4", "4 5 8 6"] and lines[21:] == ["vertices 3 3", "2 3 5", "3 7 8", "1 4 4"]
+    edit, message = _BAD_COUNTS[case]
+    with mock.patch.object(fileio, "PARSE_BLOCK", block or fileio.PARSE_BLOCK):
+        with pytest.raises(FormatError) as err:
+            read_histogram(io.StringIO("\n".join(edit(lines)) + "\n"))
+    assert str(err.value) == message
+
+
+def test_read_converts_counts_in_bounded_blocks():
+    """Reading an n=300 release (360 000 counts) needs its text, its lines,
+    three copies of its counts (read, the histogram's own and one checking
+    integrality) and one bounded block of tokens, not a token list per
+    file or per section, whose strings alone would take 4 MiB or more."""
+    p = build_partition(300.0, 300)
+    h = EulerHistogram(p, np.random.default_rng(0).integers(0, 1000, p.size), HistogramState.ROUNDED)
+    text = _dump(h)
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        back = read_histogram(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.counts.tobytes() == h.counts.tobytes()
+    assert peak < 2 * len(text) + 3 * h.counts.nbytes + (2 << 20)
 
 
 def test_non_integral_ok_for_real_states():

@@ -6,6 +6,7 @@ import copy
 import pickle
 import re
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     float_table_query,
     grid_components,
     lattice_body,
+    scan_by_row_oracle,
     slice_sum_query,
     valid_region_mask,
 )
@@ -35,7 +37,7 @@ from eulerdp import (
     query,
     validate_bodies,
 )
-from eulerdp import geometry
+from eulerdp import geometry, histogram
 
 
 def slow_query(h: EulerHistogram, qr: QueryRegion) -> float:
@@ -288,6 +290,31 @@ def test_min_rectangle_count_matches_oracle_tie_break():
                 assert val == pytest.approx(masked[r0, r1, c0, c1], abs=1e-9)
             else:
                 assert val == masked[r0, r1, c0, c1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 44, 91])
+@pytest.mark.parametrize("kind", ["integral", "real", "equal", "overflow"])
+def test_blocked_scan_equals_the_row_scan(n, kind):
+    """Value and region equal one top row at a time, with the block budget
+    as set and cut to one and three top rows per block, so block seams are
+    crossed. All-equal counts make every region of one size tie; counts of
+    +-1e308 overflow the corner tables to infinities and NaN."""
+    p = build_partition(float(n), n)
+    rng = np.random.default_rng(n)
+    draws = {
+        "integral": lambda: rng.integers(-2, 3, p.size).astype(np.float64),
+        "real": lambda: rng.normal(0.0, 2.0, p.size),
+        "equal": lambda: np.full(p.size, float(rng.integers(-1, 2))),
+        "overflow": lambda: rng.choice([-1e308, 0.0, 1e308], p.size),
+    }
+    for _ in range(3 if n < 44 else 1):
+        h = EulerHistogram(p, draws[kind](), HistogramState.NOISY)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = scan_by_row_oracle(h)
+            assert min_rectangle_count(h) == want
+            for rows in (1, 3):
+                with mock.patch.object(histogram, "SCAN_BLOCK", rows * n * n):
+                    assert min_rectangle_count(h) == want
 
 
 def test_query_region_validation():

@@ -16,9 +16,11 @@ from conftest import (
     build_lad_program,
     build_linf_program,
     grid_components,
+    isotonic_linf_oracle,
     lattice_body,
     lp_oracle,
     min_cut_oracle,
+    violation_counts_oracle,
 )
 from eulerdp import (
     EulerHistogram,
@@ -30,6 +32,7 @@ from eulerdp import (
     build_partition,
     infer,
     perturb,
+    verify_violations,
 )
 from eulerdp import inference
 
@@ -86,6 +89,47 @@ def test_excess_and_violation_counts():
     # raw histograms are consistent by construction
     raw = np.array([2, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.float64)
     assert cs.violation_counts(raw) == (0, 0, 0)
+
+
+def test_constraint_arrays_wait_for_first_access():
+    cs = build_constraints(build_partition(30.0, 30))
+    assert cs.counts_by_family == (2 * 2 * 30 * 29, 4 * 29 * 29, 29 * 29)
+    cs.violation_counts(np.zeros(cs.partition.size))
+    assert not {"c1", "c2", "c3"} & vars(cs).keys()
+    assert (len(cs.c1), len(cs.c2), len(cs.c3)) == cs.counts_by_family
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.sampled_from(list(HistogramState)),
+    st.sampled_from(["pool", "consistent", "nudged"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_slice_violation_counts_equal_the_index_pairs(n, state, kind, seed):
+    """Counts from a small pool (ties and zeros common), consistent counts
+    (edges and vertices at the minimum of their neighbours), and consistent
+    counts with a few components moved by one, or by an ulp where the state
+    allows: each check counts what the index pairs count."""
+    p = build_partition(float(n), n)
+    cs = build_constraints(p)
+    rng = np.random.default_rng(seed)
+    integral = state in (HistogramState.RAW, HistogramState.ROUNDED)
+    pool = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0] if integral else [-0.5, -0.0, 0.0, 0.25, 1.0, 1.0 + 2**-52])
+    counts = pool[rng.integers(0, len(pool), p.size)]
+    if kind != "pool":
+        faces, hedges, vedges, vertices = p.sections(counts)
+        hedges[:] = np.minimum(faces[:-1], faces[1:])
+        vedges[:] = np.minimum(faces[:, :-1], faces[:, 1:])
+        vertices[:] = np.minimum.reduce([hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:]])
+    if kind == "nudged":
+        at = rng.integers(0, p.size, rng.integers(1, 6))
+        step = 1.0 if integral else np.nextafter(1.0, 2.0) - 1.0
+        counts[at] += rng.choice([-step, step], len(at))
+    h = EulerHistogram(p, counts, state)
+    want = violation_counts_oracle(cs, h.counts)
+    assert verify_violations(h) == want
+    assert cs.violation_counts(h.counts) == want
 
 
 def test_lad_program_rows_dense():
@@ -250,3 +294,36 @@ def test_l1_equals_the_min_cut_oracle(noisy):
         oracle_x, oracle_levels = min_cut_oracle(noisy.counts, cs, method)
         assert x.tobytes() == oracle_x.tobytes()
         assert levels == oracle_levels
+
+
+def _signed_zero_ties() -> list[EulerHistogram]:
+    """Ties only the order of the pair passes settles: at n=2 a vertex at
+    -0.0 under edges at 0.0 and -0.0 whose other neighbours are larger, at
+    n=3 a face at -0.0 over edges at 0.0 and -0.0 whose other neighbours are
+    smaller."""
+    p2, p3 = build_partition(2.0, 2), build_partition(3.0, 3)
+    under = np.array([1.0, 1.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0, -0.0])
+    over = np.full(p3.size, -1.0)
+    over[[4, 13]] = -0.0  # face (1, 1), horizontal edge (1, 1)
+    over[10] = 0.0  # horizontal edge (0, 1)
+    return [EulerHistogram(p2, under, HistogramState.NOISY), EulerHistogram(p3, over, HistogramState.NOISY)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_histograms(), st.integers(0, 2**32 - 1), st.booleans())
+@example(_laplace_44(), 0, False)
+@example(_signed_zero_ties()[0], 0, False)
+@example(_signed_zero_ties()[1], 0, False)
+def test_linf_slices_equal_the_pair_passes(noisy, seed, signed_zeros):
+    """``infer``'s ``linf`` output, bit for bit, is the pair passes' regression
+    clipped at 0. With ``signed_zeros`` the counts are zeros of either sign
+    and one of 1 and -1, so max and min ties between 0.0 and -0.0 are
+    common and must resolve as the pair passes resolve them."""
+    if signed_zeros:
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0.0, -0.0, (1.0, -1.0)[seed % 2]], noisy.partition.size)
+        noisy = noisy.with_counts(counts, HistogramState.NOISY)
+    want = isotonic_linf_oracle(noisy.counts, build_constraints(noisy.partition))
+    assert inference._isotonic_linf(noisy.counts, noisy.partition).tobytes() == want.tobytes()
+    consistent, _ = infer(noisy, objective="linf")
+    assert consistent.counts.tobytes() == np.maximum(want, 0.0).tobytes()

@@ -272,15 +272,26 @@ def test_kde_mode_degenerate_inputs():
     assert np.array_equal(_modes(only[None])[0], only[0])
 
 
+def _set_diameter(pts: np.ndarray) -> float:
+    """Largest distance between two of the points, pair by pair in Python
+    floats, each squared distance dx * dx + dy * dy."""
+    best = 0.0
+    for i, (xi, yi) in enumerate(pts.tolist()):
+        for xj, yj in pts[:i].tolist():
+            dx, dy = xi - xj, yi - yj
+            best = max(best, math.sqrt(dx * dx + dy * dy))
+    return best
+
+
 def test_trim_matches_iterative_oracle():
     """Uniform random points, then dyadic-lattice points (every squared
     distance exact) with duplicates and collinear runs and bounds set to a
-    pairwise distance or one ulp below it, where the point-set diameter and
-    the hull's meet on the bound. Sets of equal length search in lockstep,
-    under every bound drawn for any of them, so users in one stack stop at
-    different rounds and some probes need a hull while others do not. The
-    prefix diameters also run with one- and three-row distance blocks, so
-    the blocks' seams are crossed."""
+    pairwise distance or one ulp below it, so prefixes end right on the
+    bound. Sets of equal length trim as one stack, under every bound drawn
+    for any of them, against dropping the last point while the prefix's
+    point-set diameter exceeds the bound. The prefix diameters also run
+    with one- and three-row distance blocks, so the blocks' seams are
+    crossed."""
     rng = np.random.default_rng(4)
     cases = [
         (rng.uniform(0.0, 10.0, (int(rng.integers(1, 25)), 2)), float(rng.uniform(0.5, 12.0)))
@@ -301,24 +312,29 @@ def test_trim_matches_iterative_oracle():
         cases += [(pts, bound) for bound in np.concatenate([picked, np.nextafter(picked, 0.0)]).tolist()]
     # v2 and its copy one ulp inside the hull: the float distance from the
     # copy to v0 is an ulp above the hull's diameter, which the copy's hull
-    # attains at v2's place. Last in order, v0 makes the search probe all
-    # five points with a hull at exactly the bound.
+    # attains at v2's place. With the bound at that hull diameter, the
+    # prefix hulls' diameters are not monotone; the point sets' are. Last
+    # in order, v0 ends the kept prefix at four points, where a search on
+    # hull diameters kept all five; first in order, at two.
     v0, v1, v2, v3 = [6.836964691807789, 9.830996612973529], [1.1519820797950842, 5.508379534654338], \
         [0.09721205146171252, 0.3297968512938043], [0.008861027567544921, 6.073772318463245]
-    pts = np.array([v1, v3, v2, [0.09721205146171254, 0.32979685129380437], v0])
-    cases.append((pts, oracle_diameter(oracle_convex_hull(pts))))
+    v2_inside = [0.09721205146171254, 0.32979685129380437]
+    bound = oracle_diameter(oracle_convex_hull(np.array([v0, v1, v2, v3, v2_inside])))
+    for pts, keep in ((np.array([v1, v3, v2, v2_inside, v0]), 4), (np.array([v0, v1, v2, v3, v2_inside]), 2)):
+        assert _set_diameter(pts[:keep]) <= bound < _set_diameter(pts[: keep + 1])
+        assert _trim_lengths(_prefix_diameters2(pts[None]), bound).tolist() == [keep]
+        cases.append((pts, bound))
     by_length: dict[int, list] = {}
     for pts, bound in cases:
         by_length.setdefault(len(pts), []).append((pts, bound))
-    on_bound = lockstep = 0
+    on_bound = mixed = 0
     for group in by_length.values():
         stack = np.array(list({id(pts): pts for pts, _ in group}.values()))
         prefix2 = _prefix_diameters2(stack)
         for rows in (1, 3):
             with mock.patch.object(ingest, "PAIRWISE_BLOCK", stack.shape[1] * rows):
                 assert _prefix_diameters2(stack).tobytes() == prefix2.tobytes()
-        # each prefix's hull diameter, to drop the farthest point while over
-        spans = [[oracle_diameter(oracle_convex_hull(pts[:keep])) for keep in range(1, len(pts) + 1)] for pts in stack]
+        spans = [[_set_diameter(pts[:keep]) for keep in range(1, len(pts) + 1)] for pts in stack]
         for bound in sorted({bound for _, bound in group}):
             want = []
             for span in spans:
@@ -327,10 +343,23 @@ def test_trim_matches_iterative_oracle():
                     keep -= 1
                 want.append(keep)
                 on_bound += span[keep - 1] == bound
-            assert _trim_lengths(stack, prefix2, bound).tolist() == want
-            lockstep += len(set(want)) > 1
+            assert _trim_lengths(prefix2, bound).tolist() == want
+            mixed += len(set(want)) > 1
     assert on_bound >= 40  # the lattice sweep must keep prefixes right on the bound
-    assert lockstep >= 40  # and stacks whose users keep different lengths
+    assert mixed >= 40  # and stacks whose users keep different lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=12),
+       st.floats(1e-3, 2e3))
+def test_trim_keeps_the_longest_prefix_within_the_bound(points, bound):
+    """The kept prefix's point-set diameter is within the bound, the next
+    longer prefix's is not, and the hull of the kept points is too."""
+    pts = np.array(points)
+    keep = int(_trim_lengths(_prefix_diameters2(pts[None]), bound)[0])
+    assert keep == 1 or _set_diameter(pts[:keep]) <= bound
+    assert keep == len(pts) or _set_diameter(pts[: keep + 1]) > bound
+    assert diameter(convex_hull(pts[:keep])) <= _set_diameter(pts[:keep])
 
 
 def test_extract_body_respects_diameter_bound():
