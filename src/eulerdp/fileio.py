@@ -9,13 +9,14 @@ parameters; seeds and noise draws are never written.
 from __future__ import annotations
 
 import json
+import warnings
 from array import array
 from typing import TextIO
 
 import numpy as np
 
 from .geometry import ConvexBody
-from .grid import build_partition
+from .grid import GridPartition, build_partition
 from .histogram import EulerHistogram, HistogramState, INTEGRAL_STATES
 from .ingest import IngestError, UserTrack
 
@@ -80,12 +81,9 @@ def _field(header: dict[str, str], key: str, parse, default: str | None = None):
         raise FormatError(f"bad or missing header field {key}: {e}") from e
 
 
-# tokens per numpy conversion while reading counts
-PARSE_BLOCK = 1 << 14
-
-
-def read_histogram(stream: TextIO) -> EulerHistogram:
-    lines = stream.read().splitlines()
+def _read_header(lines: list[str]) -> tuple[GridPartition, HistogramState, float | None, float | None, int]:
+    """The partition, state, epsilon and diameter bound a histogram file's
+    header gives, and the index of the first line after it."""
     if not lines or lines[0] != MAGIC:
         raise FormatError(f"not a histogram file (expected {MAGIC!r} header)")
     header: dict[str, str] = {}
@@ -106,36 +104,82 @@ def read_histogram(stream: TextIO) -> EulerHistogram:
         raise FormatError("cell_side is inconsistent with area_side and n")
     epsilon = _field(header, "epsilon", _positive) if "epsilon" in header else None
     bound = _field(header, "diameter_bound", _positive) if "diameter_bound" in header else None
+    return p, state, epsilon, bound, i
 
-    found, needed = len(lines) - i, 4 * n + 2  # 4 section headers and 4n - 2 rows
+
+# tokens per numpy conversion in _convert_rows, which reads only the
+# sections numpy's text reader refuses
+PARSE_BLOCK = 1 << 14
+
+
+def _convert_rows(rows: list[str], name: str, block: np.ndarray) -> None:
+    """Fill ``block`` from its section's lines, one row each, a block of
+    rows per numpy conversion. numpy converts each token with ``float()``;
+    a token it refuses, or a row of the wrong length, is a FormatError
+    naming the section and the first bad row."""
+    cols = block.shape[1]
+    step = max(1, PARSE_BLOCK // cols)
+    for top in range(0, len(rows), step):
+        chunk, tokens = rows[top : top + step], []
+        for values in map(str.split, chunk):
+            if len(values) != cols:
+                break
+            tokens += values
+        good = len(tokens) // cols  # the rows before the first of the wrong length
+        try:
+            block[top : top + good] = np.array(tokens, dtype=np.float64).reshape(good, cols)
+        except ValueError:  # name the first row holding a bad token
+            for r, line in enumerate(chunk[:good], top):
+                try:
+                    [float(v) for v in line.split()]
+                except ValueError as e:
+                    raise FormatError(f"section {name!r} row {r}: {e}") from e
+            raise
+        if good < len(chunk):
+            raise FormatError(f"section {name!r} row {top + good}: expected {cols} values")
+
+
+def _load_rows(rows: list[str], dtype: type) -> np.ndarray | None:
+    """numpy's C text reader on a section's lines: decimal integers for
+    ``int64``, float literals for ``float64``. None where it refuses a
+    token, and for lines it must not see:
+
+    - Lines that are not ASCII: numpy's integer parser reads some other
+      characters as digits (numpy 2.4 reads '1\u01fe2' as 4722).
+    - A blank first line: loadtxt warns on input with no data.
+
+    Before numpy expired it, an integer dtype read a float token through a
+    DeprecationWarning, truncating it; raised, the warning refuses the
+    token."""
+    if not (rows[0].strip() and all(map(str.isascii, rows))):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+
+
+def read_histogram(stream: TextIO) -> EulerHistogram:
+    lines = stream.read().splitlines()
+    p, state, epsilon, bound, i = _read_header(lines)
+    found, needed = len(lines) - i, 4 * p.n + 2  # 4 section headers and 4n - 2 rows
     if found < needed:  # checked before the counts are allocated
-        raise FormatError(f"truncated histogram: n={n} needs {needed} section lines, found {found}")
+        raise FormatError(f"truncated histogram: n={p.n} needs {needed} section lines, found {found}")
+    dtype = np.int64 if state in INTEGRAL_STATES else np.float64
     counts = np.empty(p.size)
     for name, block in zip(_SECTION_NAMES, p.sections(counts)):
         rows, cols = block.shape
         if lines[i] != f"{name} {rows} {cols}":
             raise FormatError(f"expected section header {name!r} at line {i + 1}")
-        i += 1
-        step = max(1, PARSE_BLOCK // cols)
-        for top in range(0, rows, step):
-            chunk, tokens = lines[i : i + min(step, rows - top)], []
-            for values in map(str.split, chunk):
-                if len(values) != cols:
-                    break
-                tokens += values
-            good = len(tokens) // cols  # the rows before the first of the wrong length
-            try:  # numpy converts each token with float()
-                block[top : top + good] = np.array(tokens, dtype=np.float64).reshape(good, cols)
-            except ValueError:  # name the first row holding a bad token
-                for r, line in enumerate(chunk[:good], top):
-                    try:
-                        [float(v) for v in line.split()]
-                    except ValueError as e:
-                        raise FormatError(f"section {name!r} row {r}: {e}") from e
-                raise
-            if good < len(chunk):
-                raise FormatError(f"section {name!r} row {top + good}: expected {cols} values")
-            i += good
+        section = lines[i + 1 : i + 1 + rows]
+        i += 1 + rows
+        values = _load_rows(section, dtype)
+        if values is not None and values.shape == block.shape:
+            block[...] = values
+        else:  # numpy refused a token or the rows' shape: judge them row by row
+            _convert_rows(section, name, block)
     for j in range(i, len(lines)):
         if lines[j].strip():
             raise FormatError(f"unexpected content after the vertices section at line {j + 1}")

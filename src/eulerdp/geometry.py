@@ -109,7 +109,10 @@ def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     - Every turn inside a chain is strictly left, so only the two turns
       where the chains join, at the largest and the smallest point, are
       checked, against the slack ``ConvexBody`` allows, after a finiteness
-      check, with ``ConvexBody``'s ValueError texts.
+      check, with ``ConvexBody``'s ValueError texts. A junction turn is
+      never checked inside a chain, and it can fail: where cross products
+      are subnormal the slack is zero, and a turn one chain kept at +5e-324
+      can compute to -5e-324 from the junction's coordinate differences.
     """
     g, m, _ = points.shape
     cols = np.arange(m)

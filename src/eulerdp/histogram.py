@@ -33,6 +33,9 @@ class HistogramState(Enum):
 
 INTEGRAL_STATES = (HistogramState.RAW, HistogramState.ROUNDED)
 
+# counts per block of the integrality check
+CHECK_BLOCK = 1 << 14
+
 
 class BodyValidationError(ValueError):
     """Raised by build when input bodies are rejected; carries per-body reports."""
@@ -68,7 +71,10 @@ class EulerHistogram:
             )
         if not np.isfinite(counts).all():
             raise ValueError("non-finite counts")
-        if self.state in INTEGRAL_STATES and not (counts == np.floor(counts)).all():
+        if self.state in INTEGRAL_STATES and not all(
+            (part == np.floor(part)).all()  # a block at a time: no full-size temporary
+            for part in (counts[k : k + CHECK_BLOCK] for k in range(0, counts.size, CHECK_BLOCK))
+        ):
             raise ValueError(f"{self.state.value} histogram contains non-integral counts")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)

@@ -25,7 +25,9 @@ its face hits; ``partitions`` draws grids whose lines are often inexact. The
 body oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
 extraction oracle turns GPS tracks into bodies one user at a time, with the
 per-user numpy calls that ``ingest_tracks`` stacks across users, and the
-tracks oracle parses a tracks file the plain way. The repair oracle is
+tracks oracle parses a tracks file the plain way; the histogram oracle
+reads a histogram file's counts row by row with ``float()``, as the reader
+did before it used numpy's text reader. The repair oracle is
 ``repair`` as it was when it still clamped edges and vertices and raised
 faces for the aggregate family before its rectangle pass.
 """
@@ -53,6 +55,7 @@ from eulerdp import (
     convex_hull,
     min_rectangle_count,
 )
+from eulerdp import fileio
 from eulerdp.geometry import intersects_boxes
 from eulerdp.histogram import INTEGRAL_STATES
 from eulerdp.inference import build_constraints
@@ -674,6 +677,39 @@ def read_tracks_oracle(stream) -> list[UserTrack]:
         ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
         tracks.append(UserTrack(uid, pts, ts))
     return tracks
+
+
+def read_histogram_oracle(stream) -> EulerHistogram:
+    """The histogram reader converting each row with ``float()`` after
+    checking its length: the same counts and FormatError texts as
+    ``read_histogram``, which shares only the header parsing, except that
+    ``read_histogram`` reads a ``-0`` token in an integral file as 0.0."""
+    lines = stream.read().splitlines()
+    p, state, epsilon, bound, i = fileio._read_header(lines)
+    found, needed = len(lines) - i, 4 * p.n + 2
+    if found < needed:
+        raise fileio.FormatError(f"truncated histogram: n={p.n} needs {needed} section lines, found {found}")
+    counts = np.empty(p.size)
+    for name, block in zip(("faces", "horizontal-edges", "vertical-edges", "vertices"), p.sections(counts)):
+        rows, cols = block.shape
+        if lines[i] != f"{name} {rows} {cols}":
+            raise fileio.FormatError(f"expected section header {name!r} at line {i + 1}")
+        for r, line in enumerate(lines[i + 1 : i + 1 + rows]):
+            tokens = line.split()
+            if len(tokens) != cols:
+                raise fileio.FormatError(f"section {name!r} row {r}: expected {cols} values")
+            try:
+                block[r] = [float(v) for v in tokens]
+            except ValueError as e:
+                raise fileio.FormatError(f"section {name!r} row {r}: {e}") from e
+        i += 1 + rows
+    for j in range(i, len(lines)):
+        if lines[j].strip():
+            raise fileio.FormatError(f"unexpected content after the vertices section at line {j + 1}")
+    try:
+        return EulerHistogram(p, counts, state, epsilon=epsilon, diameter_bound=bound)
+    except ValueError as e:
+        raise fileio.FormatError(str(e)) from e
 
 
 def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):

@@ -5,15 +5,16 @@ from __future__ import annotations
 import io
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_body, read_tracks_oracle
+from conftest import lattice_body, read_histogram_oracle, read_tracks_oracle
 from eulerdp import fileio
 from eulerdp import (
     EulerHistogram,
@@ -36,6 +37,7 @@ from eulerdp.fileio import (
     write_histogram,
     write_histogram_file,
 )
+from eulerdp.histogram import INTEGRAL_STATES
 from eulerdp.ingest import IngestError
 
 
@@ -244,10 +246,11 @@ def test_read_names_bad_counts_as_row_by_row_reading_did(case, block):
 
 
 def test_read_converts_counts_in_bounded_blocks():
-    """Reading an n=300 release (360 000 counts) needs its text, its lines,
-    three copies of its counts (read, the histogram's own and one checking
-    integrality) and one bounded block of tokens, not a token list per
-    file or per section, whose strings alone would take 4 MiB or more."""
+    """Reading an n=300 release (360 000 counts) needs its lines, two copies
+    of its counts (read, and the histogram's own), one section as numpy's
+    text reader gives it and the finiteness mask: not a token list per file
+    or per section, whose strings alone would take 4 MiB or more, nor a
+    full-size temporary checking integrality."""
     p = build_partition(300.0, 300)
     h = EulerHistogram(p, np.random.default_rng(0).integers(0, 1000, p.size), HistogramState.ROUNDED)
     text = _dump(h)
@@ -259,7 +262,111 @@ def test_read_converts_counts_in_bounded_blocks():
     finally:
         tracemalloc.stop()
     assert back.counts.tobytes() == h.counts.tobytes()
-    assert peak < 2 * len(text) + 3 * h.counts.nbytes + (2 << 20)
+    assert peak < len(text) + 2.5 * h.counts.nbytes + (1 << 20)
+
+
+def test_writer_files_take_numpys_text_reader():
+    """Files as the writer makes them, at every state and at n=2 (whose
+    sections hold one column or one row), never reach the block-by-block
+    conversion."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7):
+        p = build_partition(float(n), n)
+        for state in HistogramState:
+            integral = state in INTEGRAL_STATES
+            counts = rng.integers(0, 2**40, p.size) if integral else rng.normal(0.0, 1e3, p.size)
+            h = EulerHistogram(p, counts, state)
+            with mock.patch.object(fileio, "_convert_rows", side_effect=AssertionError):
+                back = read_histogram(io.StringIO(_dump(h)))
+            assert back.counts.tobytes() == h.counts.tobytes()
+
+
+_SEPARATORS = [" ", " ", " ", "  ", "\t", " \t", "\t\t  "]
+# a -0 token reads differently in an integral file only, so only the real
+# states draw it here; test_minus_zero_in_an_integral_file_reads_as_zero pins it
+_INTEGERS = ["0", "1", "2", "5", "17", "4096", str(2**53 + 1), str(2**63 - 1), str(-(2**63))]
+_REALS = _INTEGERS + ["0.5", "-1.25", "3.0", "0.1", "0.30000000000000004", "1e-300", "-2.5e17", "-0"]
+_ODD = [
+    "+5", "007", "3.0", "1e3", "-0.0", "1_0", "\u0663", "\uff11\uff12", "1\u01fe2", "\u0663.5",
+    str(2**63), str(2**64 + 3), str(-(2**63) - 1), "9" * 30, "nan", "-inf", "inf", "1e400",
+    "abc", "0x10", "0.5", "-", "--1", "1-", "2#",
+]
+
+
+@st.composite
+def _histogram_texts(draw):
+    """A histogram file at n = 2..4 whose count lines draw plain tokens,
+    the unusual tokens of ``_ODD``, runs of spaces and tabs, and short,
+    long and blank rows."""
+    n = draw(st.integers(2, 4))
+    state = draw(st.sampled_from(list(HistogramState)))
+    plain = st.sampled_from(_INTEGERS if state in INTEGRAL_STATES else _REALS)
+    odd_rate, shape_rate = draw(st.sampled_from([0, 0, 5, 30])), draw(st.sampled_from([0, 0, 0, 3]))
+    lines = [fileio.MAGIC, f"state: {state.value}", f"area_side: {n}.0", f"n: {n}"]
+    for name, rows, cols in zip(fileio._SECTION_NAMES, (n, n - 1, n, n - 1), (n, n, n - 1, n - 1)):
+        lines.append(f"{name} {rows} {cols}")
+        for _ in range(rows):
+            tokens = [
+                draw(st.sampled_from(_ODD)) if draw(st.integers(0, 99)) < odd_rate else draw(plain)
+                for _ in range(cols)
+            ]
+            if draw(st.integers(0, 99)) < shape_rate:
+                tokens = draw(st.sampled_from([tokens[:-1], tokens + ["1"], [], ["  "]]))
+            lead, trail = (draw(st.sampled_from(["", "", " ", "\t"])) for _ in range(2))
+            lines.append(lead + draw(st.sampled_from(_SEPARATORS)).join(tokens) + trail)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n\n", "\n  \n", "\n7\n"]))
+
+
+def _read_result(read, text: str):
+    """The state and count bytes ``read`` gives, or its FormatError text; a
+    warning fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = read(io.StringIO(text))
+    except FormatError as e:
+        return str(e)
+    return h.state, h.counts.tobytes()
+
+
+def _n2(state: str, *faces: str) -> str:
+    """An n=2 file with the given faces rows and zeros elsewhere."""
+    sections = ["faces 2 2", *faces, "horizontal-edges 1 2", "0 0", "vertical-edges 2 1", "0", "0", "vertices 1 1", "0"]
+    return "\n".join([fileio.MAGIC, f"state: {state}", "area_side: 2.0", "n: 2", *sections]) + "\n"
+
+
+@given(text=_histogram_texts())
+@example(text=_n2("raw", "1\u01fe2 0", "0 0"))  # numpy's integer parser reads 4722
+@example(text=_n2("rounded", "0 0 0 0", ""))  # loadtxt skips the blank row: shape (1, 4)
+@example(text=_n2("consistent", "", "  "))  # a section with no data
+@settings(max_examples=400, deadline=None)
+def test_read_matches_the_row_by_row_oracle(text):
+    """Each file reads to the counts the row-by-row ``float()`` oracle gives,
+    byte for byte, or raises its FormatError text."""
+    assert _read_result(read_histogram, text) == _read_result(read_histogram_oracle, text)
+
+
+@pytest.mark.parametrize("state", [HistogramState.RAW, HistogramState.ROUNDED])
+def test_minus_zero_in_an_integral_file_reads_as_zero(state):
+    """The one difference from the oracle: numpy's integer parser reads
+    ``-0`` as 0, so an integral file's ``-0`` reads as 0.0, not -0.0, unless
+    its section holds a token only ``float()`` reads. The writer writes 0
+    for -0.0, so it never writes the token."""
+    p = build_partition(2.0, 2)
+    counts = np.zeros(p.size)
+    counts[0] = -0.0
+    text = _dump(EulerHistogram(p, counts, state))
+    assert "-0" not in text
+    lines = text.splitlines()
+    row = lines.index("faces 2 2") + 1
+    assert lines[row] == "0 0"
+    edited = "\n".join(lines[:row] + ["-0 0"] + lines[row + 1 :])
+    got, want = read_histogram(io.StringIO(edited)), read_histogram_oracle(io.StringIO(edited))
+    assert np.array_equal(got.counts, want.counts)
+    assert np.signbit(want.counts[0]) and not np.signbit(got.counts).any()
+    edited = "\n".join(lines[:row] + ["-0 0.0"] + lines[row + 1 :])
+    got, want = read_histogram(io.StringIO(edited)), read_histogram_oracle(io.StringIO(edited))
+    assert got.counts.tobytes() == want.counts.tobytes() and np.signbit(got.counts[0])
 
 
 def test_non_integral_ok_for_real_states():

@@ -30,7 +30,7 @@ from conftest import (
     point_in_convex,
 )
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
-from eulerdp.geometry import convex_hulls, intersects_boxes
+from eulerdp.geometry import _NOT_CONVEX, convex_hulls, intersects_boxes
 
 lattice_coord = st.integers(min_value=0, max_value=4096).map(lambda k: k / 1024.0)
 lattice_point = st.tuples(lattice_coord, lattice_coord)
@@ -145,6 +145,30 @@ def test_hull_equals_the_fully_checked_body(sets, fill):
         assert got == min(errors, key=lambda e: "finite" not in e)
     else:
         assert all(map(_same_body, got, wants))
+
+
+# Three nearly collinear points near 1e-160, where cross products are
+# subnormal and ConvexBody's slack rounds to -0.0. The lower chain keeps the
+# middle point (its turn computes to +5e-324) and the upper chain drops it,
+# yet the turn where the chains meet at the largest point computes, from
+# other coordinate differences, to -5e-324. Negated, the set turns clockwise
+# where the chains meet at the smallest point instead.
+_CLOCKWISE_JUNCTION = [
+    (0.0, 0.0),
+    (float.fromhex("0x1.3c083126e978dp-537"), float.fromhex("0x1.9ebe28da279b8p-538")),
+    (float.fromhex("0x1.3e804189374bep-531"), float.fromhex("0x1.a1fba52bdbeaep-532")),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["largest-point", "smallest-point"])
+def test_hull_refuses_a_clockwise_junction(sign):
+    """The two junction turns ``hull_vertices`` checks can fail: each set
+    here raises ConvexBody's error, alone and in a stack."""
+    pts = sign * np.array(_CLOCKWISE_JUNCTION)
+    assert _hull_or_error(oracle_convex_hull, pts) == _NOT_CONVEX
+    assert _hull_or_error(convex_hull, pts) == _NOT_CONVEX
+    stack = np.stack([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), pts])
+    assert _hull_or_error(convex_hulls, stack, [3, 3]) == _NOT_CONVEX
 
 
 @given(st.lists(lattice_point, min_size=1, max_size=10))
