@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from array import array
+from itertools import islice, repeat
 from typing import TextIO
 
 import numpy as np
 
-from .geometry import ConvexBody
+from .geometry import ConvexBody, convex_bodies
 from .grid import GridPartition, build_partition
 from .histogram import EulerHistogram, HistogramState, INTEGRAL_STATES
-from .ingest import IngestError, UserTrack
+from .ingest import _LAT_LON_LIMITS, IngestError, UserTrack
 
 MAGIC = "euler-histogram v1"
 
@@ -197,14 +197,17 @@ def read_histogram_file(path: str) -> EulerHistogram:
 def write_bodies(
     bodies: list[ConvexBody], stream: TextIO, user_ids: list[str] | None = None
 ) -> None:
-    """One JSON record per line: user id plus the ordered vertex list."""
+    """One JSON record per line: user id plus the ordered vertex list. A
+    finite float's repr is its JSON text, so the vertex list is written
+    with repr."""
     if user_ids is None:
         user_ids = [f"u{i}" for i in range(len(bodies))]
     if len(user_ids) != len(bodies):
         raise FormatError("user_ids and bodies length mismatch")
-    for uid, body in zip(user_ids, bodies):
-        record = {"user_id": uid, "vertices": body.vertices.tolist()}
-        stream.write(json.dumps(record) + "\n")
+    stream.writelines(
+        f'{{"user_id": {json.dumps(uid)}, "vertices": {body.vertices.tolist()!r}}}\n'
+        for uid, body in zip(user_ids, bodies)
+    )
 
 
 def write_bodies_file(bodies: list[ConvexBody], path: str, user_ids: list[str] | None = None) -> None:
@@ -212,23 +215,56 @@ def write_bodies_file(bodies: list[ConvexBody], path: str, user_ids: list[str] |
         write_bodies(bodies, f, user_ids)
 
 
-def read_bodies(stream: TextIO) -> tuple[list[ConvexBody], list[str]]:
-    bodies: list[ConvexBody] = []
-    ids: list[str] = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+# lines per block of read_bodies
+BODIES_BLOCK = 1 << 12
+
+
+def _name_bad_body(lines: list[str], linenos: list[int]) -> None:
+    """Raise the FormatError of the first record of a block that does not
+    make a body on its own, naming its line."""
+    for lineno, line in zip(linenos, lines):
         try:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-            uid = str(record["user_id"])
-            body = ConvexBody(record["vertices"])
+            str(record["user_id"])
+            ConvexBody(record["vertices"])
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bodies line {lineno}: {e}") from e
-        ids.append(uid)
-        bodies.append(body)
+
+
+def read_bodies(stream: TextIO) -> tuple[list[ConvexBody], list[str]]:
+    """Bodies and user ids from one JSON record per line; blank lines are
+    skipped. A block of ``BODIES_BLOCK`` lines at a time: its records are
+    parsed, their vertices converted in one numpy call, and its bodies
+    checked and made together (:func:`~eulerdp.geometry.convex_bodies`).
+    If any record of a block fails, the block is read again a record at a
+    time, only to name the first failing line."""
+    bodies: list[ConvexBody] = []
+    ids: list[str] = []
+    top = 0
+    while block := list(islice(stream, BODIES_BLOCK)):
+        stripped = [line.strip() for line in block]
+        linenos = [top + i for i, line in enumerate(stripped, start=1) if line]
+        lines = [line for line in stripped if line]
+        top += len(block)
+        if not lines:
+            continue
+        try:
+            records = [json.loads(line) for line in lines]
+            block_ids = [str(record["user_id"]) for record in records]
+            vertices = [record["vertices"] for record in records]
+            sizes = np.array([len(v) if type(v) is list else 0 for v in vertices])
+            if not sizes.all():
+                raise ValueError("vertices must be a non-empty list")
+            flat = np.array([point for v in vertices for point in v], dtype=np.float64)
+            if flat.shape != (sizes.sum(), 2):
+                raise ValueError("vertices must be (x, y) pairs")
+            bodies += convex_bodies(flat, sizes)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _name_bad_body(lines, linenos)
+            raise
+        ids += block_ids
     return bodies, ids
 
 
@@ -237,50 +273,121 @@ def read_bodies_file(path: str) -> tuple[list[ConvexBody], list[str]]:
         return read_bodies(f)
 
 
+# lines per block of read_tracks, so no token list grows with the file
+TRACKS_BLOCK = 1 << 11
+
+
+def _floats(lat: str, lon: str) -> bool:
+    """Whether ``float()`` reads both coordinate tokens."""
+    try:
+        float(lat), float(lon)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row(pairs: list[tuple[str, str]]) -> int | None:
+    """The first (lat, lon) pair ``float()`` refuses, if any: the per-line
+    search behind an error, run only once a block's conversion fails."""
+    return next((r for r, (lat, lon) in enumerate(pairs) if not _floats(lat, lon)), None)
+
+
+def _track_block(lines: list[str], top: int, header: bool):
+    """The data rows of one block of tracks lines, the block starting after
+    line ``top``: their user id tokens, (rows, 2) coordinates, stripped
+    timestamps (None when no row has one, else None for a row without),
+    and whether a column-name row may still come. Raises the block's first
+    error in line order."""
+    commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=len(lines))
+    keep = (commas == 2) | (commas == 3)
+    stop = len(lines)  # the first line with a wrong field count
+    for i in np.flatnonzero(~keep).tolist():  # blank and '#' lines pass whatever their commas
+        text = lines[i].strip()
+        if text and text[0] != "#":
+            stop = i
+            break
+    keep[stop:] = False
+    if "#" in "".join(lines):
+        keep &= [line.lstrip()[:1] != "#" for line in lines]
+    rows = np.flatnonzero(keep)
+    width = commas[rows] + 1
+    starts = np.cumsum(width) - width
+    data = lines if len(rows) == len(lines) else [lines[i] for i in rows.tolist()]
+    # a row's last token keeps its line ending, which float() and strip() drop
+    tokens = np.array(",".join(data).split(","), dtype=object)
+    pairs = tokens[starts[:, None] + (1, 2)]
+    skip = 0  # column-name rows: before the first data row, named user_id, coordinates no float
+    while (
+        header and skip < len(rows) and tokens[starts[skip]].strip().lower() == "user_id"
+        and not _floats(*pairs[skip])
+    ):
+        skip += 1
+    rows, width, starts, pairs = rows[skip:], width[skip:], starts[skip:], pairs[skip:]
+    try:  # numpy converts each token with float()
+        coords = pairs.astype(np.float64)
+    except ValueError:
+        r = _bad_row(pairs.tolist())
+        if r is None:
+            raise
+        lat, lon = pairs[r]
+        raise IngestError(
+            f"tracks line {top + rows[r] + 1}: bad coordinates {lat.strip()!r}, {lon.strip()!r}"
+        ) from None
+    if stop < len(lines):
+        raise IngestError(f"tracks line {top + stop + 1}: expected 3 or 4 fields, got {commas[stop] + 1}")
+    stamps, stamped = None, width == 4
+    if stamped.any():
+        stamps = np.full(len(rows), None, dtype=object)
+        stamps[stamped] = [t.strip() for t in tokens[starts[stamped] + 3].tolist()]
+    return tokens[starts], coords, stamps, header and not len(rows)
+
+
 def read_tracks(stream: TextIO) -> list[UserTrack]:
     """Parse ``user_id, lat, lon[, timestamp]`` lines, grouped per user in
     first-appearance order. Blank lines and '#' comments are skipped; a
-    leading column-name row is tolerated. Fields may carry whitespace."""
-    points: dict[str, array] = {}  # flat lat, lon pairs; dicts keep first-appearance order
-    stamps: dict[str, list[str]] = {}
-    first_data = True
-    uid_before = None
-    for lineno, line in enumerate(stream, start=1):
-        parts = line.split(",")
-        count = len(parts)
-        if count != 3 and count != 4:
-            # a comment or blank line whatever its commas, else an error
-            text = line.strip()
-            if text and text[0] != "#":
-                raise IngestError(f"tracks line {lineno}: expected 3 or 4 fields, got {count}")
+    column-name row is tolerated before the first data row. Fields may
+    carry whitespace. A block of ``TRACKS_BLOCK`` lines at a time: each
+    block's coordinates are converted in one numpy call, and its rows join
+    their users a run of equal ids at a time."""
+    users: dict[str, int] = {}  # dicts keep first-appearance order
+    owners, coords, stamps = [], [], []
+    header, top = True, 0
+    while lines := list(islice(stream, TRACKS_BLOCK)):
+        ids, block, block_stamps, header = _track_block(lines, top, header)
+        top += len(lines)
+        if not len(ids):
             continue
-        uid = parts[0].strip()
-        if uid[:1] == "#":
-            continue
-        try:  # float() ignores surrounding whitespace itself
-            lat, lon = float(parts[1]), float(parts[2])
-        except ValueError:
-            if first_data and uid.lower() == "user_id":
-                continue
-            lat_text, lon_text = parts[1].strip(), parts[2].strip()
-            raise IngestError(f"tracks line {lineno}: bad coordinates {lat_text!r}, {lon_text!r}")
-        first_data = False
-        if uid != uid_before:  # rows of one user usually come together
-            uid_before = uid
-            flat = points.get(uid)
-            if flat is None:
-                flat = points[uid] = array("d")
-                stamps[uid] = []
-            user_stamps = stamps[uid]
-        flat.append(lat)
-        flat.append(lon)
-        if count == 4:
-            user_stamps.append(parts[3].strip())
+        bounds = np.concatenate([[0], np.flatnonzero(ids[1:] != ids[:-1]) + 1, [len(ids)]])
+        runs = [users.setdefault(uid.strip(), len(users)) for uid in ids[bounds[:-1]].tolist()]
+        owners.append(np.repeat(runs, np.diff(bounds)))
+        coords.append(block)
+        stamps.append(block_stamps)
+    if not users:
+        return []
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    points = np.concatenate(coords)[order]
+    names = list(users)
+    outside = ~(np.abs(points) <= _LAT_LON_LIMITS).all(axis=1)  # NaN fails too
+    if outside.any():  # the first failing user: points are in first-appearance order
+        bad = names[owner[order[outside.argmax()]]]
+        raise IngestError(f"user {bad!r}: coordinates outside valid ranges")
+    sizes = np.bincount(owner)
+    ends = np.cumsum(sizes)
+    times = [None] * len(names)
+    if any(s is not None for s in stamps):
+        every = np.concatenate([np.full(len(o), None, dtype=object) if s is None else s for o, s in zip(owners, stamps)])
+        stamped = np.bincount(owner[np.not_equal(every, None)], minlength=len(names)) == sizes
+        every = every[order]
+        for u in np.flatnonzero(stamped).tolist():  # timestamps only when every row has one
+            times[u] = tuple(every[ends[u] - sizes[u] : ends[u]].tolist())
     tracks = []
-    for uid, flat in points.items():
-        pts = np.frombuffer(flat).reshape(-1, 2)
-        ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
-        tracks.append(UserTrack(uid, pts, ts))
+    for uid, end, size, ts in zip(names, ends.tolist(), sizes.tolist(), times):
+        track = object.__new__(UserTrack)  # checked above, all at once
+        object.__setattr__(track, "user_id", uid)
+        object.__setattr__(track, "points", points[end - size : end])
+        object.__setattr__(track, "timestamps", ts)
+        tracks.append(track)
     return tracks
 
 

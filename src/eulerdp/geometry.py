@@ -17,6 +17,8 @@ sets at once, in numpy: :func:`hull_vertices` sorts every set, drops repeated
 points and advances all the chains one point per step, each set getting
 exactly the hull the chain would build on it alone. :func:`convex_hulls`
 makes bodies of a stack, and :func:`convex_hull` runs the stack of one set.
+:func:`convex_bodies` checks a block of given vertex lists, as read from a
+file, and makes bodies of it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import numpy as np
 
 _NOT_FINITE = "vertices must be finite"
 _NOT_CONVEX = "vertices must wind counterclockwise around a convex region"
+# float64s per temporary of convex_bodies' pairwise distances
+CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +45,10 @@ class ConvexBody:
 
     Immutable: ``vertices`` is copied once on construction and is read-only,
     so ``bbox`` (xmin, xmax, ymin, ymax), stored in the same pass, never goes
-    stale. Bodies from :func:`convex_hulls` view one read-only block instead. ``cached_diameter`` is :func:`diameter`, computed on first use
-    and kept. Bodies compare and hash by identity.
+    stale. Bodies from :func:`convex_hulls` and :func:`convex_bodies` view
+    one read-only block instead. ``cached_diameter`` is :func:`diameter`,
+    computed on first use and kept; :func:`convex_bodies` fills it in.
+    Bodies compare and hash by identity.
     """
 
     vertices: np.ndarray
@@ -177,6 +183,33 @@ def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     return hx, hy, size
 
 
+def _block_bodies(block: np.ndarray, sizes, boxes: list, diameters: list | None = None) -> list[ConvexBody]:
+    """Bodies viewing ``block`` (K, 2), made read-only, body i being the next
+    ``sizes[i]`` rows, with bbox ``boxes[i]`` and, when given, cached
+    diameter ``diameters[i]``. Nothing is checked: the caller has."""
+    block.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    bodies = []
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        body = object.__new__(ConvexBody)
+        object.__setattr__(body, "vertices", block[start:end])
+        object.__setattr__(body, "bbox", tuple(boxes[i]))
+        if diameters is not None:
+            object.__setattr__(body, "cached_diameter", diameters[i])
+        bodies.append(body)
+    return bodies
+
+
+def _extremes(x: np.ndarray, y: np.ndarray) -> list:
+    """(xmin, xmax, ymin, ymax) of each row of x and y (g, h): the first of
+    equal extremes, as min() and max() pick, so 0.0 and -0.0 tie."""
+    rows = np.arange(len(x))
+    return np.stack(
+        [x[rows, x.argmin(axis=1)], x[rows, x.argmax(axis=1)], y[rows, y.argmin(axis=1)], y[rows, y.argmax(axis=1)]],
+        axis=1,
+    ).tolist()
+
+
 def convex_hulls(points, counts) -> list[ConvexBody]:
     """The convex hulls of a stack of point sets, set i being
     ``points[i, :counts[i]]``, each the body :func:`convex_hull` makes of
@@ -184,23 +217,62 @@ def convex_hulls(points, counts) -> list[ConvexBody]:
     hx, hy, size = hull_vertices(np.asarray(points, dtype=np.float64), np.asarray(counts))
     if not size.size:
         return []
-    rows = np.arange(len(size))
-    # the first of equal extremes, as min() and max() pick: 0.0 and -0.0 tie
-    boxes = np.stack(
-        [hx[rows, hx.argmin(axis=1)], hx[rows, hx.argmax(axis=1)], hy[rows, hy.argmin(axis=1)], hy[rows, hy.argmax(axis=1)]],
-        axis=1,
-    ).tolist()
     kept = np.arange(hx.shape[1]) < size[:, None]
-    block = np.stack([hx[kept], hy[kept]], axis=1)
-    block.flags.writeable = False
-    ends = np.cumsum(size).tolist()
-    bodies = []
-    for start, end, bbox in zip([0] + ends, ends, boxes):
-        body = object.__new__(ConvexBody)
-        object.__setattr__(body, "vertices", block[start:end])
-        object.__setattr__(body, "bbox", tuple(bbox))
-        bodies.append(body)
-    return bodies
+    return _block_bodies(np.stack([hx[kept], hy[kept]], axis=1), size, _extremes(hx, hy))
+
+
+def _squared_diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest squared distance between two points of each of g sets of k
+    points, x and y (g, k): :func:`diameter`'s dx * dx + dy * dy over all
+    pairs, then the max, with at most ``CHECK_BLOCK`` float64s per
+    temporary (one row of one set at least)."""
+    g, k = x.shape
+    out = np.zeros(g)
+    sets = max(1, CHECK_BLOCK // (k * k))
+    rows = k if sets > 1 else max(1, CHECK_BLOCK // k)
+    with np.errstate(over="ignore"):  # inf, as in plain floats
+        for lo in range(0, g, sets):
+            part = out[lo : lo + sets]
+            for r in range(0, k, rows):
+                dx = x[lo : lo + sets, r : r + rows, None] - x[lo : lo + sets, None, :]
+                dy = y[lo : lo + sets, r : r + rows, None] - y[lo : lo + sets, None, :]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                np.maximum(part, dx.max(axis=(1, 2)), out=part)
+    return out
+
+
+def convex_bodies(vertices: np.ndarray, sizes: np.ndarray) -> list[ConvexBody]:
+    """The bodies of a (K, 2) float64 vertex block, body i being the next
+    ``sizes[i] >= 1`` rows in counterclockwise order, each checked as
+    ``ConvexBody`` checks it: every coordinate finite, and every turn of a
+    body of three or more vertices within the slack, elementwise in float64
+    as ``ConvexBody`` does it in Python floats. Raises ``ConvexBody``'s
+    ValueError texts. Bodies of equal size are checked together. The bodies
+    view the block, made read-only, with their bbox and their cached
+    diameter filled in."""
+    if not np.isfinite(vertices).all():
+        raise ValueError(_NOT_FINITE)
+    boxes: list = [None] * len(sizes)
+    diameters = np.empty(len(sizes))
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf, as in plain floats
+        for k in np.unique(sizes).tolist():
+            group = np.flatnonzero(sizes == k)
+            at = starts[group, None] + np.arange(k)
+            x, y = vertices[at, 0], vertices[at, 1]
+            if k >= 3:  # no "or 1.0" as in ConvexBody: a body all at 0.0 turns by 0.0, within any slack
+                scale = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
+                slack = -1e-9 * scale * scale
+                ax, ay = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+                bx, by = np.roll(x, -2, axis=1) - x, np.roll(y, -2, axis=1) - y
+                if (ax * by - ay * bx < slack[:, None]).any():
+                    raise ValueError(_NOT_CONVEX)
+            for i, box in zip(group.tolist(), _extremes(x, y)):
+                boxes[i] = box
+            diameters[group] = np.sqrt(_squared_diameters(x, y))
+    return _block_bodies(vertices, sizes, boxes, diameters.tolist())
 
 
 def convex_hull(points) -> ConvexBody:

@@ -22,9 +22,9 @@ post-processing and spends no extra privacy budget.
 
 Every check of the rows, and the L-infinity projection, compares
 neighbouring slices of the face, edge and vertex sections. The rows'
-dense-index pairs are built on first access; in the library only the L1
-projection's pair list reads them, so checking a histogram allocates no
-index table.
+dense-index pairs are built on first access, for the tests' oracles; the
+L1 projection builds its pair list from the same grid arithmetic and frees
+it on return, so no index table outlives a call.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class ConstraintSet:
     ``violation_counts`` compares neighbouring slices of the partition's
     sections and needs no index table, so ``verify``, rounding and repair
     never build one. The index pairs are built on first access, by the
-    ``l1`` projection's pair list and by the tests' oracles and census:
-    ``c1`` holds (edge, face) dense-index pairs ordered by edge then by the
+    tests' oracles and census; the ``l1`` projection builds its own and
+    frees them. ``c1`` holds (edge, face) dense-index pairs ordered by edge then by the
     edge's face order; ``c2`` holds (vertex, edge) pairs ordered by vertex
     then edge; ``c3`` holds one row (vertex, f1..f4, e1..e4) per vertex.
     """
@@ -73,11 +73,7 @@ class ConstraintSet:
 
     @cached_property
     def c1(self) -> np.ndarray:
-        faces, hedges, vedges, _ = self.partition.sections(np.arange(self.partition.size, dtype=np.int64))
-        return np.concatenate([
-            np.stack([hedges, faces[:-1], hedges, faces[1:]], axis=-1).reshape(-1, 2),
-            np.stack([vedges, faces[:, :-1], vedges, faces[:, 1:]], axis=-1).reshape(-1, 2),
-        ])
+        return _c1_rows(self.partition)
 
     @cached_property
     def c2(self) -> np.ndarray:
@@ -85,11 +81,25 @@ class ConstraintSet:
 
     @cached_property
     def c3(self) -> np.ndarray:
-        faces, hedges, vedges, vertices = self.partition.sections(np.arange(self.partition.size, dtype=np.int64))
-        return np.stack([
-            vertices, faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:],
-            hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:],
-        ], axis=-1).reshape(-1, 9)
+        return _c3_rows(self.partition)
+
+
+def _c1_rows(p: GridPartition) -> np.ndarray:
+    """(edge, face) dense-index pairs, by edge then by the edge's faces."""
+    faces, hedges, vedges, _ = p.sections(np.arange(p.size, dtype=np.int64))
+    return np.concatenate([
+        np.stack([hedges, faces[:-1], hedges, faces[1:]], axis=-1).reshape(-1, 2),
+        np.stack([vedges, faces[:, :-1], vedges, faces[:, 1:]], axis=-1).reshape(-1, 2),
+    ])
+
+
+def _c3_rows(p: GridPartition) -> np.ndarray:
+    """One row (vertex, f1..f4, e1..e4) of dense indices per vertex."""
+    faces, hedges, vedges, vertices = p.sections(np.arange(p.size, dtype=np.int64))
+    return np.stack([
+        vertices, faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:],
+        hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:],
+    ], axis=-1).reshape(-1, 9)
 
 
 def build_constraints(p: GridPartition) -> ConstraintSet:
@@ -208,9 +218,11 @@ def _maximize(eu, ed, mate_u, mate_d, size) -> np.ndarray:
         _augment(eu, ed, mate_u, mate_d, dist_u, dist_d, free_d, size)
 
 
-def _isotonic_l1(h: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, int]:
+def _isotonic_l1(h: np.ndarray, p: GridPartition) -> tuple[np.ndarray, int]:
     """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
-    (lower, upper), and the number of minimum-cut levels it took.
+    (lower, upper), and the number of minimum-cut levels it took. The pairs
+    are built here from ``p``'s sections and freed on return; nothing is
+    cached on a ``ConstraintSet``.
 
     Each node keeps an index interval [lo, hi) into the sorted distinct
     values. A level cuts every open interval at mid: a node ranked at or
@@ -227,9 +239,13 @@ def _isotonic_l1(h: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, int]:
     """
     vals, rank = np.unique(h, return_inverse=True)
     size = len(h)
-    # every ordered pair (lower, upper): vertex-edge, edge-face, vertex-face
-    vertex_face = np.column_stack([np.repeat(cs.c3[:, 0], 4), cs.c3[:, 1:5].ravel()])
-    lower, upper = np.concatenate([cs.c2, cs.c1, vertex_face]).T
+    # every ordered pair (lower, upper): vertex-edge (the C2 rows), edge-face
+    # (the C1 rows), vertex-face
+    c1, c3 = _c1_rows(p), _c3_rows(p)
+    vertex = np.repeat(c3[:, 0], 4)
+    lower = np.concatenate([vertex, c1[:, 0], vertex])
+    upper = np.concatenate([c3[:, 5:].ravel(), c1[:, 1], c3[:, 1:5].ravel()])
+    del c1, c3, vertex
     lo = np.zeros(size, dtype=np.int64)
     hi = np.full(size, len(vals), dtype=np.int64)
     levels = 0
@@ -290,7 +306,7 @@ def infer(
         cs = build_constraints(hn.partition)
     t0 = time.perf_counter()
     if objective == "l1":
-        x, levels = _isotonic_l1(hn.counts, cs)
+        x, levels = _isotonic_l1(hn.counts, hn.partition)
     else:
         x, levels = _isotonic_linf(hn.counts, hn.partition), 0
     # Clipping an isotonic optimum at 0 keeps it isotonic, and optimal under

@@ -40,6 +40,8 @@ _LAT_LON_LIMITS = np.array([90.0, 180.0])
 # hulls, so no temporary grows with the number of users, nor with the
 # square of a track's length
 PAIRWISE_BLOCK = 1 << 16
+# float64s per scratch array of the KDE's row blocks, four of them in cache
+KDE_BLOCK = 1 << 15
 # most vertices a synthetic body draws
 MAX_SIDES = 8
 
@@ -121,7 +123,8 @@ def _scott_matrices(stack: np.ndarray) -> np.ndarray:
     the sample covariance scaled by m^(-1/(d+4)), d=2, by Scott's rule.
 
     Each covariance is ``np.cov``'s: the same mean, and the same BLAS
-    product of the centred points with themselves, one set at a time.
+    product of the centred points with their own transpose, which one
+    stacked ``np.matmul`` runs set by set.
     A degenerate covariance (repeated or collinear points) gets a small
     ridge so the density stays evaluable: 1e-12 of its scale, times 10
     until its Cholesky factorisation succeeds.
@@ -132,10 +135,7 @@ def _scott_matrices(stack: np.ndarray) -> np.ndarray:
         cov = np.tile(np.eye(2), (g, 1, 1))
     else:
         centred = stack - stack.mean(axis=1, keepdims=True)
-        cov = np.empty((g, 2, 2))
-        for u, x in enumerate(centred):
-            xt = x.T  # np.cov's (2, m) view; the product of a view with its own transpose
-            cov[u] = np.dot(xt, xt.T)
+        cov = np.matmul(centred.transpose(0, 2, 1), centred)
         cov *= np.true_divide(1, m - 1)
     h = cov * factor**2
     scale = np.maximum(h[:, 0, 0] + h[:, 1, 1], 1.0)
@@ -166,24 +166,39 @@ def _kde(stack: np.ndarray, at: np.ndarray) -> np.ndarray:
     The quadratic form d^T H^-1 d is summed from the per-axis differences
     in the order ``einsum("ijk,kl,ijl->ij", d, h_inv, d)`` accumulates it
     (k outer, l inner, each term multiplied left to right), so the result is
-    bitwise the einsum value at a fraction of its per-call cost. Every
-    temporary holds at most ``PAIRWISE_BLOCK`` float64s (one row at least).
+    bitwise the einsum value at a fraction of its per-call cost. A block of
+    rows is worked in four scratch arrays, reused from block to block, of
+    at most ``KDE_BLOCK`` float64s each (one row at least). A set's part
+    of a scratch array is one contiguous run, so a product with the set's
+    entry of H^-1 is one long loop, not one per row.
     """
     g, m, _ = stack.shape
     h = _scott_matrices(stack)
-    h_inv = np.linalg.inv(h)[:, :, :, None, None]
-    a, b, c, e = h_inv[:, 0, 0], h_inv[:, 0, 1], h_inv[:, 1, 0], h_inv[:, 1, 1]
+    h_inv = np.linalg.inv(h)
+    a, b, c, e = h_inv[:, 0, 0, None], h_inv[:, 0, 1, None], h_inv[:, 1, 0, None], h_inv[:, 1, 1, None]
     norm = 1.0 / (m * 2.0 * math.pi * np.sqrt(np.linalg.det(h)))[:, None]
     px = np.ascontiguousarray(stack[:, None, :, 0])
     py = np.ascontiguousarray(stack[:, None, :, 1])
-    out = np.empty(at.shape[:2])
-    step = max(1, PAIRWISE_BLOCK // (g * m))
-    for lo in range(0, at.shape[1], step):
-        d0 = at[:, lo : lo + step, 0, None] - px
-        d1 = at[:, lo : lo + step, 1, None] - py
-        quad = (((d0 * a) * d0 + (d0 * b) * d1) + (d1 * c) * d0) + (d1 * e) * d1
+    qx = np.ascontiguousarray(at[:, :, 0, None])
+    qy = np.ascontiguousarray(at[:, :, 1, None])
+    r = at.shape[1]
+    out = np.empty((g, r))
+    step = max(1, KDE_BLOCK // (g * m))
+    scratch = np.empty((4, g, min(step, r) * m))
+    for lo in range(0, r, step):
+        rows = min(step, r - lo)
+        d0, d1, quad, term = scratch[:, :, : rows * m]  # views, (g, rows * m) each
+        np.subtract(qx[:, lo : lo + rows], px, out=d0.reshape(g, rows, m))
+        np.subtract(qy[:, lo : lo + rows], py, out=d1.reshape(g, rows, m))
+        np.multiply(d0, a, out=quad)
+        quad *= d0
+        for u, v, w in ((d0, b, d1), (d1, c, d0), (d1, e, d1)):
+            np.multiply(u, v, out=term)
+            term *= w
+            quad += term
         quad *= -0.5
-        out[:, lo : lo + step] = np.exp(quad, out=quad).sum(axis=2) * norm
+        np.exp(quad, out=quad)
+        np.multiply(quad.reshape(g, rows, m).sum(axis=2), norm, out=out[:, lo : lo + rows])
     return out
 
 

@@ -25,7 +25,9 @@ its face hits; ``partitions`` draws grids whose lines are often inexact. The
 body oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
 extraction oracle turns GPS tracks into bodies one user at a time, with the
 per-user numpy calls that ``ingest_tracks`` stacks across users, and the
-tracks oracle parses a tracks file the plain way; the histogram oracle
+tracks oracle parses a tracks file the plain way, and the bodies oracle
+reads a bodies file a record at a time, each through ``ConvexBody``, as
+the reader did before it checked blocks of bodies at once; the histogram oracle
 reads a histogram file's counts row by row with ``float()``, as the reader
 did before it used numpy's text reader. The repair oracle is
 ``repair`` as it was when it still clamped edges and vertices and raised
@@ -34,6 +36,7 @@ faces for the aggregate family before its rectangle pass.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from typing import NamedTuple
@@ -677,6 +680,28 @@ def read_tracks_oracle(stream) -> list[UserTrack]:
         ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
         tracks.append(UserTrack(uid, pts, ts))
     return tracks
+
+
+def read_bodies_oracle(stream) -> tuple[list[ConvexBody], list[str]]:
+    """The bodies reader one line at a time: each record parsed alone and
+    made a body by ``ConvexBody``, whose diameter is computed when asked."""
+    bodies: list[ConvexBody] = []
+    ids: list[str] = []
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            uid = str(record["user_id"])
+            body = ConvexBody(record["vertices"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise fileio.FormatError(f"bodies line {lineno}: {e}") from e
+        ids.append(uid)
+        bodies.append(body)
+    return bodies, ids
 
 
 def read_histogram_oracle(stream) -> EulerHistogram:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import re
 import tracemalloc
 import warnings
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_body, read_histogram_oracle, read_tracks_oracle
-from eulerdp import fileio
+from conftest import lattice_body, read_bodies_oracle, read_histogram_oracle, read_tracks_oracle
+from eulerdp import fileio, geometry
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -37,8 +38,8 @@ from eulerdp.fileio import (
     write_histogram,
     write_histogram_file,
 )
-from eulerdp.histogram import INTEGRAL_STATES
-from eulerdp.ingest import IngestError
+from eulerdp.histogram import INTEGRAL_STATES, validate_bodies
+from eulerdp.ingest import IngestConfig, IngestError, generate_synthetic
 
 
 def _raw_histogram(n=4, origin=(0.0, 0.0)):
@@ -415,6 +416,155 @@ def test_bodies_malformed_record_is_format_error(record):
         read_bodies(io.StringIO(text))
 
 
+def test_bodies_writer_bytes_are_the_json_records():
+    """Each line is the JSON dump of the record, byte for byte."""
+    bodies = generate_synthetic(
+        "clustered", 50, IngestConfig(area_side=1e4, diameter_bound=500.0, k=5), np.random.default_rng(4)
+    )
+    bodies += [convex_hull([(-0.0, 0.0)]), convex_hull([(1e-300, 5e-324), (1e300, -2.5)])]
+    ids = [f"u{i}" for i in range(len(bodies) - 3)] + [7, "\u00e9 \"q\"", None]
+    buf = io.StringIO()
+    write_bodies(bodies, buf, user_ids=ids)
+    want = "".join(json.dumps({"user_id": u, "vertices": b.vertices.tolist()}) + "\n" for u, b in zip(ids, bodies))
+    assert buf.getvalue() == want
+
+
+def test_read_bodies_fill_in_bbox_and_diameter_from_one_block():
+    bodies = generate_synthetic(
+        "uniform", 40, IngestConfig(area_side=1e4, diameter_bound=500.0, k=5), np.random.default_rng(5)
+    )
+    buf = io.StringIO()
+    write_bodies(bodies, buf)
+    buf.seek(0)
+    got, _ = read_bodies(buf)
+    base = got[0].vertices.base
+    assert base is not None and not base.flags.writeable
+    assert all(b.vertices.base is base and "cached_diameter" in b.__dict__ for b in got)
+    with mock.patch.object(geometry, "diameter", side_effect=AssertionError("recomputed")):
+        kept, rejected = validate_bodies(got, build_partition(1e4, 8), diameter_bound=500.0)
+    assert len(kept) == 40 and rejected == []
+
+
+def test_bodies_records_never_share_or_span_lines():
+    """Two records on one line, and one record over two lines: the joined
+    text of the three lines is a valid array of three records, yet the
+    first line is refused, as reading a record at a time refuses it."""
+    text = (
+        '{"user_id": "a", "vertices": [[0, 0]]}, {"user_id": "b", "vertices": [[0, 0]]}\n'
+        '{"user_id": "c", "vertices": [[0, 0], [1, 0]\n'
+        "[1, 1]]}\n"
+    )
+    assert len(json.loads("[" + ",".join(text.splitlines()) + "]")) == 3
+    want = _bodies_result(read_bodies_oracle, text)
+    assert want.startswith("bodies line 1: Extra data")
+    assert _bodies_result(read_bodies, text) == want
+
+
+def _body_line(uid, vertices) -> str:
+    return json.dumps({"user_id": uid, "vertices": vertices})
+
+
+_BULK_BODIES = [
+    _body_line(f"u{i}", b.vertices.tolist())
+    for i, b in enumerate(
+        generate_synthetic(
+            "concentrated", 700, IngestConfig(area_side=1e4, diameter_bound=500.0, k=5), np.random.default_rng(6)
+        )
+    )
+]
+
+_ODD_BODY_LINES = [
+    "",
+    "   ",
+    "[1, 2]",
+    '"just a string"',
+    "3",
+    "null",
+    "not json",
+    '{"user_id": "a", "vertices": [[0, 0]]} trailing',
+    '{"vertices": [[0, 0]]}',
+    '{"user_id": "a"}',
+    '{"user_id": "a", "vertices": [[0, 0], [1]]}',
+    '{"user_id": "a", "vertices": [[0, 0, 0], [1, 1, 1]]}',
+    '{"user_id": "a", "vertices": []}',
+    '{"user_id": "a", "vertices": [[]]}',
+    '{"user_id": "a", "vertices": [["x", "y"]]}',
+    '{"user_id": "a", "vertices": [["1.5", " 2 "]]}',
+    '{"user_id": "a", "vertices": [[null, 1]]}',
+    '{"user_id": "a", "vertices": [[true, 0], [false, 1]]}',
+    '{"user_id": "a", "vertices": {"x": 1}}',
+    '{"user_id": "a", "vertices": "ab"}',
+    '{"user_id": "a", "vertices": 5}',
+    '{"user_id": "a", "vertices": [[[0, 0]]]}',
+    '{"user_id": "a", "vertices": [[NaN, 0]]}',
+    '{"user_id": "a", "vertices": [[Infinity, 0], [0, 1]]}',
+    '{"user_id": "a", "vertices": [[0, 0], [0, 1], [1, 0]]}',
+    '{"user_id": 7, "vertices": [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]}',
+    '{"user_id": [1], "vertices": [[0, 0], [2, 0]], "extra": 1}',
+    '{"user_id": "z", "vertices": [[-0.0, 0.0], [0.0, -0.0]]}',
+    '{"user_id": "z", "vertices": [[0.0, -0.0], [1.0, 0.0], [-0.0, 1.0]]}',
+]
+
+
+@st.composite
+def _body_lines(draw) -> str:
+    """A record line: a hull, the hull turned clockwise, three points nearly
+    collinear about the slack, or points in any order; at coordinate scales
+    where the slack underflows (1e-160) or is huge (1e150)."""
+    scale = draw(st.sampled_from([1e-160, 1.0, 37.5, 1e150]))
+    kind = draw(st.sampled_from(["hull", "clockwise", "collinear", "points"]))
+    uid = draw(st.sampled_from(["a", "b c", 7, None, "\u00e9"]))
+    if kind == "collinear":  # the third turn is -f/4 of the slack's scale
+        f = draw(st.sampled_from([-8e-9, -4.000001e-9, -4e-9, -3.999999e-9, -1e-12, 0.0, 1e-9]))
+        verts = [[0.0, 0.0], [scale, scale], [2.0 * scale, 2.0 * scale + f * scale]]
+        turn = draw(st.integers(0, 2))
+        return _body_line(uid, verts[turn:] + verts[:turn])
+    pts = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=7))
+    verts = [[x * scale, y * scale] for x, y in pts]
+    if kind != "points":
+        try:
+            verts = convex_hull(np.array(verts)).vertices.tolist()
+        except ValueError:  # a junction turn the hull refuses: keep the points
+            pass
+        if kind == "clockwise":
+            verts.reverse()
+    return _body_line(uid, verts)
+
+
+def _bodies_result(read, text: str):
+    """What a reader makes of ``text``: ids, and each body's vertex, bbox
+    and diameter bytes; or the FormatError's text."""
+    try:
+        bodies, ids = read(io.StringIO(text))
+    except FormatError as e:
+        return str(e)
+    with np.errstate(over="ignore"):  # diameter() of coordinates near 1e308
+        return ids, [
+            (b.vertices.tobytes(), np.array(b.bbox).tobytes(), np.float64(b.cached_diameter).tobytes())
+            for b in bodies
+        ]
+
+
+@given(
+    prefix=st.integers(0, len(_BULK_BODIES)),
+    lines=st.lists(st.one_of(st.sampled_from(_ODD_BODY_LINES), _body_lines()), max_size=10),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    block=st.sampled_from([None, 1, 7, 256]),
+    check=st.sampled_from([None, 1, 50]),
+)
+@settings(max_examples=150, deadline=None)
+def test_bodies_reader_matches_the_line_by_line_oracle(prefix, lines, ending, block, check):
+    """Up to several hundred good records, then drawn ones, late in their
+    block: the same ids, vertex, bbox and diameter bytes as reading and
+    checking one record at a time, or the same FormatError."""
+    text = "".join(line + ending for line in _BULK_BODIES[:prefix] + lines)
+    with mock.patch.multiple(fileio, BODIES_BLOCK=block or fileio.BODIES_BLOCK), mock.patch.multiple(
+        geometry, CHECK_BLOCK=check or geometry.CHECK_BLOCK
+    ):
+        got = _bodies_result(read_bodies, text)
+    assert got == _bodies_result(read_bodies_oracle, text)
+
+
 def test_tracks_parsing():
     text = (
         "user_id, lat, lon, timestamp\n"
@@ -519,23 +669,141 @@ def test_tracks_non_finite_coordinates(value):
 
 _FIELD = st.sampled_from(["a", " b ", "user_id", "USER_ID", "lat", "1.5", " -2.25 ", "nan", "x", "", "#c", "t1"])
 
+# a data row, most often a good one: numeric ids, and tokens float() reads its own way
+_ROW = st.tuples(
+    st.sampled_from(["1", "2", " 3 ", "3", "a", "user_id", "#x"]),
+    st.sampled_from(["1.5", "1_0", "+5", "\u0661", " -2 ", "lat", "nan", "91", ""]),
+    st.sampled_from(["2.5", "-0.0", " 7 ", "lon", "x"]),
+    st.sampled_from([None, "t", " t2 ", ""]),
+).map(lambda r: ",".join(f for f in r if f is not None))
+
 
 @given(
     rows=st.lists(
         st.one_of(
             st.lists(_FIELD, min_size=1, max_size=5).map(",".join),
             st.sampled_from(["", "   ", "# note", "  # a, b, c", ",,", "a,1,2", "b, 3 ,4, t"]),
+            _ROW,
         ),
-        max_size=12,
+        max_size=40,
     ),
     ending=st.sampled_from(["\n", "\r\n"]),
+    block=st.sampled_from([None, 1, 2, 5, 16]),
 )
 @settings(max_examples=300, deadline=None)
-def test_tracks_parser_matches_plain_oracle(rows, ending):
+def test_tracks_parser_matches_plain_oracle(rows, ending, block):
     """Same tracks, or the same error with the same line number, as the
-    plain strip-everything parser."""
+    plain strip-everything parser; in blocks of a few lines too, so that
+    users, column-name rows and errors fall in later blocks."""
     text = "".join(row + ending for row in rows)
-    assert _tracks_result(read_tracks, text) == _tracks_result(read_tracks_oracle, text)
+    with mock.patch.object(fileio, "TRACKS_BLOCK", block or fileio.TRACKS_BLOCK):
+        got = _tracks_result(read_tracks, text)
+    assert got == _tracks_result(read_tracks_oracle, text)
+
+
+def _writer_tracks(users: int, pings: int, seed: int, uid=lambda u: f"u{u}") -> str:
+    """A tracks file as the tracks-cli benchmark writes one: a column-name
+    row, then each user's pings in one run, repr coordinates."""
+    rng = np.random.default_rng(seed)
+    lines = ["user_id,lat,lon"]
+    for u in range(users):
+        lat = 47.62 + rng.normal(0.0, 0.01, pings)
+        lon = -122.33 + rng.normal(0.0, 0.01, pings)
+        lines.extend(f"{uid(u)},{a!r},{b!r}" for a, b in zip(lat.tolist(), lon.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+_SECOND_BLOCK = _writer_tracks(60, 2 * fileio.TRACKS_BLOCK // 60 + 1, 3, uid=lambda u: str(17 * u % 60))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("5, 47.6, -122.3, t, x", "expected 3 or 4 fields, got 5"),
+        ("5, 47.6", "expected 3 or 4 fields, got 2"),
+        ("5, 47.6x , -122.3", "bad coordinates '47.6x', '-122.3'"),
+        ("user_id, lat, lon", "bad coordinates 'lat', 'lon'"),
+        ("5, 1_0x, 2", "bad coordinates '1_0x', '2'"),
+    ],
+    ids=["five-fields", "two-fields", "bad-lat", "header-after-data", "bad-underscore"],
+)
+def test_tracks_error_late_in_the_second_block(bad, message):
+    """A bad line late in the second block of a file whose user ids are
+    numbers, so a misread column would still parse as floats."""
+    lines = _SECOND_BLOCK.splitlines(keepends=True)
+    at = 2 * fileio.TRACKS_BLOCK - 5  # 0-based
+    text = "".join(lines[:at] + [bad + "\n"] + lines[at:])
+    want = _tracks_result(read_tracks_oracle, text)
+    assert want == ("IngestError", f"tracks line {at + 1}: {message}")
+    assert _tracks_result(read_tracks, text) == want
+
+
+@pytest.mark.parametrize("block", [2, None])
+def test_tracks_header_opening_a_later_block_is_refused(block):
+    """A column-name row that opens a block after data rows is an error."""
+    block = block or fileio.TRACKS_BLOCK
+    text = "user_id,lat,lon\n" + "a,1.0,2.0\n" * (block - 1) + "user_id,lat,lon\nb,3.0,4.0\n"
+    with mock.patch.object(fileio, "TRACKS_BLOCK", block):
+        got = _tracks_result(read_tracks, text)
+    assert got == _tracks_result(read_tracks_oracle, text)
+    assert got == ("IngestError", f"tracks line {block + 1}: bad coordinates 'lat', 'lon'")
+
+
+def test_tracks_keep_a_newline_inside_a_line(tmp_path):
+    """A stream that ends lines at '\\r' alone keeps a '\\n' inside a line,
+    and float() refuses a coordinate holding one."""
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(b"a,7\n8,1.0\rb,1.0,2.0\r")
+    for read in (read_tracks, read_tracks_oracle):
+        with open(path, newline="\r") as f, pytest.raises(IngestError) as exc:
+            read(f)
+        assert str(exc.value) == "tracks line 1: bad coordinates '7\\n8', '1.0'"
+
+
+def test_tracks_across_blocks_match_the_oracle():
+    """Three blocks and more of users interleaved and split across blocks,
+    numeric ids, CRLF endings, timestamps on some users only, comments,
+    blank lines and tokens float() reads its own way."""
+    rng = np.random.default_rng(9)
+    rows = []
+    for i in range(3 * fileio.TRACKS_BLOCK + 11):
+        u = int(rng.integers(0, 40)) if i % 3 else i // 300
+        lat = rng.choice([f"{rng.uniform(-90, 90)!r}", "1_0", "+5", " \u0661\u0662 ", "-0.0"])
+        row = f"{u}, {lat},{rng.uniform(-180, 180)!r}"
+        rows.append(row + (f", t{i} " if u % 4 == 0 else ""))
+        if i % 997 == 0:
+            rows.append("# a, comment, here" if i % 2 else "")
+    text = "user_id,lat,lon\r\n" + "".join(row + "\r\n" for row in rows)
+    got = _tracks_result(read_tracks, text)
+    assert got == _tracks_result(read_tracks_oracle, text)
+    assert len(got) == 40 and any(t[2] for t in got) and not all(t[2] for t in got)
+
+
+def test_writer_shaped_tracks_take_no_per_line_search():
+    text = _writer_tracks(30, 100, 11)
+    with mock.patch.object(fileio, "_bad_row", side_effect=AssertionError("per-line search")):
+        tracks = read_tracks(io.StringIO(text))
+    assert len(tracks) == 30 and all(len(t.points) == 100 for t in tracks)
+
+
+def test_tracks_reader_memory_is_bounded_by_its_blocks():
+    """A tracks-cli-sized file (60k pings) read in blocks peaks below 8 MB,
+    of which the tracks themselves are about 1.3 MB; one block of the whole
+    file, a token list as long as the file, peaks well above."""
+    text = _writer_tracks(1000, 60, 12)
+
+    def peak() -> float:
+        stream = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            read_tracks(stream)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 8.0
+    with mock.patch.object(fileio, "TRACKS_BLOCK", 1 << 20):
+        assert peak() > 12.0
 
 
 def test_config_parsing():

@@ -30,7 +30,7 @@ from conftest import (
     point_in_convex,
 )
 from eulerdp import ConvexBody, build_partition, convex_hull, diameter
-from eulerdp.geometry import _NOT_CONVEX, convex_hulls, intersects_boxes
+from eulerdp.geometry import _NOT_CONVEX, _NOT_FINITE, convex_bodies, convex_hulls, intersects_boxes
 
 lattice_coord = st.integers(min_value=0, max_value=4096).map(lambda k: k / 1024.0)
 lattice_point = st.tuples(lattice_coord, lattice_coord)
@@ -262,6 +262,22 @@ def test_body_checks_match_numpy_oracle(pts):
     body = ConvexBody(pts)
     assert body.bbox == want
     assert body.vertices.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]], _NOT_CONVEX), ([[0.0, 0.0], [np.inf, 1.0]], _NOT_FINITE)],
+    ids=["clockwise", "infinite"],
+)
+def test_convex_bodies_raise_the_body_texts(bad, message):
+    """A block with one bad body among good ones raises the text
+    ``ConvexBody`` raises for it."""
+    good = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]]
+    with pytest.raises(ValueError) as want:
+        ConvexBody(bad)
+    with pytest.raises(ValueError) as got:
+        convex_bodies(np.array(good + bad + good), np.array([3, len(bad), 3]))
+    assert str(got.value) == str(want.value) == message
 
 
 @given(vertex_lists())

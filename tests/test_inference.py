@@ -96,6 +96,10 @@ def test_constraint_arrays_wait_for_first_access():
     assert cs.counts_by_family == (2 * 2 * 30 * 29, 4 * 29 * 29, 29 * 29)
     cs.violation_counts(np.zeros(cs.partition.size))
     assert not {"c1", "c2", "c3"} & vars(cs).keys()
+    noisy = EulerHistogram(cs.partition, np.random.default_rng(3).laplace(2.0, 3.0, cs.partition.size),
+                           HistogramState.NOISY)
+    infer(noisy, cs)  # the l1 projection builds its pairs and keeps none
+    assert not {"c1", "c2", "c3"} & vars(cs).keys()
     assert (len(cs.c1), len(cs.c2), len(cs.c3)) == cs.counts_by_family
 
 
@@ -215,7 +219,7 @@ def test_infer_refuses_to_tag_violating_counts(monkeypatch):
     violating = np.zeros(noisy.partition.size)
     violating[cs.c1[0, 0]] = 1.0  # an edge above its two empty faces
     assert cs.violation_counts(violating)[0] > 0
-    monkeypatch.setattr(inference, "_isotonic_l1", lambda h, cs: (violating, 1))
+    monkeypatch.setattr(inference, "_isotonic_l1", lambda h, p: (violating, 1))
     with pytest.raises(RuntimeError, match="rows still violated"):
         infer(noisy, cs)
 
@@ -289,7 +293,7 @@ def test_l1_equals_the_min_cut_oracle(noisy):
     """The matching's cut is the minimal minimum cut of every level, the one
     a maximum flow leaves reachable whichever flow it finds."""
     cs = build_constraints(noisy.partition)
-    x, levels = inference._isotonic_l1(noisy.counts, cs)
+    x, levels = inference._isotonic_l1(noisy.counts, noisy.partition)
     for method in ("dinic", "edmonds_karp"):
         oracle_x, oracle_levels = min_cut_oracle(noisy.counts, cs, method)
         assert x.tobytes() == oracle_x.tobytes()

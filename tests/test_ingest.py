@@ -185,8 +185,8 @@ def test_kde_density_matches_einsum_bitwise(n, extra, scale, shape, chunk_rows, 
     elif shape == "repeated":  # zero covariance: the ridge is all there is
         pts[:] = pts[0]
     at = np.vstack([pts, rng.normal(0.0, scale, (extra, 2))])
-    block = ingest.PAIRWISE_BLOCK if chunk_rows is None else chunk_rows * n
-    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block):
+    block = ingest.KDE_BLOCK if chunk_rows is None else chunk_rows * n
+    with mock.patch.object(ingest, "KDE_BLOCK", block):
         got = _density(pts, at)
     want = _einsum_density(pts, at)
     assert got.tobytes() == want.tobytes()
@@ -236,7 +236,7 @@ def test_stacked_densities_equal_one_set_at_a_time(users, m, shape, block, seed)
         stack[0, :, 1] = 0.5 * stack[0, :, 0]
     if shape in ("repeated", "mixed"):
         stack[-1] = stack[-1, 0]
-    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block or ingest.PAIRWISE_BLOCK):
+    with mock.patch.object(ingest, "KDE_BLOCK", block or ingest.KDE_BLOCK):
         got = ingest._kde(stack, stack)
     want = np.array([oracle_kde_density(pts, pts) for pts in stack])
     assert got.tobytes() == want.tobytes()
@@ -569,7 +569,9 @@ def test_ingest_tracks_matches_per_user_oracle(counts, shapes, spread, k, bound,
             pts[:, 0] += 4999.0 - home[0]
         tracks.append(_track(f"u{u}", pts))
     cfg = IngestConfig(area_side=10000.0, diameter_bound=bound, k=k, center=CENTER)
-    with mock.patch.object(ingest, "PAIRWISE_BLOCK", block or ingest.PAIRWISE_BLOCK):
+    with mock.patch.multiple(
+        ingest, PAIRWISE_BLOCK=block or ingest.PAIRWISE_BLOCK, KDE_BLOCK=block or ingest.KDE_BLOCK
+    ):
         bodies, ids, skipped = ingest_tracks(tracks, cfg)
     want_bodies, want_ids, want_skipped = ingest_tracks_oracle(tracks, cfg)
     assert ids == want_ids
