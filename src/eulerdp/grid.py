@@ -24,7 +24,6 @@ faces ``(r, c)``, ``(r, c+1)``, ``(r+1, c)`` and ``(r+1, c+1)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,32 +100,58 @@ class GridPartition:
         shapes = ((n, n), (n - 1, n), (n, n - 1), (n - 1, n - 1))
         return [cut.reshape(shape) for cut, shape in zip(cuts, shapes)]
 
+    def windows(self, bboxes: np.ndarray) -> np.ndarray:
+        """Padded face window of each bounding box, one pass over all of them.
+
+        ``bboxes`` is (m, 4) with rows (xlo, xhi, ylo, yhi); the result is
+        (m, 4) int64 with rows (c0, c1, r0, r1), the first and last column
+        and row of the faces that could meet the box. The cell range of the
+        box is padded by one ring of cells, so boundary-touching
+        intersections are never missed, and clamped to the grid; a box
+        that misses the padded grid gets ``c0 > c1`` or ``r0 > r1``. A NaN
+        coordinate raises ValueError.
+        """
+        n, d = self.n, self.cell_side
+        ox, oy = self.origin
+        lines = np.floor((np.asarray(bboxes, dtype=np.float64) - (ox, ox, oy, oy)) / d)
+        if np.isnan(lines).any():
+            raise ValueError("bounding box coordinates must not be NaN")
+        # floor - 1 and floor + 1 are clamped to [0, n] and [-1, n - 1], so
+        # an empty window stays empty and every bound fits an int64
+        lines += (-1.0, 1.0, -1.0, 1.0)
+        np.clip(lines, (0, -1, 0, -1), (n, n - 1, n, n - 1), out=lines)
+        return lines.astype(np.int64)
+
+    def face_boxes(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """Boxes of the faces in ``rows`` x ``cols`` of the grid (all of it
+        by default), shaped (rows, cols, 4) with ``[i, j] = (xlo, xhi, ylo,
+        yhi)``, taken from the grid lines ``origin + k * cell_side``."""
+        n, d = self.n, self.cell_side
+        ox, oy = self.origin
+        k = np.arange(n + 1)
+        xs, ys = ox + k * d, oy + k * d
+        xlo, xhi, ylo, yhi = xs[:-1][cols], xs[1:][cols], ys[:-1][rows], ys[1:][rows]
+        boxes = np.empty((len(ylo), len(xlo), 4))
+        boxes[..., 0], boxes[..., 1] = xlo, xhi
+        boxes[..., 2], boxes[..., 3] = ylo[:, None], yhi[:, None]
+        return boxes
+
     def window(
         self, xlo: float, xhi: float, ylo: float, yhi: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dense indices and boxes of every face that could meet the given
-        bounding box.
+        bounding box: the one-box case of :meth:`windows`.
 
-        The face rectangle is padded by one ring of cells so boundary-touching
-        intersections are never missed; the caller's predicate makes the final
-        call. Returns ``(indices, boxes)`` row-major, with ``boxes[i] = (xlo,
-        xhi, ylo, yhi)`` for the face at ``indices[i]``, taken from the grid
-        lines ``origin + k * cell_side``.
+        Returns ``(indices, boxes)`` row-major, with ``boxes[i] = (xlo, xhi,
+        ylo, yhi)`` for the face at ``indices[i]``, from
+        :meth:`face_boxes`.
         """
-        n, d = self.n, self.cell_side
-        ox, oy = self.origin
-        clo = max(math.floor((xlo - ox) / d) - 1, 0)
-        chi = min(math.floor((xhi - ox) / d) + 1, n - 1)
-        rlo = max(math.floor((ylo - oy) / d) - 1, 0)
-        rhi = min(math.floor((yhi - oy) / d) + 1, n - 1)
-        if clo > chi or rlo > rhi:
+        c0, c1, r0, r1 = self.windows([(xlo, xhi, ylo, yhi)])[0].tolist()
+        if c0 > c1 or r0 > r1:
             return np.empty(0, dtype=np.int64), np.empty((0, 4))
-        cols, rows = np.arange(clo, chi + 2), np.arange(rlo, rhi + 2)
-        xs, ys = ox + cols * d, oy + rows * d
-        boxes = np.empty((rhi - rlo + 1, chi - clo + 1, 4))
-        boxes[..., 0], boxes[..., 1] = xs[:-1], xs[1:]
-        boxes[..., 2], boxes[..., 3] = ys[:-1, None], ys[1:, None]
-        return (rows[:-1, None] * n + cols[:-1]).ravel(), boxes.reshape(-1, 4)
+        rows, cols = np.arange(r0, r1 + 1), np.arange(c0, c1 + 1)
+        boxes = self.face_boxes(slice(r0, r1 + 1), slice(c0, c1 + 1))
+        return (rows[:, None] * self.n + cols).ravel(), boxes.reshape(-1, 4)
 
 
 def build_partition(

@@ -6,6 +6,13 @@ straddle cell borders; subtracting the edge counts interior to the rectangle
 and adding back the interior vertex counts cancels the duplicates exactly, so
 rectangular range counting over raw counts is exact for convex bodies.
 
+``build`` makes one pass over all bodies: every padded face window at once,
+one separating-axis call per body into a stack of hits, edges and vertices
+as ANDs on the stack, and one bincount per section and block of bodies. A
+convex body meets components with F - E + V = 1, which is what lets a query
+count it once; ``build`` checks that on each body's hits and refuses a body
+that breaks it.
+
 Histograms move through a fixed pipeline of states: RAW (exact counts), NOISY
 (after perturbation), CONSISTENT (after constrained inference), ROUNDED (after
 integer rounding and repair). Stages validate their input state so files
@@ -35,6 +42,8 @@ INTEGRAL_STATES = (HistogramState.RAW, HistogramState.ROUNDED)
 
 # counts per block of the integrality check
 CHECK_BLOCK = 1 << 14
+# window cells per block of build's hit stack
+BUILD_BLOCK = 1 << 16
 
 
 class BodyValidationError(ValueError):
@@ -199,6 +208,29 @@ def validate_bodies(
     return kept, rejected
 
 
+def _blocks(heights: list[int], widths: list[int], cells: int):
+    """Split bodies into runs ``(start, stop, h, w)`` whose windows, padded
+    to the run's largest height ``h`` and width ``w``, take at most
+    ``cells`` cells, or hold one body whose window alone takes more."""
+    start = h = w = 0
+    for i, (bh, bw) in enumerate(zip(heights, widths)):
+        if i > start and (i - start + 1) * max(h, bh) * max(w, bw) > cells:
+            yield start, i, h, w
+            start, h, w = i, 0, 0
+        h, w = max(h, bh), max(w, bw)
+    if heights:
+        yield start, len(heights), h, w
+
+
+def _scatter(section: np.ndarray, hits: np.ndarray, r0: np.ndarray, c0: np.ndarray) -> None:
+    """Add a stack of hits (bodies, h, w), body j's window placed at row
+    ``r0[j]`` and column ``c0[j]`` of ``section``, with one bincount."""
+    _, h, w = hits.shape
+    width = section.shape[1]
+    at = (r0 * width + c0)[:, None, None] + (np.arange(h)[:, None] * width + np.arange(w))
+    section += np.bincount(at[hits], minlength=section.size).reshape(section.shape)
+
+
 def build(
     bodies: list[ConvexBody],
     p: GridPartition,
@@ -210,9 +242,23 @@ def build(
     Bodies must already lie within the area rectangle and satisfy the diameter
     bound when one is given; offenders raise :class:`BodyValidationError` with
     one report per body. Only the faces in each body's padded window are
-    tested: an edge is met exactly when both faces beside it are, a vertex
-    when all four round it are (see :mod:`eulerdp.geometry`). ``tol`` must be
-    below the cell side, so the window's one-cell padding holds every hit.
+    tested, one predicate call per body: an edge is met exactly when both
+    faces beside it are, a vertex when all four round it are (see
+    :mod:`eulerdp.geometry`). ``tol`` must be below the cell side, so the
+    window's one-cell padding holds every hit.
+
+    One pass serves all bodies: :meth:`GridPartition.windows` gives every
+    window, the face boxes are slices of :meth:`GridPartition.face_boxes`,
+    and each block of bodies writes its hits into one (bodies, h, w) stack,
+    padded with False, of at most ``BUILD_BLOCK`` cells (a body whose window
+    alone is larger makes a block of its own). Edge and vertex hits are ANDs
+    on the stack, and each section takes one bincount per block; the counts
+    are sums of integers, so their order does not matter.
+
+    A convex body meets components with F - E + V = 1, the Euler
+    characteristic every rectangle query relies on to count it once. Each
+    body's F - E + V is taken from the same stack, and a body whose float
+    hits give another value is refused with :class:`BodyValidationError`.
     """
     if not tol < p.cell_side:
         raise ValueError(f"tol must be smaller than the cell side {p.cell_side}, got {tol}")
@@ -221,15 +267,32 @@ def build(
         raise BodyValidationError(rejected)
     counts = np.zeros(p.size, dtype=np.float64)
     faces, hedges, vedges, vertices = p.sections(counts)
-    for body in bodies:
-        idx, boxes = p.window(*body.bbox)
-        (r0, c0), (r1, c1) = divmod(int(idx[0]), p.n), divmod(int(idx[-1]), p.n)
-        hit = intersects_boxes(body, boxes, tol).reshape(r1 - r0 + 1, c1 - c0 + 1)
-        across = hit[:-1] & hit[1:]  # both faces of each horizontal edge
-        faces[r0 : r1 + 1, c0 : c1 + 1] += hit
-        hedges[r0:r1, c0 : c1 + 1] += across
-        vedges[r0 : r1 + 1, c0:c1] += hit[:, :-1] & hit[:, 1:]
-        vertices[r0:r1, c0:c1] += across[:, :-1] & across[:, 1:]
+    boxes = p.face_boxes()
+    windows = p.windows(np.array([body.bbox for body in bodies]).reshape(-1, 4))
+    c0, c1, r0, r1 = windows.T
+    refused = []
+    for start, stop, h, w in _blocks((r1 - r0 + 1).tolist(), (c1 - c0 + 1).tolist(), BUILD_BLOCK):
+        hit = np.zeros((stop - start, h, w), dtype=bool)
+        spans = windows[start:stop].tolist()
+        for j, (body, (col0, col1, row0, row1)) in enumerate(zip(bodies[start:stop], spans)):
+            window = boxes[row0 : row1 + 1, col0 : col1 + 1]
+            hit[j, : row1 - row0 + 1, : col1 - col0 + 1] = intersects_boxes(
+                body, window.reshape(-1, 4), tol
+            ).reshape(window.shape[:2])
+        across = hit[:, :-1] & hit[:, 1:]  # both faces of each horizontal edge
+        beside = hit[:, :, :-1] & hit[:, :, 1:]  # both faces of each vertical edge
+        corner = across[:, :, :-1] & across[:, :, 1:]  # all four faces of each vertex
+        parts = (hit, across, beside, corner)
+        f, e1, e2, v = (np.count_nonzero(part, axis=(1, 2)) for part in parts)
+        euler = f - e1 - e2 + v
+        refused += [
+            (start + j, f"meets components with F - E + V = {euler[j]}, not 1")
+            for j in np.flatnonzero(euler != 1).tolist()
+        ]
+        for section, part in zip((faces, hedges, vedges, vertices), parts):
+            _scatter(section, part, r0[start:stop], c0[start:stop])
+    if refused:
+        raise BodyValidationError(refused)
     return EulerHistogram(p, counts, HistogramState.RAW, diameter_bound=diameter_bound)
 
 

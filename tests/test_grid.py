@@ -125,6 +125,10 @@ def test_window_far_outside_is_empty():
     p = build_partition(5.0, 5)
     idx, boxes = p.window(100.0, 101.0, 100.0, 101.0)
     assert idx.size == 0 and boxes.shape == (0, 4)
+    idx, boxes = p.window(-np.inf, -np.inf, 0.0, 1.0)
+    assert idx.size == 0 and boxes.shape == (0, 4)
+    with pytest.raises(ValueError, match="NaN"):
+        p.window(np.nan, 1.0, 0.0, 1.0)
 
 
 @st.composite
@@ -145,18 +149,31 @@ def bbox_spans(draw, p: GridPartition) -> tuple[float, float]:
 @given(st.data())
 @settings(max_examples=400, deadline=None)
 def test_window_matches_meshgrid_oracle(data):
+    """Each box's window, alone and as one row of the batched ranges, is the
+    oracle's: the same faces, their boxes byte for byte."""
     p = data.draw(partitions)
     (ox, oy), side = p.origin, p.area_side
-    (x0, x1), (y0, y1) = data.draw(bbox_spans(p)), data.draw(bbox_spans(p))
-    bbox = (ox + x0 * side, ox + x1 * side, oy + y0 * side, oy + y1 * side)
-    idx, boxes = p.window(*bbox)
-    # the oracle lists the window's faces first, row-major, then its edges
-    # and vertices
-    want_idx, want_boxes = window_oracle(p, *bbox)
-    faces = want_idx < p.n_faces
-    want_idx, want_boxes = want_idx[faces], want_boxes[faces]
-    assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
-    assert boxes.shape == want_boxes.shape and boxes.tobytes() == want_boxes.tobytes()
+    spans = st.tuples(bbox_spans(p), bbox_spans(p))
+    bboxes = [
+        (ox + x0 * side, ox + x1 * side, oy + y0 * side, oy + y1 * side)
+        for (x0, x1), (y0, y1) in data.draw(st.lists(spans, min_size=1, max_size=4))
+    ]
+    ranges = p.windows(np.array(bboxes))
+    assert ranges.dtype == np.int64 and ranges.shape == (len(bboxes), 4)
+    for bbox, (c0, c1, r0, r1) in zip(bboxes, ranges.tolist()):
+        idx, boxes = p.window(*bbox)
+        # the oracle lists the window's faces first, row-major, then its
+        # edges and vertices
+        want_idx, want_boxes = window_oracle(p, *bbox)
+        faces = want_idx < p.n_faces
+        want_idx, want_boxes = want_idx[faces], want_boxes[faces]
+        assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
+        assert boxes.shape == want_boxes.shape and boxes.tobytes() == want_boxes.tobytes()
+        if want_idx.size:
+            rows, cols = np.divmod(want_idx, p.n)
+            assert (c0, c1, r0, r1) == (cols.min(), cols.max(), rows.min(), rows.max())
+        else:
+            assert c0 > c1 or r0 > r1
 
 
 def test_partition_copies_and_pickles_compare_equal():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -29,10 +30,12 @@ from eulerdp import (
     ConvexBody,
     EulerHistogram,
     HistogramState,
+    IngestConfig,
     QueryRegion,
     build,
     build_partition,
     convex_hull,
+    generate_synthetic,
     min_rectangle_count,
     query,
     validate_bodies,
@@ -389,6 +392,64 @@ def test_build_raises_on_invalid_bodies():
         build([convex_hull([(0.0, 0.0), (3.0, 0.0)])], p, diameter_bound=2.0)
 
 
+def test_build_refuses_a_body_whose_hits_break_euler(monkeypatch):
+    """A body met by two separated faces only has F - E + V = 2, so a query
+    covering both would count it twice: build refuses it and names it."""
+    p = build_partition(6.0, 6)
+    bodies = [
+        convex_hull([(1.0, 1.0)]),
+        convex_hull([(2.5, 2.5), (3.5, 2.5), (3.5, 3.5)]),
+        convex_hull([(4.5, 4.5)]),
+    ]
+    real = histogram.intersects_boxes
+
+    def split(body, boxes, tol=0.0):
+        hit = real(body, boxes, tol)
+        if body is bodies[1]:  # the first and last faces of its 4x4 window
+            hit[:] = False
+            hit[[0, -1]] = True
+        return hit
+
+    monkeypatch.setattr(histogram, "intersects_boxes", split)
+    refusal = r"body 1: meets components with F - E \+ V = 2, not 1"
+    with pytest.raises(BodyValidationError, match=refusal) as exc:
+        build(bodies, p)
+    assert [i for i, _ in exc.value.reports] == [1]
+
+
+def test_build_memory_is_bounded_by_blocks(monkeypatch):
+    """build holds one block of at most BUILD_BLOCK window cells at a time,
+    plus about a hundred bytes per body for the windows. Unblocked, the 30k
+    bodies peak near 17 MB and the mixed set near 2.3 GB, every small body
+    padded to the wide one's 200x200 window.
+
+    The predicate is stubbed to hit every face it is given: traced, the real
+    one's many small allocations take ten times longer, and every cell hit
+    is the scatter's largest case (an all-hit window has F - E + V = 1)."""
+    monkeypatch.setattr(
+        histogram, "intersects_boxes", lambda body, boxes, tol=0.0: np.ones(len(boxes), dtype=bool)
+    )
+    config = IngestConfig(area_side=20000.0, diameter_bound=2000.0, k=20)
+    crowd = generate_synthetic("concentrated", 30000, config, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    points = [convex_hull([pt]) for pt in rng.uniform(0.0, 200.0, (5000, 2))]
+    wide = convex_hull([(0.0, 0.0), (200.0, 0.0), (200.0, 200.0), (0.0, 200.0)])
+    cases = [
+        (crowd, build_partition(20000.0, 20), 2000.0, 5),
+        (points[:2500] + [wide] + points[2500:], build_partition(200.0, 200), None, 7),
+    ]
+    for bodies, p, bound, megabytes in cases:
+        validate_bodies(bodies, p, bound)  # diameters are cached on the bodies
+        tracemalloc.start()
+        try:
+            h = build(bodies, p, diameter_bound=bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts.sum() > 0
+        assert peak <= megabytes * 2**20, f"build peaked at {peak / 2**20:.2f} MB"
+
+
 def test_build_records_metadata():
     p = build_partition(4.0, 4)
     body = convex_hull([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)])
@@ -397,6 +458,10 @@ def test_build_records_metadata():
     assert h.epsilon is None
     assert h.counts.dtype == np.float64
     assert np.array_equal(h.counts, np.round(h.counts))
+    empty = build([], p, diameter_bound=2.0)
+    assert empty.state is HistogramState.RAW and empty.partition == p
+    assert (empty.diameter_bound, empty.epsilon) == (2.0, None)
+    assert empty.counts.shape == (p.size,) and not empty.counts.any()
 
 
 def test_histogram_shape_validation():
