@@ -19,15 +19,9 @@ import sys
 
 from . import fileio
 from .grid import build_partition
-from .harness import (
-    INGEST_TOL,
-    ConfigError,
-    config_from_mapping,
-    resolve_grid_n,
-    run_query_experiment,
-    write_metrics,
-)
+from .harness import ConfigError, config_from_mapping, resolve_grid_n, run_query_experiment, write_metrics
 from .histogram import (
+    BodyValidationError,
     EulerHistogram,
     HistogramState,
     QueryRegion,
@@ -98,8 +92,11 @@ def _cmd_ingest(args) -> int:
 def _build_histogram(args) -> EulerHistogram:
     n = resolve_grid_n(args.area, args.n, args.cell_side)
     p = build_partition(args.area, n, _pair(args.origin, "--origin"))
-    bodies, _ = fileio.read_bodies_file(args.bodies)
-    return build(bodies, p, diameter_bound=args.diameter_bound, tol=INGEST_TOL)
+    bodies, ids = fileio.read_bodies_file(args.bodies)
+    try:
+        return build(bodies, p, diameter_bound=args.diameter_bound)
+    except BodyValidationError as e:  # name each body by its user id, as the file does
+        raise BodyValidationError(e.reports, ids) from None
 
 
 def _cmd_build(args) -> int:
@@ -110,9 +107,21 @@ def _cmd_build(args) -> int:
 
 
 def _privatize(h: EulerHistogram, epsilon: float, bound: float | None, seed: int | None):
-    bound = bound if bound is not None else h.diameter_bound
+    # The noise is calibrated to the bound and the file records it as fact,
+    # so it must be one that build checked every body against.
+    recorded = h.diameter_bound
+    if recorded is None:
+        raise ConfigError(
+            f"the raw histogram records no diameter bound, so --diameter-bound {bound} was never "
+            "checked against its bodies: build it with --diameter-bound"
+        )
     if bound is None:
-        raise ConfigError("--diameter-bound required (not recorded in the input file)")
+        bound = recorded
+    elif bound < recorded:
+        raise ConfigError(
+            f"--diameter-bound {bound} is below the diameter bound {recorded} "
+            "the raw histogram's bodies were checked against"
+        )
     params = PrivacyParams.for_partition(epsilon, bound, h.partition)
     source = RandomSource(seed if seed is not None else _fresh_seed())
     return perturb(h, params, source)

@@ -294,10 +294,9 @@ def _bad_row(pairs: list[tuple[str, str]]) -> int | None:
 
 def _track_block(lines: list[str], top: int, header: bool):
     """The data rows of one block of tracks lines, the block starting after
-    line ``top``: their user id tokens, (rows, 2) coordinates, stripped
-    timestamps (None when no row has one, else None for a row without),
-    and whether a column-name row may still come. Raises the block's first
-    error in line order."""
+    line ``top``: their user id tokens, (rows, 2) coordinates and whether
+    a column-name row may still come. A fourth field is accepted and
+    ignored. Raises the block's first error in line order."""
     commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=len(lines))
     keep = (commas == 2) | (commas == 3)
     stop = len(lines)  # the first line with a wrong field count
@@ -322,7 +321,7 @@ def _track_block(lines: list[str], top: int, header: bool):
         and not _floats(*pairs[skip])
     ):
         skip += 1
-    rows, width, starts, pairs = rows[skip:], width[skip:], starts[skip:], pairs[skip:]
+    rows, starts, pairs = rows[skip:], starts[skip:], pairs[skip:]
     try:  # numpy converts each token with float()
         coords = pairs.astype(np.float64)
     except ValueError:
@@ -335,25 +334,22 @@ def _track_block(lines: list[str], top: int, header: bool):
         ) from None
     if stop < len(lines):
         raise IngestError(f"tracks line {top + stop + 1}: expected 3 or 4 fields, got {commas[stop] + 1}")
-    stamps, stamped = None, width == 4
-    if stamped.any():
-        stamps = np.full(len(rows), None, dtype=object)
-        stamps[stamped] = [t.strip() for t in tokens[starts[stamped] + 3].tolist()]
-    return tokens[starts], coords, stamps, header and not len(rows)
+    return tokens[starts], coords, header and not len(rows)
 
 
 def read_tracks(stream: TextIO) -> list[UserTrack]:
     """Parse ``user_id, lat, lon[, timestamp]`` lines, grouped per user in
-    first-appearance order. Blank lines and '#' comments are skipped; a
-    column-name row is tolerated before the first data row. Fields may
-    carry whitespace. A block of ``TRACKS_BLOCK`` lines at a time: each
-    block's coordinates are converted in one numpy call, and its rows join
-    their users a run of equal ids at a time."""
+    first-appearance order; a fourth field is accepted and ignored. Blank
+    lines and '#' comments are skipped; a column-name row is tolerated
+    before the first data row. Fields may carry whitespace. A block of
+    ``TRACKS_BLOCK`` lines at a time: each block's coordinates are
+    converted in one numpy call, and its rows join their users a run of
+    equal ids at a time."""
     users: dict[str, int] = {}  # dicts keep first-appearance order
-    owners, coords, stamps = [], [], []
+    owners, coords = [], []
     header, top = True, 0
     while lines := list(islice(stream, TRACKS_BLOCK)):
-        ids, block, block_stamps, header = _track_block(lines, top, header)
+        ids, block, header = _track_block(lines, top, header)
         top += len(lines)
         if not len(ids):
             continue
@@ -361,7 +357,6 @@ def read_tracks(stream: TextIO) -> list[UserTrack]:
         runs = [users.setdefault(uid.strip(), len(users)) for uid in ids[bounds[:-1]].tolist()]
         owners.append(np.repeat(runs, np.diff(bounds)))
         coords.append(block)
-        stamps.append(block_stamps)
     if not users:
         return []
     owner = np.concatenate(owners)
@@ -374,19 +369,11 @@ def read_tracks(stream: TextIO) -> list[UserTrack]:
         raise IngestError(f"user {bad!r}: coordinates outside valid ranges")
     sizes = np.bincount(owner)
     ends = np.cumsum(sizes)
-    times = [None] * len(names)
-    if any(s is not None for s in stamps):
-        every = np.concatenate([np.full(len(o), None, dtype=object) if s is None else s for o, s in zip(owners, stamps)])
-        stamped = np.bincount(owner[np.not_equal(every, None)], minlength=len(names)) == sizes
-        every = every[order]
-        for u in np.flatnonzero(stamped).tolist():  # timestamps only when every row has one
-            times[u] = tuple(every[ends[u] - sizes[u] : ends[u]].tolist())
     tracks = []
-    for uid, end, size, ts in zip(names, ends.tolist(), sizes.tolist(), times):
+    for uid, end, size in zip(names, ends.tolist(), sizes.tolist()):
         track = object.__new__(UserTrack)  # checked above, all at once
         object.__setattr__(track, "user_id", uid)
         object.__setattr__(track, "points", points[end - size : end])
-        object.__setattr__(track, "timestamps", ts)
         tracks.append(track)
     return tracks
 

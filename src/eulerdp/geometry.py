@@ -1,10 +1,11 @@
 """Convex planar bodies and closed-set intersection predicates.
 
 All predicates treat both operands as closed point sets, so touching counts as
-intersecting. Every grid component (face, edge, vertex) is an axis-aligned
-box, possibly degenerate, tested on the same axes with the same ``tol * scale``.
-A body meets an edge box exactly when it meets both face boxes beside it, in
-floats too: the edge's box is the faces' shared side, with bitwise-identical
+intersecting, and with no tolerance nothing short of touching does. Every grid
+component (face, edge, vertex) is an axis-aligned box, possibly degenerate,
+tested on the same axes and kept while its gap is at most 0 on each. A body
+meets an edge box exactly when it meets both face boxes beside it, in floats
+too: the edge's box is the faces' shared side, with bitwise-identical
 coordinates, and on any axis its projected lower end is the same float sum as
 one face's lower end and its upper end as the other face's upper end, so its
 gap is at most the larger face gap. Containment gives the converse. A vertex
@@ -319,12 +320,13 @@ def _axes(vertices: np.ndarray) -> list[tuple[float, float]]:
     return axes
 
 
-def intersects_boxes(body: ConvexBody, boxes: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def intersects_boxes(body: ConvexBody, boxes: np.ndarray) -> np.ndarray:
     """Vectorized closed-set intersection of one body against many boxes.
 
     ``boxes`` has rows (xlo, xhi, ylo, yhi); degenerate rows encode segments
-    and points. ``tol > 0`` turns the test into within-distance-tol along
-    every axis.
+    and points. A box is kept while the gap between its projection and the
+    body's is at most 0 on every axis, so touching counts and a box 1e-12
+    away does not.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.size == 0:
@@ -339,8 +341,7 @@ def intersects_boxes(body: ConvexBody, boxes: np.ndarray, tol: float = 0.0) -> n
         py = np.minimum(uy * boxes[:, 2], uy * boxes[:, 3])
         qy = np.maximum(uy * boxes[:, 2], uy * boxes[:, 3])
         gap = np.maximum((px + py) - bmax, bmin - (qx + qy))
-        scale = max(abs(ux), abs(uy))
-        alive &= gap <= tol * scale
+        alive &= gap <= 0.0
         if not alive.any():
             break
     return alive

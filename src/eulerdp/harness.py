@@ -27,8 +27,6 @@ from .ingest import IngestConfig, generate_synthetic
 from .privacy import PrivacyParams, RandomSource, derive_seed, perturb, require_finite_positive
 from .rounding import repair, round_counts, verify_violations
 
-INGEST_TOL = 1e-9  # float-data intersection tolerance, matches ingest
-
 ALGORITHMS = ("DP", "C", "R")
 
 
@@ -308,7 +306,7 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
 
     bodies = load_experiment_bodies(config)
     t0 = time.perf_counter()
-    raw = build(bodies, p, diameter_bound=config.diameter_bound, tol=INGEST_TOL)
+    raw = build(bodies, p, diameter_bound=config.diameter_bound)
     build_time = time.perf_counter() - t0
     cs = build_constraints(p)
 

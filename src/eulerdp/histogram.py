@@ -47,11 +47,14 @@ BUILD_BLOCK = 1 << 16
 
 
 class BodyValidationError(ValueError):
-    """Raised by build when input bodies are rejected; carries per-body reports."""
+    """Raised by build when input bodies are rejected; carries per-body
+    reports (input index, reason). The message names a body by its index, or
+    by ``user_ids[index]`` when those are given."""
 
-    def __init__(self, reports: list[tuple[int, str]]):
+    def __init__(self, reports: list[tuple[int, str]], user_ids: list[str] | None = None):
         self.reports = reports
-        lines = "; ".join(f"body {i}: {msg}" for i, msg in reports[:5])
+        name = "body {}".format if user_ids is None else lambda i: f"user {user_ids[i]!r}"
+        lines = "; ".join(f"{name(i)}: {msg}" for i, msg in reports[:5])
         more = "" if len(reports) <= 5 else f" (+{len(reports) - 5} more)"
         super().__init__(f"{len(reports)} invalid bodies: {lines}{more}")
 
@@ -180,12 +183,11 @@ class QueryRegion:
 
 
 def validate_bodies(
-    bodies: list[ConvexBody],
-    p: GridPartition,
-    diameter_bound: float | None = None,
-    tol: float = 0.0,
+    bodies: list[ConvexBody], p: GridPartition, diameter_bound: float | None = None
 ) -> tuple[list[ConvexBody], list[tuple[int, str]]]:
-    """Check bodies against the area and the diameter bound.
+    """Check bodies against the area and the diameter bound, with no slack:
+    a body is accepted only if its bbox lies inside the area rectangle and
+    its diameter is at most the bound.
 
     Returns (accepted, rejected) where rejected holds (input index, reason).
     """
@@ -195,13 +197,10 @@ def validate_bodies(
     rejected: list[tuple[int, str]] = []
     for i, body in enumerate(bodies):
         bx0, bx1, by0, by1 = body.bbox
-        inside = (
-            bx0 >= xlo - tol and bx1 <= xhi + tol and by0 >= ylo - tol and by1 <= yhi + tol
-        )
-        if not inside:
+        if not (bx0 >= xlo and bx1 <= xhi and by0 >= ylo and by1 <= yhi):
             rejected.append((i, "extends outside the area rectangle"))
             continue
-        if diameter_bound is not None and body.cached_diameter > diameter_bound + tol:
+        if diameter_bound is not None and body.cached_diameter > diameter_bound:
             rejected.append((i, f"diameter exceeds the bound {diameter_bound}"))
             continue
         kept.append(body)
@@ -231,12 +230,7 @@ def _scatter(section: np.ndarray, hits: np.ndarray, r0: np.ndarray, c0: np.ndarr
     section += np.bincount(at[hits], minlength=section.size).reshape(section.shape)
 
 
-def build(
-    bodies: list[ConvexBody],
-    p: GridPartition,
-    diameter_bound: float | None = None,
-    tol: float = 0.0,
-) -> EulerHistogram:
+def build(bodies: list[ConvexBody], p: GridPartition, diameter_bound: float | None = None) -> EulerHistogram:
     """Count, for every component, the bodies whose closed region meets it.
 
     Bodies must already lie within the area rectangle and satisfy the diameter
@@ -244,8 +238,10 @@ def build(
     one report per body. Only the faces in each body's padded window are
     tested, one predicate call per body: an edge is met exactly when both
     faces beside it are, a vertex when all four round it are (see
-    :mod:`eulerdp.geometry`). ``tol`` must be below the cell side, so the
-    window's one-cell padding holds every hit.
+    :mod:`eulerdp.geometry`). Meets are exact closed-set meets: a body
+    touching a grid line meets the closed cells on both sides, which the
+    window's one-cell padding holds, and a body short of it by any margin
+    does not.
 
     One pass serves all bodies: :meth:`GridPartition.windows` gives every
     window, the face boxes are slices of :meth:`GridPartition.face_boxes`,
@@ -260,9 +256,7 @@ def build(
     body's F - E + V is taken from the same stack, and a body whose float
     hits give another value is refused with :class:`BodyValidationError`.
     """
-    if not tol < p.cell_side:
-        raise ValueError(f"tol must be smaller than the cell side {p.cell_side}, got {tol}")
-    _, rejected = validate_bodies(bodies, p, diameter_bound, tol=tol)
+    _, rejected = validate_bodies(bodies, p, diameter_bound)
     if rejected:
         raise BodyValidationError(rejected)
     counts = np.zeros(p.size, dtype=np.float64)
@@ -277,7 +271,7 @@ def build(
         for j, (body, (col0, col1, row0, row1)) in enumerate(zip(bodies[start:stop], spans)):
             window = boxes[row0 : row1 + 1, col0 : col1 + 1]
             hit[j, : row1 - row0 + 1, : col1 - col0 + 1] = intersects_boxes(
-                body, window.reshape(-1, 4), tol
+                body, window.reshape(-1, 4)
             ).reshape(window.shape[:2])
         across = hit[:, :-1] & hit[:, 1:]  # both faces of each horizontal edge
         beside = hit[:, :, :-1] & hit[:, :, 1:]  # both faces of each vertical edge

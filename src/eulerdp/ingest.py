@@ -54,7 +54,6 @@ class IngestError(ValueError):
 class UserTrack:
     user_id: str
     points: np.ndarray  # (k, 2) of (latitude, longitude) degrees
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -63,8 +62,6 @@ class UserTrack:
         object.__setattr__(self, "points", pts)
         if not (np.abs(pts) <= _LAT_LON_LIMITS).all():  # NaN fails too
             raise IngestError(f"user {self.user_id!r}: coordinates outside valid ranges")
-        if self.timestamps is not None and len(self.timestamps) != len(pts):
-            raise IngestError(f"user {self.user_id!r}: timestamp count mismatch")
 
 
 @dataclass(frozen=True)

@@ -252,13 +252,13 @@ def window_oracle(p, xlo: float, xhi: float, ylo: float, yhi: float):
     return np.concatenate(idx_parts), np.concatenate(box_parts)
 
 
-def build_oracle_counts(bodies, p, tol: float = 0.0) -> np.ndarray:
+def build_oracle_counts(bodies, p) -> np.ndarray:
     """Raw counts of ``build`` from ``window_oracle`` and ``intersects_boxes``,
     without validation."""
     counts = np.zeros(p.size)
     for body in bodies:
         idx, boxes = window_oracle(p, *body.bbox)
-        counts[idx[intersects_boxes(body, boxes, tol)]] += 1.0
+        counts[idx[intersects_boxes(body, boxes)]] += 1.0
     return counts
 
 
@@ -647,9 +647,8 @@ def ingest_tracks_oracle(tracks, config):
 
 def read_tracks_oracle(stream) -> list[UserTrack]:
     """The tracks parser written plainly: strip each line, skip blanks and
-    comments, strip each field, then convert."""
+    comments, strip each field, then convert; a fourth field is ignored."""
     points: dict[str, array] = {}  # flat lat, lon pairs; dicts keep first-appearance order
-    stamps: dict[str, list[str]] = {}
     first_data = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -665,21 +664,10 @@ def read_tracks_oracle(stream) -> list[UserTrack]:
                 continue
             raise IngestError(f"tracks line {lineno}: bad coordinates {parts[1]!r}, {parts[2]!r}")
         first_data = False
-        uid = parts[0]
-        flat = points.get(uid)
-        if flat is None:
-            flat = points[uid] = array("d")
-            stamps[uid] = []
+        flat = points.setdefault(parts[0], array("d"))
         flat.append(lat)
         flat.append(lon)
-        if len(parts) == 4:
-            stamps[uid].append(parts[3])
-    tracks = []
-    for uid, flat in points.items():
-        pts = np.frombuffer(flat).reshape(-1, 2)
-        ts = tuple(stamps[uid]) if len(stamps[uid]) == len(pts) and stamps[uid] else None
-        tracks.append(UserTrack(uid, pts, ts))
-    return tracks
+    return [UserTrack(uid, np.frombuffer(flat).reshape(-1, 2)) for uid, flat in points.items()]
 
 
 def read_bodies_oracle(stream) -> tuple[list[ConvexBody], list[str]]:

@@ -22,7 +22,9 @@ from conftest import lattice_body
 from eulerdp import (
     EulerHistogram,
     HistogramState,
+    build,
     build_partition,
+    convex_hull,
     min_rectangle_count,
     repair,
     verify_violations,
@@ -68,7 +70,7 @@ def test_stage_chain(bodies_file, tmp_path, capsys):
     consistent = str(tmp_path / "consistent.hist")
     rounded = str(tmp_path / "rounded.hist")
 
-    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     assert main([
         "privatize", "--in", raw, "--out", noisy,
         "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "11",
@@ -93,7 +95,7 @@ def test_release_equals_stage_chain(bodies_file, tmp_path, capsys):
     rounded = str(tmp_path / "rounded.hist")
     released = str(tmp_path / "release.hist")
 
-    main(["build", *_grid(bodies_file, tmp_path), "--out", raw])
+    main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     main(["privatize", "--in", raw, "--out", noisy,
           "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "4"])
     main(["infer", "--in", noisy, "--out", consistent])
@@ -124,7 +126,7 @@ def test_release_reproducible_and_free_of_secrets(bodies_file, tmp_path, capsys)
 
 def test_privatize_without_seed_draws_fresh_noise(bodies_file, tmp_path, capsys):
     raw = str(tmp_path / "raw.hist")
-    main(["build", *_grid(bodies_file, tmp_path), "--out", raw])
+    main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     outs = [str(tmp_path / f"n{i}.hist") for i in range(2)]
     for out in outs:
         assert main(["privatize", "--in", raw, "--out", out,
@@ -145,7 +147,8 @@ loaded = {"import": scipy_modules()}
 assert main(["ingest", "--tracks", tracks, "--out", ingested, "--area", "10000",
              "--diameter-bound", "1000", "--k", "3", "--center", "47.62,-122.33"]) == 0
 loaded["ingest"] = scipy_modules()
-assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--out", raw]) == 0
+assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--diameter-bound", "6.0",
+             "--out", raw]) == 0
 assert main(["verify", "--in", raw]) == 0
 loaded["verify"] = scipy_modules()
 assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
@@ -218,7 +221,7 @@ def test_commands_run_with_scipy_blocked(tracks_file, tmp_path):
 def test_stage_order_is_enforced(bodies_file, tmp_path, capsys):
     raw = str(tmp_path / "raw.hist")
     noisy = str(tmp_path / "noisy.hist")
-    main(["build", *_grid(bodies_file, tmp_path), "--out", raw])
+    main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     main(["privatize", "--in", raw, "--out", noisy,
           "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "1"])
     capsys.readouterr()
@@ -238,7 +241,7 @@ def test_round_refuses_tampered_consistent_file(bodies_file, tmp_path, capsys):
     with the violation counts, not mended, and nothing is written."""
     raw, noisy = str(tmp_path / "raw.hist"), str(tmp_path / "noisy.hist")
     consistent = tmp_path / "consistent.hist"
-    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
                  "--diameter-bound", "6.0", "--seed", "11"]) == 0
     assert main(["infer", "--in", noisy, "--out", str(consistent)]) == 0
@@ -294,7 +297,7 @@ def test_non_finite_privacy_flags_exit_one(bodies_file, tmp_path, capsys, flag, 
     """An infinite epsilon would publish exact counts: both commands that draw
     noise refuse non-finite privacy parameters as user errors."""
     raw = str(tmp_path / "raw.hist")
-    assert main(["build", *_grid(bodies_file, tmp_path), "--out", raw]) == 0
+    assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     privacy = {"--epsilon": "1.0", "--diameter-bound": "6.0", flag: bad}
     flags = [a for kv in privacy.items() for a in kv]
     field = flag[2:].replace("-", "_")
@@ -388,6 +391,60 @@ def test_malformed_bodies_record_is_a_user_error(record, tmp_path, capsys):
     assert main(["build", "--bodies", str(path), "--area", "4", "--n", "4",
                  "--out", str(tmp_path / "raw.hist")]) == 1
     assert "bodies line 1" in capsys.readouterr().err
+
+
+def test_privatize_refuses_a_bound_the_bodies_were_not_checked_against(bodies_file, tmp_path, capsys):
+    """The noise is calibrated to the bound, and the noisy file states it:
+    privatize refuses a bound below the one build checked, or any bound for
+    a raw file that records none. A bound at or above it adds more noise."""
+    unchecked, raw = str(tmp_path / "unchecked.hist"), str(tmp_path / "raw.hist")
+    assert main(["build", *_grid(bodies_file, tmp_path), "--out", unchecked]) == 0
+    assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
+    out = tmp_path / "noisy.hist"
+    refusals = [
+        (unchecked, ["--diameter-bound", "6.0"], "records no diameter bound, so --diameter-bound 6.0"),
+        (unchecked, [], "records no diameter bound, so --diameter-bound None"),
+        (raw, ["--diameter-bound", "5.0"], "--diameter-bound 5.0 is below the diameter bound 6.0"),
+    ]
+    for path, flags, message in refusals:
+        capsys.readouterr()
+        assert main(["privatize", "--in", path, "--out", str(out), "--epsilon", "1", *flags, "--seed", "1"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    for flags, recorded in (([], 6.0), (["--diameter-bound", "6.0"], 6.0), (["--diameter-bound", "8.0"], 8.0)):
+        assert main(["privatize", "--in", raw, "--out", str(out), "--epsilon", "1", *flags, "--seed", "1"]) == 0
+        assert read_histogram_file(str(out)).diameter_bound == recorded
+
+
+def test_build_names_refused_bodies_by_user_id(tmp_path, capsys):
+    path = tmp_path / "bodies.jsonl"
+    path.write_text(
+        '{"user_id": "u0", "vertices": [[0.5, 0.5]]}\n'
+        '{"user_id": "u1", "vertices": [[3.5, 3.5], [4.5, 3.5], [3.5, 4.5]]}\n'
+    )
+    out = tmp_path / "raw.hist"
+    assert main(["build", "--bodies", str(path), "--area", "4", "--n", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: 1 invalid bodies: user 'u1': extends outside the area rectangle\n"
+    assert not out.exists()
+
+
+def test_build_command_counts_exact_closed_set_meets(tmp_path, capsys):
+    """A body 5e-10 past the area edge is refused, and a unit square 1e-12
+    short of a grid line meets its own face only, as the library counts."""
+    path, out = tmp_path / "bodies.jsonl", tmp_path / "raw.hist"
+    grid = ["--bodies", str(path), "--area", "8", "--n", "4", "--out", str(out)]
+    write_bodies_file([convex_hull([(0.0, 0.0), (8.0 + 5e-10, 0.0), (0.0, 1.0)])], str(path))
+    assert main(["build", *grid]) == 1
+    assert "user 'u0': extends outside the area rectangle" in capsys.readouterr().err
+    assert not out.exists()
+    x0, x1 = 1.0 - 1e-12, 2.0 - 1e-12  # the right edge 1e-12 short of the grid line x = 2
+    square = convex_hull([(x0, 0.5), (x1, 0.5), (x1, 1.5), (x0, 1.5)])
+    write_bodies_file([square], str(path))
+    assert main(["build", *grid]) == 0
+    counts = read_histogram_file(str(out)).counts
+    p = build_partition(8.0, 4)
+    assert np.array_equal(counts, build([square], p).counts)
+    assert np.flatnonzero(counts).tolist() == [0] and counts[0] == 1  # face (0, 0)
 
 
 def _covert_gap_file(tmp_path):

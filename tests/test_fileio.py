@@ -576,16 +576,16 @@ def test_tracks_parsing():
     )
     tracks = read_tracks(io.StringIO(text))
     assert [t.user_id for t in tracks] == ["a", "b"]
-    assert tracks[0].points.shape == (2, 2)
-    assert tracks[0].timestamps == ("2024-01-01T08:00:00", "2024-01-01T09:00:00")
-    assert tracks[1].timestamps is None
+    assert tracks[0].points.tolist() == [[47.62, -122.33], [47.61, -122.34]]
+    assert tracks[1].points.tolist() == [[47.63, -122.30]]
 
 
 def test_tracks_partial_timestamps_dropped():
+    """A fourth field is accepted and ignored: the rows read to the same
+    users and point bytes as they do without it."""
     text = "a, 1.0, 2.0, t1\na, 1.1, 2.1\n"
-    tracks = read_tracks(io.StringIO(text))
-    assert tracks[0].points.shape == (2, 2)
-    assert tracks[0].timestamps is None
+    assert _tracks_result(read_tracks, text) == _tracks_result(read_tracks, _without_fourth_fields(text))
+    assert [len(t.points) for t in read_tracks(io.StringIO(text))] == [2]
 
 
 def test_tracks_errors():
@@ -603,7 +603,11 @@ def _tracks_result(read, text: str):
         tracks = read(io.StringIO(text))
     except IngestError as e:
         return type(e).__name__, str(e)
-    return [(t.user_id, t.points.tobytes(), t.timestamps) for t in tracks]
+    return [(t.user_id, t.points.tobytes()) for t in tracks]
+
+
+def _without_fourth_fields(text: str) -> str:
+    return "".join(",".join(line.split(",")[:3]) + "\n" for line in text.splitlines())
 
 
 _BULK = "".join(f"u{i % 7},{47.6 + i * 1e-5!r},{-122.3 - i * 1e-5!r}\n" for i in range(600))
@@ -631,7 +635,6 @@ def test_tracks_whitespace_around_fields():
     (track,) = read_tracks(io.StringIO(text))
     assert track.user_id == "a"
     assert track.points.tolist() == [[47.625, -122.25], [47.5, -122.5]]
-    assert track.timestamps == ("2024-01-01T08:00:00", "t2")
 
 
 def test_tracks_header_only_before_first_data_row():
@@ -654,10 +657,9 @@ def test_tracks_mixed_and_partial_timestamps():
         "b, 1.1, 2.1\n"
         "c, 1.2, 2.2\n"
     )
-    a, b, c = read_tracks(io.StringIO(text))
-    assert a.timestamps == ("t1", "t2")
-    assert b.timestamps is None and b.points.shape == (2, 2)
-    assert c.timestamps is None
+    got = _tracks_result(read_tracks, text)
+    assert [uid for uid, _ in got] == ["a", "b", "c"]
+    assert got == _tracks_result(read_tracks, _without_fourth_fields(text))
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
@@ -776,7 +778,7 @@ def test_tracks_across_blocks_match_the_oracle():
     text = "user_id,lat,lon\r\n" + "".join(row + "\r\n" for row in rows)
     got = _tracks_result(read_tracks, text)
     assert got == _tracks_result(read_tracks_oracle, text)
-    assert len(got) == 40 and any(t[2] for t in got) and not all(t[2] for t in got)
+    assert len(got) == 40
 
 
 def test_writer_shaped_tracks_take_no_per_line_search():

@@ -336,14 +336,6 @@ def test_intersects_boxes_empty_input():
     assert out.shape == (0,) and out.dtype == bool
 
 
-def test_tol_is_axis_distance():
-    body = ConvexBody(np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]))
-    probe = np.array([[0.5, 0.5, 1.5, 1.5]])  # point 0.5 left of the body
-    assert not intersects_boxes(body, probe, tol=0.49)[0]
-    assert intersects_boxes(body, probe, tol=0.51)[0]
-    assert not intersects_boxes(body, probe)[0]
-
-
 def test_component_predicates_and_monotonicity():
     """A body meeting an edge meets both faces; meeting a vertex meets all
     four edges. Holds by box containment, checked empirically here."""
@@ -399,11 +391,10 @@ def area_bodies(draw, p):
 def test_edges_and_vertices_are_hit_with_all_their_faces(data):
     """A body meets an edge box exactly when it meets both face boxes beside
     it, and a vertex box exactly when it meets all four round it, on inexact
-    grid lines and with a tolerance too. ``build`` counts edges and vertices
-    from its face hits on this fact alone."""
+    grid lines too. ``build`` counts edges and vertices from its face hits
+    on this fact alone."""
     p = data.draw(partitions)
     bodies = data.draw(area_bodies(p))
-    tol = data.draw(st.sampled_from([0.0, 1e-9]))
     comps = grid_components(p)
     boxes = np.array([box for _, box in comps])
     faces_of = {}
@@ -417,6 +408,6 @@ def test_edges_and_vertices_are_hit_with_all_their_faces(data):
             "x": [(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)],
         }[kind]
     for body in bodies:
-        hit = dict(zip((label for label, _ in comps), intersects_boxes(body, boxes, tol).tolist()))
+        hit = dict(zip((label for label, _ in comps), intersects_boxes(body, boxes).tolist()))
         for label, faces in faces_of.items():
             assert hit[label] == all(hit[f"f{r}_{c}"] for r, c in faces), label

@@ -205,9 +205,7 @@ def test_build_matches_oracle_on_drawn_bodies(data):
     )
     clouds = st.lists(st.lists(point, min_size=1, max_size=6), min_size=1, max_size=8)
     bodies = [convex_hull(pts) for pts in data.draw(clouds)]
-    tol = data.draw(st.sampled_from([0.0, 1e-9]))
-    got = build(bodies, p, tol=tol).counts
-    assert np.array_equal(got, build_oracle_counts(bodies, p, tol))
+    assert np.array_equal(build(bodies, p).counts, build_oracle_counts(bodies, p))
 
 
 def test_build_tests_faces_only(monkeypatch):
@@ -215,9 +213,9 @@ def test_build_tests_faces_only(monkeypatch):
     ``build`` hands to the predicate is a face."""
     seen = []
 
-    def recording(body, boxes, tol=0.0):
+    def recording(body, boxes):
         seen.append(boxes)
-        return intersects_boxes(body, boxes, tol)
+        return intersects_boxes(body, boxes)
 
     monkeypatch.setattr("eulerdp.histogram.intersects_boxes", recording)
     p = build_partition(6.0, 6)
@@ -229,15 +227,22 @@ def test_build_tests_faces_only(monkeypatch):
         assert (boxes[:, 0] < boxes[:, 1]).all() and (boxes[:, 2] < boxes[:, 3]).all()
 
 
-def test_build_refuses_tol_of_a_cell():
-    """The window pads a body's cells by one ring, so a tolerance of a whole
-    cell could reach past it."""
-    p = build_partition(6.0, 6)
-    bodies = [convex_hull([(2.0, 2.5)]), convex_hull([(1.5, 1.5), (4.0, 1.5)])]
-    assert np.array_equal(build(bodies, p, tol=0.999).counts, build_oracle_counts(bodies, p, 0.999))
-    for tol in (1.0, 2.0, float("nan")):
-        with pytest.raises(ValueError, match="tol must be smaller than the cell side"):
-            build(bodies, p, tol=tol)
+def test_build_counts_exact_closed_set_meets():
+    """A unit square whose right edge sits 1e-12 short of a grid line meets
+    only its own face; a square with a vertex on a grid point meets the
+    closed cells on both sides of both lines, their edges and that vertex."""
+    p = build_partition(8.0, 4)  # cell side 2
+    x0, x1 = 1.0 - 1e-12, 2.0 - 1e-12  # the right edge 1e-12 short of the grid line x = 2
+    short = convex_hull([(x0, 0.5), (x1, 0.5), (x1, 1.5), (x0, 1.5)])
+    faces, hedges, vedges, vertices = p.sections(build([short], p).counts)
+    assert (faces[0, 0], faces.sum(), hedges.sum(), vedges.sum(), vertices.sum()) == (1, 1, 0, 0, 0)
+    corner = convex_hull([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])  # vertex (2, 2) on a grid point
+    counts = build([corner], p).counts
+    assert np.array_equal(counts, build_oracle_counts([corner], p))
+    faces, hedges, vedges, vertices = p.sections(counts)
+    assert faces[:2, :2].all() and faces.sum() == 4
+    assert hedges[0, :2].all() and vedges[:2, 0].all() and hedges.sum() + vedges.sum() == 4
+    assert vertices[0, 0] == 1 and vertices.sum() == 1
 
 
 def test_partition_validation():

@@ -373,13 +373,14 @@ def test_validate_bodies_computes_each_diameter_once(monkeypatch):
     assert twin.cached_diameter == bodies[0].cached_diameter and calls == [*bodies, twin]
 
 
-def test_validate_bodies_tol_absorbs_dust():
+def test_validate_bodies_refuses_dust_past_the_edge():
+    """A vertex 5e-10 past the area edge is outside it: no slack admits it."""
     p = build_partition(4.0, 4)
     hair_out = ConvexBody(np.array([[0.0, 0.0], [4.0 + 5e-10, 0.0], [0.0, 1.0]]))
     kept, rejected = validate_bodies([hair_out], p)
-    assert rejected
-    kept, rejected = validate_bodies([hair_out], p, tol=1e-9)
-    assert kept and not rejected
+    assert not kept and rejected == [(0, "extends outside the area rectangle")]
+    with pytest.raises(BodyValidationError, match="body 0: extends outside the area rectangle"):
+        build([hair_out], p)
 
 
 def test_build_raises_on_invalid_bodies():
@@ -403,8 +404,8 @@ def test_build_refuses_a_body_whose_hits_break_euler(monkeypatch):
     ]
     real = histogram.intersects_boxes
 
-    def split(body, boxes, tol=0.0):
-        hit = real(body, boxes, tol)
+    def split(body, boxes):
+        hit = real(body, boxes)
         if body is bodies[1]:  # the first and last faces of its 4x4 window
             hit[:] = False
             hit[[0, -1]] = True
@@ -427,7 +428,7 @@ def test_build_memory_is_bounded_by_blocks(monkeypatch):
     one's many small allocations take ten times longer, and every cell hit
     is the scatter's largest case (an all-hit window has F - E + V = 1)."""
     monkeypatch.setattr(
-        histogram, "intersects_boxes", lambda body, boxes, tol=0.0: np.ones(len(boxes), dtype=bool)
+        histogram, "intersects_boxes", lambda body, boxes: np.ones(len(boxes), dtype=bool)
     )
     config = IngestConfig(area_side=20000.0, diameter_bound=2000.0, k=20)
     crowd = generate_synthetic("concentrated", 30000, config, np.random.default_rng(3))

@@ -105,9 +105,7 @@ def test_track_validation():
         UserTrack("u", np.array([[91.0, 0.0]]))
     with pytest.raises(IngestError):
         UserTrack("u", np.array([[0.0, 181.0]]))
-    with pytest.raises(IngestError):
-        UserTrack("u", np.array([[0.0, 0.0]]), timestamps=("a", "b"))
-    ok = UserTrack("u", [[0.0, 0.0]], timestamps=("2024-01-01T00:00:00",))
+    ok = UserTrack("u", [[0.0, 0.0]])
     assert ok.points.dtype == np.float64
 
 
