@@ -107,36 +107,19 @@ def _read_header(lines: list[str]) -> tuple[GridPartition, HistogramState, float
     return p, state, epsilon, bound, i
 
 
-# tokens per numpy conversion in _convert_rows, which reads only the
-# sections numpy's text reader refuses
-PARSE_BLOCK = 1 << 14
-
-
 def _convert_rows(rows: list[str], name: str, block: np.ndarray) -> None:
-    """Fill ``block`` from its section's lines, one row each, a block of
-    rows per numpy conversion. numpy converts each token with ``float()``;
-    a token it refuses, or a row of the wrong length, is a FormatError
-    naming the section and the first bad row."""
+    """Fill ``block`` from its section's lines, one row each, converting
+    each token with ``float()`` after checking the row's length; the first
+    bad row is a FormatError naming the section and the row."""
     cols = block.shape[1]
-    step = max(1, PARSE_BLOCK // cols)
-    for top in range(0, len(rows), step):
-        chunk, tokens = rows[top : top + step], []
-        for values in map(str.split, chunk):
-            if len(values) != cols:
-                break
-            tokens += values
-        good = len(tokens) // cols  # the rows before the first of the wrong length
+    for r, line in enumerate(rows):
+        values = line.split()
+        if len(values) != cols:
+            raise FormatError(f"section {name!r} row {r}: expected {cols} values")
         try:
-            block[top : top + good] = np.array(tokens, dtype=np.float64).reshape(good, cols)
-        except ValueError:  # name the first row holding a bad token
-            for r, line in enumerate(chunk[:good], top):
-                try:
-                    [float(v) for v in line.split()]
-                except ValueError as e:
-                    raise FormatError(f"section {name!r} row {r}: {e}") from e
-            raise
-        if good < len(chunk):
-            raise FormatError(f"section {name!r} row {top + good}: expected {cols} values")
+            block[r] = [float(v) for v in values]
+        except ValueError as e:
+            raise FormatError(f"section {name!r} row {r}: {e}") from e
 
 
 def _load_rows(rows: list[str], dtype: type) -> np.ndarray | None:
@@ -229,7 +212,7 @@ def _name_bad_body(lines: list[str], linenos: list[int]) -> None:
                 raise ValueError(f"expected a JSON object, got {type(record).__name__}")
             str(record["user_id"])
             ConvexBody(record["vertices"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"bodies line {lineno}: {e}") from e
 
 

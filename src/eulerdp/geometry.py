@@ -19,12 +19,12 @@ points and advances all the chains one point per step, each set getting
 exactly the hull the chain would build on it alone. :func:`convex_hulls`
 makes bodies of a stack, and :func:`convex_hull` runs the stack of one set.
 :func:`convex_bodies` checks a block of given vertex lists, as read from a
-file, and makes bodies of it.
+file, and makes bodies of it. ``ConvexBody``, the chains' junctions and
+:func:`convex_bodies` all check through one vectorised block check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,9 +43,11 @@ class ConvexBody:
     Degenerate bodies are allowed: a single vertex is a point, two vertices
     are a segment. The convexity check carries a relative slack of 1e-9 so
     hulls of ingested float data validate; clockwise winding still fails.
+    Construction runs the block check :func:`convex_bodies` and
+    :func:`hull_vertices` run, on a block of one body.
 
     Immutable: ``vertices`` is copied once on construction and is read-only,
-    so ``bbox`` (xmin, xmax, ymin, ymax), stored in the same pass, never goes
+    so ``bbox`` (xmin, xmax, ymin, ymax), which the check gives, never goes
     stale. Bodies from :func:`convex_hulls` and :func:`convex_bodies` view
     one read-only block instead. ``cached_diameter`` is :func:`diameter`,
     computed on first use and kept; :func:`convex_bodies` fills it in.
@@ -59,24 +61,11 @@ class ConvexBody:
         pts = np.array(self.vertices, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
-        # Plain floats from here: each test below is the IEEE operation the
-        # elementwise numpy form would do, at a fraction of the call overhead.
-        xs, ys = pts.T.tolist()
-        if not all(map(math.isfinite, xs + ys)):
-            raise ValueError(_NOT_FINITE)
-        k = len(xs)
-        if k >= 3:
-            scale = max(map(abs, xs + ys)) or 1.0
-            slack = -1e-9 * scale * scale
-            for i in range(k):
-                j, m = (i + 1) % k, (i + 2) % k
-                ax, ay = xs[j] - xs[i], ys[j] - ys[i]
-                bx, by = xs[m] - xs[i], ys[m] - ys[i]
-                if ax * by - ay * bx < slack:
-                    raise ValueError(_NOT_CONVEX)
+        k = len(pts)
+        [[bbox]] = _check([(pts[None, :, 0], pts[None, :, 1], k, np.arange(k))])
         pts.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "bbox", (min(xs), max(xs), min(ys), max(ys)))
+        object.__setattr__(self, "bbox", tuple(bbox))
 
     def __reduce__(self):
         # copies and unpickled bodies go through __post_init__ too, so their
@@ -90,14 +79,48 @@ class ConvexBody:
         return diameter(self)
 
 
-def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check(blocks: list) -> list:
+    """Check blocks of bodies; return each block's bboxes.
+
+    A block is (x, y, size, turns). Row r of x and y (g, h) is a body of
+    ``size[r]`` vertices (or ``size``, for every row) in counterclockwise
+    order, then copies of its first vertex, tested at its turns
+    ``turns[r]`` (or ``turns``); turn i is at vertices o, a, p = i, i + 1,
+    i + 2 mod the size. Raises ValueError ``_NOT_FINITE`` if any coordinate
+    of any block is not finite, else ``_NOT_CONVEX`` if a tested turn of a
+    body of three or more vertices has ``(a - o) x (p - o) <
+    -1e-9 * scale**2``, scale being the body's largest absolute coordinate,
+    in float64 as written out below: overflow gives inf, and inf - inf gives
+    NaN, which never fails. A bbox is (xmin, xmax, ymin, ymax), each the
+    first of equal extremes, as min() and max() pick, so 0.0 and -0.0 tie."""
+    if not all(np.isfinite(x).all() and np.isfinite(y).all() for x, y, _, _ in blocks):
+        raise ValueError(_NOT_FINITE)
+    boxes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y, size, turns in blocks:
+            size = np.reshape(size, (-1, 1))
+            scale = np.maximum(np.abs(x).max(axis=1, initial=0.0), np.abs(y).max(axis=1, initial=0.0))[:, None]
+            rows = np.arange(len(x))[:, None]
+            o, a, p = turns % size, (turns + 1) % size, (turns + 2) % size
+            ax, ay = x[rows, a] - x[rows, o], y[rows, a] - y[rows, o]
+            px, py = x[rows, p] - x[rows, o], y[rows, p] - y[rows, o]
+            if ((size >= 3) & (ax * py - ay * px < -1e-9 * scale * scale)).any():
+                raise ValueError(_NOT_CONVEX)
+            rows = rows[:, 0]
+            extremes = [x.argmin(axis=1), x.argmax(axis=1), y.argmin(axis=1), y.argmax(axis=1)]
+            boxes.append(np.stack([v[rows, i] for v, i in zip((x, x, y, y), extremes)], axis=1).tolist())
+    return boxes
+
+
+def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Andrew's monotone chain over a stack of point sets at once.
 
     Set i is ``points[i, :counts[i]]`` of ``points`` (g, m, 2), with
-    ``1 <= counts[i] <= m``. Returns the hulls' x and y coordinates, (g, h)
-    each, and their vertex counts (g,); row i holds its hull's vertices in
-    counterclockwise order from the lowest, then copies of that first
-    vertex. Each set gets exactly what the chain run on it alone gives:
+    ``g >= 1`` and ``1 <= counts[i] <= m``. Returns the hulls' x and y
+    coordinates, (g, h) each, their vertex counts (g,) and their bboxes;
+    row i holds its hull's vertices in counterclockwise order from the
+    lowest, then copies of that first vertex. Each set gets exactly what
+    the chain run on it alone gives:
 
     - Entries past a set's count become copies of its first point. Each set
       is sorted by (x, y) with a stable sort, and a point equal to the one
@@ -113,13 +136,12 @@ def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     - The hull is the lower chain without its last vertex, then the upper
       chain without its last; a single point is its own hull. No three
       hull vertices are collinear, and a collinear set gives its two ends.
-    - Every turn inside a chain is strictly left, so only the two turns
-      where the chains join, at the largest and the smallest point, are
-      checked, against the slack ``ConvexBody`` allows, after a finiteness
-      check, with ``ConvexBody``'s ValueError texts. A junction turn is
-      never checked inside a chain, and it can fail: where cross products
-      are subnormal the slack is zero, and a turn one chain kept at +5e-324
-      can compute to -5e-324 from the junction's coordinate differences.
+    - Every turn inside a chain is strictly left, so ``ConvexBody``'s
+      check runs on the two turns where the chains join, at the largest
+      and the smallest point, only. A junction turn is never checked
+      inside a chain, and it can fail: where cross products are subnormal
+      the slack is zero, and a turn one chain kept at +5e-324 can compute
+      to -5e-324 from the junction's coordinate differences.
     """
     g, m, _ = points.shape
     cols = np.arange(m)
@@ -169,19 +191,8 @@ def hull_vertices(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
         hx = np.take_along_axis(np.concatenate([sx[:g], sx[g:]], axis=1), pick, axis=1)
         hy = np.take_along_axis(np.concatenate([sy[:g], sy[g:]], axis=1), pick, axis=1)
 
-        if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
-            raise ValueError(_NOT_FINITE)
-        scale = np.maximum(np.abs(hx).max(axis=1, initial=0.0), np.abs(hy).max(axis=1, initial=0.0))
-        scale[scale == 0.0] = 1.0
-        slack = -1e-9 * scale * scale
-        rows = np.arange(g)
-        for turn in (lower - 2, size - 1):  # the junctions at the largest and the smallest point
-            i, j, q = turn % size, (turn + 1) % size, (turn + 2) % size
-            ax, ay = hx[rows, j] - hx[rows, i], hy[rows, j] - hy[rows, i]
-            bx, by = hx[rows, q] - hx[rows, i], hy[rows, q] - hy[rows, i]
-            if ((size >= 3) & (ax * by - ay * bx < slack)).any():
-                raise ValueError(_NOT_CONVEX)
-    return hx, hy, size
+    [boxes] = _check([(hx, hy, size, np.stack([lower - 2, size - 1], axis=1))])  # the junction turns
+    return hx, hy, size, boxes
 
 
 def _block_bodies(block: np.ndarray, sizes, boxes: list, diameters: list | None = None) -> list[ConvexBody]:
@@ -201,32 +212,23 @@ def _block_bodies(block: np.ndarray, sizes, boxes: list, diameters: list | None 
     return bodies
 
 
-def _extremes(x: np.ndarray, y: np.ndarray) -> list:
-    """(xmin, xmax, ymin, ymax) of each row of x and y (g, h): the first of
-    equal extremes, as min() and max() pick, so 0.0 and -0.0 tie."""
-    rows = np.arange(len(x))
-    return np.stack(
-        [x[rows, x.argmin(axis=1)], x[rows, x.argmax(axis=1)], y[rows, y.argmin(axis=1)], y[rows, y.argmax(axis=1)]],
-        axis=1,
-    ).tolist()
-
-
 def convex_hulls(points, counts) -> list[ConvexBody]:
     """The convex hulls of a stack of point sets, set i being
     ``points[i, :counts[i]]``, each the body :func:`convex_hull` makes of
     that set alone. The bodies view one compact, read-only vertex block."""
-    hx, hy, size = hull_vertices(np.asarray(points, dtype=np.float64), np.asarray(counts))
-    if not size.size:
+    counts = np.asarray(counts)
+    if not counts.size:
         return []
+    hx, hy, size, boxes = hull_vertices(np.asarray(points, dtype=np.float64), counts)
     kept = np.arange(hx.shape[1]) < size[:, None]
-    return _block_bodies(np.stack([hx[kept], hy[kept]], axis=1), size, _extremes(hx, hy))
+    return _block_bodies(np.stack([hx[kept], hy[kept]], axis=1), size, boxes)
 
 
 def _squared_diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Largest squared distance between two points of each of g sets of k
-    points, x and y (g, k): :func:`diameter`'s dx * dx + dy * dy over all
-    pairs, then the max, with at most ``CHECK_BLOCK`` float64s per
-    temporary (one row of one set at least)."""
+    points, x and y (g, k): dx * dx + dy * dy over all pairs, then the max,
+    with at most ``CHECK_BLOCK`` float64s per temporary (one row of one set
+    at least)."""
     g, k = x.shape
     out = np.zeros(g)
     sets = max(1, CHECK_BLOCK // (k * k))
@@ -247,32 +249,22 @@ def _squared_diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def convex_bodies(vertices: np.ndarray, sizes: np.ndarray) -> list[ConvexBody]:
     """The bodies of a (K, 2) float64 vertex block, body i being the next
     ``sizes[i] >= 1`` rows in counterclockwise order, each checked as
-    ``ConvexBody`` checks it: every coordinate finite, and every turn of a
-    body of three or more vertices within the slack, elementwise in float64
-    as ``ConvexBody`` does it in Python floats. Raises ``ConvexBody``'s
-    ValueError texts. Bodies of equal size are checked together. The bodies
-    view the block, made read-only, with their bbox and their cached
-    diameter filled in."""
-    if not np.isfinite(vertices).all():
-        raise ValueError(_NOT_FINITE)
+    ``ConvexBody`` checks it, with its ValueError texts: bodies of equal
+    size form one block of the check. The bodies view the block, made
+    read-only, with their bbox and their cached diameter filled in."""
+    starts = np.cumsum(sizes) - sizes
+    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes).tolist()]
+    blocks = []
+    for group in groups:
+        k = int(sizes[group[0]])
+        at = starts[group, None] + np.arange(k)
+        blocks.append((vertices[at, 0], vertices[at, 1], k, np.arange(k)))
     boxes: list = [None] * len(sizes)
     diameters = np.empty(len(sizes))
-    starts = np.cumsum(sizes) - sizes
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf, as in plain floats
-        for k in np.unique(sizes).tolist():
-            group = np.flatnonzero(sizes == k)
-            at = starts[group, None] + np.arange(k)
-            x, y = vertices[at, 0], vertices[at, 1]
-            if k >= 3:  # no "or 1.0" as in ConvexBody: a body all at 0.0 turns by 0.0, within any slack
-                scale = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
-                slack = -1e-9 * scale * scale
-                ax, ay = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
-                bx, by = np.roll(x, -2, axis=1) - x, np.roll(y, -2, axis=1) - y
-                if (ax * by - ay * bx < slack[:, None]).any():
-                    raise ValueError(_NOT_CONVEX)
-            for i, box in zip(group.tolist(), _extremes(x, y)):
-                boxes[i] = box
-            diameters[group] = np.sqrt(_squared_diameters(x, y))
+    for group, (x, y, _, _), group_boxes in zip(groups, blocks, _check(blocks)):
+        for i, box in zip(group.tolist(), group_boxes):
+            boxes[i] = box
+        diameters[group] = np.sqrt(_squared_diameters(x, y))
     return _block_bodies(vertices, sizes, boxes, diameters.tolist())
 
 
@@ -289,15 +281,10 @@ def convex_hull(points) -> ConvexBody:
 
 
 def diameter(body: ConvexBody) -> float:
-    """Largest pairwise distance between hull vertices; a squared distance
-    is dx * dx + dy * dy."""
+    """Largest pairwise distance between hull vertices: the square root of
+    :func:`_squared_diameters` of the one body."""
     x, y = body.vertices.T
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return float(np.sqrt(dx.max()))
+    return float(np.sqrt(_squared_diameters(x[None], y[None])[0]))
 
 
 def _axes(vertices: np.ndarray) -> list[tuple[float, float]]:

@@ -22,7 +22,7 @@ from .fileio import read_bodies_file
 from .geometry import ConvexBody
 from .grid import build_partition
 from .histogram import EulerHistogram, QueryRegion, build, query
-from .inference import ConstraintSet, build_constraints, infer
+from .inference import infer
 from .ingest import IngestConfig, generate_synthetic
 from .privacy import PrivacyParams, RandomSource, derive_seed, perturb, require_finite_positive
 from .rounding import repair, round_counts, verify_violations
@@ -241,17 +241,17 @@ class _RepResult:
 
 
 def _run_repetition(
-    config: ExperimentConfig, rep: int, raw: EulerHistogram, cs: ConstraintSet,
-    params: PrivacyParams, qr_specs: list[tuple[str, list[tuple[int, int]]]],
+    config: ExperimentConfig, rep: int, raw: EulerHistogram, params: PrivacyParams,
+    qr_specs: list[tuple[str, list[tuple[int, int]]]],
 ) -> _RepResult:
     t0 = time.perf_counter()
     noisy = perturb(raw, params, RandomSource(derive_seed(config.seed, rep)))
     t1 = time.perf_counter()
-    consistent, _ = infer(noisy, cs, objective=config.objective)
+    consistent, _ = infer(noisy, objective=config.objective)
     t2 = time.perf_counter()
-    rounded = round_counts(consistent, cs)
+    rounded = round_counts(consistent)
     t3 = time.perf_counter()
-    released, rep_report = repair(rounded, cs)
+    released, rep_report = repair(rounded)
     t4 = time.perf_counter()
 
     n = raw.partition.n
@@ -271,9 +271,9 @@ def _run_repetition(
 
     l1 = {alg: float(np.abs(raw.counts - h.counts).sum()) for alg, h in estimates.items()}
     violations = {
-        "noisy": verify_violations(noisy, cs),
-        "consistent": verify_violations(consistent, cs),
-        "released": verify_violations(released, cs),
+        "noisy": verify_violations(noisy),
+        "consistent": verify_violations(consistent),
+        "released": verify_violations(released),
     }
     times = {
         "privatize": t1 - t0,
@@ -308,7 +308,6 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
     t0 = time.perf_counter()
     raw = build(bodies, p, diameter_bound=config.diameter_bound)
     build_time = time.perf_counter() - t0
-    cs = build_constraints(p)
 
     qr_specs: list[tuple[str, list[tuple[int, int]]]] = []
     for pct in config.qr_percents:
@@ -317,7 +316,7 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
         qr_specs.append((f"{r}x{c}", [(r, c)]))
 
     results = [
-        _run_repetition(config, rep, raw, cs, params, qr_specs)
+        _run_repetition(config, rep, raw, params, qr_specs)
         for rep in range(config.repetitions)
     ]
 

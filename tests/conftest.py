@@ -22,11 +22,13 @@ geometry the ``grid`` module documents, and the window oracle rebuilds one
 body's candidate faces, edges and vertices from meshgrids of grid-line
 indices, as ``build`` tested them before it counted edges and vertices from
 its face hits; ``partitions`` draws grids whose lines are often inexact. The
-body oracle is the vectorised numpy form of ``ConvexBody``'s checks. The
-extraction oracle turns GPS tracks into bodies one user at a time, with the
-per-user numpy calls that ``ingest_tracks`` stacks across users, and the
-tracks oracle parses a tracks file the plain way, and the bodies oracle
-reads a bodies file a record at a time, each through ``ConvexBody``, as
+body oracles are the vectorised numpy form of ``ConvexBody``'s checks and
+the Python-float form it ran, a turn at a time, before it shared the
+library's block check. The extraction oracle turns GPS tracks into bodies
+one user at a time, with the per-user numpy calls that ``ingest_tracks``
+stacks across users, and the hull oracle checks its hull in Python floats.
+The tracks oracle parses a tracks file the plain way, and the bodies oracle
+reads a bodies file a record at a time, each checked in Python floats, as
 the reader did before it checked blocks of bodies at once; the histogram oracle
 reads a histogram file's counts row by row with ``float()``, as the reader
 did before it used numpy's text reader. The repair oracle is
@@ -159,13 +161,39 @@ def numpy_body_oracle(vertices) -> tuple[float, float, float, float] | None:
         return None
     if pts.shape[0] >= 3:
         scale = float(np.abs(pts).max()) or 1.0
-        a = np.roll(pts, -1, axis=0) - pts
-        b = np.roll(pts, -2, axis=0) - pts
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf, as in plain floats
+            a = np.roll(pts, -1, axis=0) - pts
+            b = np.roll(pts, -2, axis=0) - pts
+            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         if np.any(cross < -1e-9 * scale * scale):
             return None
     xs, ys = pts[:, 0], pts[:, 1]
     return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+
+
+def body_check_oracle(vertices) -> tuple[float, float, float, float]:
+    """``ConvexBody``'s checks as they were written in Python floats, a turn
+    at a time, before it ran the library's block check: the bbox
+    (xmin, xmax, ymin, ymax) of a vertex list they accept, from min() and
+    max(), or their ValueError. The scale's ``or 1.0`` is as it was written;
+    a body all at zero turns by zero, within any slack."""
+    pts = np.array(vertices, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError("vertices must be a (k, 2) array with k >= 1")
+    xs, ys = pts.T.tolist()
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("vertices must be finite")
+    k = len(xs)
+    if k >= 3:
+        scale = max(map(abs, xs + ys)) or 1.0
+        slack = -1e-9 * scale * scale
+        for i in range(k):
+            j, m = (i + 1) % k, (i + 2) % k
+            ax, ay = xs[j] - xs[i], ys[j] - ys[i]
+            bx, by = xs[m] - xs[i], ys[m] - ys[i]
+            if ax * by - ay * bx < slack:
+                raise ValueError("vertices must wind counterclockwise around a convex region")
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 def lattice_points(rng: np.random.Generator, count: int, span: float) -> np.ndarray:
@@ -518,6 +546,7 @@ def oracle_convex_hull(points) -> ConvexBody:
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:
+        body_check_oracle(pts)
         return ConvexBody(pts)
     lower: list[tuple[float, float]] = []
     for p in pts:
@@ -532,6 +561,7 @@ def oracle_convex_hull(points) -> ConvexBody:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all input points collinear
         hull = [pts[0], pts[-1]]
+    body_check_oracle(hull)
     return ConvexBody(hull)
 
 
@@ -671,8 +701,9 @@ def read_tracks_oracle(stream) -> list[UserTrack]:
 
 
 def read_bodies_oracle(stream) -> tuple[list[ConvexBody], list[str]]:
-    """The bodies reader one line at a time: each record parsed alone and
-    made a body by ``ConvexBody``, whose diameter is computed when asked."""
+    """The bodies reader one line at a time: each record parsed alone,
+    checked by the Python-float check and made a body by ``ConvexBody``,
+    whose diameter is computed when asked."""
     bodies: list[ConvexBody] = []
     ids: list[str] = []
     for lineno, line in enumerate(stream, start=1):
@@ -684,8 +715,9 @@ def read_bodies_oracle(stream) -> tuple[list[ConvexBody], list[str]]:
             if not isinstance(record, dict):
                 raise ValueError(f"expected a JSON object, got {type(record).__name__}")
             uid = str(record["user_id"])
+            body_check_oracle(record["vertices"])
             body = ConvexBody(record["vertices"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise fileio.FormatError(f"bodies line {lineno}: {e}") from e
         ids.append(uid)
         bodies.append(body)

@@ -383,14 +383,17 @@ def test_one_parser_serves_every_call(bodies_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "record",
-    ['[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}'],
+    [
+        '[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}',
+        pytest.param('{"user_id": "a", "vertices": [[0, 0], [1' + "0" * 400 + ', 0], [0, 1]]}', id="huge integer"),
+    ],
 )
 def test_malformed_bodies_record_is_a_user_error(record, tmp_path, capsys):
-    path = tmp_path / "bodies.jsonl"
+    path, out = tmp_path / "bodies.jsonl", tmp_path / "raw.hist"
     path.write_text(record + "\n")
-    assert main(["build", "--bodies", str(path), "--area", "4", "--n", "4",
-                 "--out", str(tmp_path / "raw.hist")]) == 1
+    assert main(["build", "--bodies", str(path), "--area", "4", "--n", "4", "--out", str(out)]) == 1
     assert "bodies line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_privatize_refuses_a_bound_the_bodies_were_not_checked_against(bodies_file, tmp_path, capsys):

@@ -232,17 +232,15 @@ _BAD_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("block", [None, 1, 8])
 @pytest.mark.parametrize("case", list(_BAD_COUNTS))
-def test_read_names_bad_counts_as_row_by_row_reading_did(case, block):
-    """The same FormatError texts with counts converted a block of rows at
-    a time: as set, one row per block, and two rows per block."""
+def test_read_names_bad_counts_as_row_by_row_reading_did(case):
+    """Each edit raises the text reading row by row gave before numpy's text
+    reader: the first bad row, named by its section and index."""
     lines = _dump(_raw_histogram()).splitlines()
     assert lines[7:9] == ["faces 4 4", "4 5 8 6"] and lines[21:] == ["vertices 3 3", "2 3 5", "3 7 8", "1 4 4"]
     edit, message = _BAD_COUNTS[case]
-    with mock.patch.object(fileio, "PARSE_BLOCK", block or fileio.PARSE_BLOCK):
-        with pytest.raises(FormatError) as err:
-            read_histogram(io.StringIO("\n".join(edit(lines)) + "\n"))
+    with pytest.raises(FormatError) as err:
+        read_histogram(io.StringIO("\n".join(edit(lines)) + "\n"))
     assert str(err.value) == message
 
 
@@ -268,7 +266,7 @@ def test_read_converts_counts_in_bounded_blocks():
 
 def test_writer_files_take_numpys_text_reader():
     """Files as the writer makes them, at every state and at n=2 (whose
-    sections hold one column or one row), never reach the block-by-block
+    sections hold one column or one row), never reach the row-by-row
     conversion."""
     rng = np.random.default_rng(5)
     for n in (2, 3, 7):
@@ -406,9 +404,16 @@ def test_bodies_default_ids_and_errors():
     assert bodies == [] and ids == []
 
 
+# an integer coordinate too large for a float
+_HUGE_INTEGER_RECORD = '{"user_id": "a", "vertices": [[0, 0], [1' + "0" * 400 + ', 0], [0, 1]]}'
+
+
 @pytest.mark.parametrize(
     "record",
-    ['[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}'],
+    [
+        '[1, 2]', '"just a string"', '{"user_id": "a", "vertices": {"x": 1}}',
+        pytest.param(_HUGE_INTEGER_RECORD, id="huge integer"),
+    ],
 )
 def test_bodies_malformed_record_is_format_error(record):
     text = '{"user_id": "a", "vertices": [[0, 0]]}\n' + record + "\n"
@@ -503,6 +508,7 @@ _ODD_BODY_LINES = [
     '{"user_id": [1], "vertices": [[0, 0], [2, 0]], "extra": 1}',
     '{"user_id": "z", "vertices": [[-0.0, 0.0], [0.0, -0.0]]}',
     '{"user_id": "z", "vertices": [[0.0, -0.0], [1.0, 0.0], [-0.0, 1.0]]}',
+    _HUGE_INTEGER_RECORD,
 ]
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    body_check_oracle,
     body_intersects_box,
     box_contains,
     box_dimension,
@@ -222,13 +223,27 @@ def vertex_lists(draw) -> np.ndarray:
     """Vertex arrays about ConvexBody's accept/reject boundary: points on a
     circle in counterclockwise order, then reversed, given a duplicate, given
     one vertex nudged across its neighbours' chord by about the 1e-9 slack,
-    given a NaN or infinity, or replaced by arbitrary points."""
+    given a NaN or infinity, or replaced by arbitrary points; or k >= 3
+    zeros of either sign, the circle's unit form rounded to integers with
+    zeros of either sign, or that unit form scaled to subnormal or near
+    overflowing coordinates, in either winding."""
     k = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 40))
     ang = np.sort(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k)))
     cx, cy, r = draw(coordinate), draw(coordinate), draw(st.floats(1e-6, 1e4))
     pts = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
-    how = draw(st.sampled_from(["ccw", "clockwise", "duplicate", "nudge", "special", "arbitrary"]))
-    if how == "clockwise":
+    how = draw(st.sampled_from(
+        ["ccw", "clockwise", "duplicate", "nudge", "special", "arbitrary", "zero", "signed zero", "tiny", "huge"]
+    ))
+    unit = np.column_stack([np.cos(ang), np.sin(ang)])[:: draw(st.sampled_from([1, -1]))]
+    if how in ("zero", "signed zero"):
+        zeros = np.zeros((max(k, 3), 2)) if how == "zero" else np.round(unit)
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=zeros.size, max_size=zeros.size))
+        pts = np.where(zeros == 0.0, zeros * np.reshape(signs, zeros.shape), zeros)
+    elif how in ("tiny", "huge"):
+        tiny = [5e-324, 1e-322, 1e-315, 2.2250738585072014e-308, 1e-160]
+        huge = [1e154, 1e200, 1e307, 1.7976931348623157e308]
+        pts = unit * draw(st.sampled_from(tiny if how == "tiny" else huge))
+    elif how == "clockwise":
         pts = pts[::-1]
     elif how == "duplicate":
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k))
@@ -262,6 +277,45 @@ def test_body_checks_match_numpy_oracle(pts):
     body = ConvexBody(pts)
     assert body.bbox == want
     assert body.vertices.tobytes() == pts.tobytes()
+
+
+def _bbox_or_error(make, pts):
+    """The bbox bytes ``make`` gives for ``pts``, signs of zeros too, or
+    the text of its ValueError."""
+    try:
+        return np.array(make(pts)).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+@given(vertex_lists())
+@settings(max_examples=600, deadline=None)
+def test_body_checks_match_the_python_float_check(pts):
+    """``ConvexBody`` accepts what the Python-float check it used to run
+    accepts, with the same bbox bytes, and refuses the rest with its text."""
+    want = _bbox_or_error(body_check_oracle, pts)
+    assert _bbox_or_error(lambda v: ConvexBody(v).bbox, pts) == want
+
+
+@given(st.lists(vertex_lists(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_convex_bodies_match_the_python_float_check(lists):
+    """A block of drawn bodies raises the Python-float check's text for a
+    non-finite coordinate anywhere in it before its text for a bad turn
+    anywhere, as ``convex_bodies`` did; else each body has the check's
+    bbox bytes, its own vertex bytes and its diameter cached."""
+    wants = [_bbox_or_error(body_check_oracle, pts) for pts in lists]
+    errors = [want for want in wants if want in (_NOT_FINITE, _NOT_CONVEX)]
+    vertices, sizes = np.concatenate(lists), np.array([len(pts) for pts in lists])
+    if errors:
+        with pytest.raises(ValueError) as err:
+            convex_bodies(vertices, sizes)
+        assert str(err.value) == min(errors, key=lambda e: e != _NOT_FINITE)
+        return
+    bodies = convex_bodies(vertices, sizes)
+    assert [np.array(b.bbox).tobytes() for b in bodies] == wants
+    assert [b.vertices.tobytes() for b in bodies] == [pts.tobytes() for pts in lists]
+    assert all(b.__dict__["cached_diameter"] == diameter(ConvexBody(b.vertices)) for b in bodies)
 
 
 @pytest.mark.parametrize(
