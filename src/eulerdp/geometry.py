@@ -21,6 +21,8 @@ makes bodies of a stack, and :func:`convex_hull` runs the stack of one set.
 :func:`convex_bodies` checks a block of given vertex lists, as read from a
 file, and makes bodies of it. ``ConvexBody``, the chains' junctions and
 :func:`convex_bodies` all check through one vectorised block check.
+Diameters, of a body or of every prefix of a point set, come from one
+pairwise kernel, :func:`prefix_squared_diameters`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 _NOT_FINITE = "vertices must be finite"
 _NOT_CONVEX = "vertices must wind counterclockwise around a convex region"
-# float64s per temporary of convex_bodies' pairwise distances
-CHECK_BLOCK = 1 << 16
+# float64s per temporary of pairwise distances (512 KiB)
+PAIRWISE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,26 +226,31 @@ def convex_hulls(points, counts) -> list[ConvexBody]:
     return _block_bodies(np.stack([hx[kept], hy[kept]], axis=1), size, boxes)
 
 
-def _squared_diameters(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Largest squared distance between two points of each of g sets of k
-    points, x and y (g, k): dx * dx + dy * dy over all pairs, then the max,
-    with at most ``CHECK_BLOCK`` float64s per temporary (one row of one set
-    at least)."""
-    g, k = x.shape
-    out = np.zeros(g)
-    sets = max(1, CHECK_BLOCK // (k * k))
-    rows = k if sets > 1 else max(1, CHECK_BLOCK // k)
-    with np.errstate(over="ignore"):  # inf, as in plain floats
+def prefix_squared_diameters(points: np.ndarray) -> np.ndarray:
+    """Squared diameter of every prefix of each of g ordered point sets,
+    ``points`` (g, k, 2); returns (g, k), entry i for the first i + 1
+    points, so a set's squared diameter is its last entry.
+
+    Each point's squared distance dx * dx + dy * dy to its farthest
+    predecessor, then a running maximum, with at most ``PAIRWISE_BLOCK``
+    float64s per temporary (one row of one set at least). Overflow gives
+    inf, as in plain floats.
+    """
+    g, k, _ = points.shape
+    x, y = np.ascontiguousarray(points.transpose(2, 0, 1))
+    reach2 = np.empty((g, k))
+    sets = max(1, PAIRWISE_BLOCK // (k * k))
+    rows = max(1, min(k, PAIRWISE_BLOCK // k))
+    with np.errstate(over="ignore"):
         for lo in range(0, g, sets):
-            part = out[lo : lo + sets]
             for r in range(0, k, rows):
-                dx = x[lo : lo + sets, r : r + rows, None] - x[lo : lo + sets, None, :]
-                dy = y[lo : lo + sets, r : r + rows, None] - y[lo : lo + sets, None, :]
+                dx = x[lo : lo + sets, r : r + rows, None] - x[lo : lo + sets, None, : r + rows]
+                dy = y[lo : lo + sets, r : r + rows, None] - y[lo : lo + sets, None, : r + rows]
                 dx *= dx
                 dy *= dy
                 dx += dy
-                np.maximum(part, dx.max(axis=(1, 2)), out=part)
-    return out
+                reach2[lo : lo + sets, r : r + rows] = np.tril(dx, r).max(axis=2)
+    return np.maximum.accumulate(reach2, axis=1)
 
 
 def convex_bodies(vertices: np.ndarray, sizes: np.ndarray) -> list[ConvexBody]:
@@ -254,17 +261,17 @@ def convex_bodies(vertices: np.ndarray, sizes: np.ndarray) -> list[ConvexBody]:
     read-only, with their bbox and their cached diameter filled in."""
     starts = np.cumsum(sizes) - sizes
     groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes).tolist()]
-    blocks = []
+    stacks, blocks = [], []
     for group in groups:
         k = int(sizes[group[0]])
-        at = starts[group, None] + np.arange(k)
-        blocks.append((vertices[at, 0], vertices[at, 1], k, np.arange(k)))
+        stacks.append(vertices[starts[group, None] + np.arange(k)])
+        blocks.append((stacks[-1][..., 0], stacks[-1][..., 1], k, np.arange(k)))
     boxes: list = [None] * len(sizes)
     diameters = np.empty(len(sizes))
-    for group, (x, y, _, _), group_boxes in zip(groups, blocks, _check(blocks)):
+    for group, stack, group_boxes in zip(groups, stacks, _check(blocks)):
         for i, box in zip(group.tolist(), group_boxes):
             boxes[i] = box
-        diameters[group] = np.sqrt(_squared_diameters(x, y))
+        diameters[group] = np.sqrt(prefix_squared_diameters(stack)[:, -1])
     return _block_bodies(vertices, sizes, boxes, diameters.tolist())
 
 
@@ -282,9 +289,8 @@ def convex_hull(points) -> ConvexBody:
 
 def diameter(body: ConvexBody) -> float:
     """Largest pairwise distance between hull vertices: the square root of
-    :func:`_squared_diameters` of the one body."""
-    x, y = body.vertices.T
-    return float(np.sqrt(_squared_diameters(x[None], y[None])[0]))
+    the last of :func:`prefix_squared_diameters` of the one body."""
+    return float(np.sqrt(prefix_squared_diameters(body.vertices[None])[0, -1]))
 
 
 def _axes(vertices: np.ndarray) -> list[tuple[float, float]]:

@@ -20,6 +20,12 @@ cell side. The horizontal edge ``(r, c)`` is the segment between faces
 ``(r, c)`` and ``(r+1, c)``; the vertical edge ``(r, c)`` sits between faces
 ``(r, c)`` and ``(r, c+1)``; vertex ``(r, c)`` is the grid point shared by
 faces ``(r, c)``, ``(r, c+1)``, ``(r+1, c)`` and ``(r+1, c+1)``.
+
+:meth:`GridPartition.sections` views a dense array as the four sections,
+and :func:`incidences` pairs neighbouring slices of them: each edge under
+its two faces, each vertex under its four edges. That one table is the
+incidence ``build`` counts edge and vertex hits from, and the C1 and C2
+rows that inference checks and projects onto.
 """
 
 from __future__ import annotations
@@ -152,6 +158,25 @@ class GridPartition:
         rows, cols = np.arange(r0, r1 + 1), np.arange(c0, c1 + 1)
         boxes = self.face_boxes(slice(r0, r1 + 1), slice(c0, c1 + 1))
         return (rows[:, None] * self.n + cols).ravel(), boxes.reshape(-1, 4)
+
+
+def incidences(faces, hedges, vedges, vertices) -> tuple:
+    """The C1 and C2 rows as eight (lower, upper) pairs of same-shaped views
+    of the four sections, which may carry leading axes (``[..., r, c]`` is
+    component ``(r, c)``).
+
+    Rows 0-3 put each horizontal edge under the face below it, then above
+    it, and each vertical edge under the face left of it, then right of it
+    (C1). Rows 4-7 put each vertex under the horizontal edge left of it,
+    then right of it, and under the vertical edge below it, then above it
+    (C2).
+    """
+    return (
+        (hedges, faces[..., :-1, :]), (hedges, faces[..., 1:, :]),
+        (vedges, faces[..., :, :-1]), (vedges, faces[..., :, 1:]),
+        (vertices, hedges[..., :, :-1]), (vertices, hedges[..., :, 1:]),
+        (vertices, vedges[..., :-1, :]), (vertices, vedges[..., 1:, :]),
+    )
 
 
 def build_partition(

@@ -8,10 +8,10 @@ rectangular range counting over raw counts is exact for convex bodies.
 
 ``build`` makes one pass over all bodies: every padded face window at once,
 one separating-axis call per body into a stack of hits, edges and vertices
-as ANDs on the stack, and one bincount per section and block of bodies. A
-convex body meets components with F - E + V = 1, which is what lets a query
-count it once; ``build`` checks that on each body's hits and refuses a body
-that breaks it.
+as ANDs over the grid's incidence table, and one bincount per section and
+block of bodies. A convex body meets components with F - E + V = 1, which
+is what lets a query count it once; ``build`` checks that on each body's
+hits and refuses a body that breaks it.
 
 Histograms move through a fixed pipeline of states: RAW (exact counts), NOISY
 (after perturbation), CONSISTENT (after constrained inference), ROUNDED (after
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import ConvexBody, intersects_boxes
-from .grid import GridPartition
+from .grid import GridPartition, incidences
 
 
 class HistogramState(Enum):
@@ -247,9 +247,11 @@ def build(bodies: list[ConvexBody], p: GridPartition, diameter_bound: float | No
     window, the face boxes are slices of :meth:`GridPartition.face_boxes`,
     and each block of bodies writes its hits into one (bodies, h, w) stack,
     padded with False, of at most ``BUILD_BLOCK`` cells (a body whose window
-    alone is larger makes a block of its own). Edge and vertex hits are ANDs
-    on the stack, and each section takes one bincount per block; the counts
-    are sums of integers, so their order does not matter.
+    alone is larger makes a block of its own). Edge and vertex hits start
+    True and take ``lower &= upper`` over :func:`eulerdp.grid.incidences`
+    of the stacks, edges from their faces, then vertices from their edges;
+    each section takes one bincount per block, and the counts are sums of
+    integers, so their order does not matter.
 
     A convex body meets components with F - E + V = 1, the Euler
     characteristic every rectangle query relies on to count it once. Each
@@ -273,10 +275,10 @@ def build(bodies: list[ConvexBody], p: GridPartition, diameter_bound: float | No
             hit[j, : row1 - row0 + 1, : col1 - col0 + 1] = intersects_boxes(
                 body, window.reshape(-1, 4)
             ).reshape(window.shape[:2])
-        across = hit[:, :-1] & hit[:, 1:]  # both faces of each horizontal edge
-        beside = hit[:, :, :-1] & hit[:, :, 1:]  # both faces of each vertical edge
-        corner = across[:, :, :-1] & across[:, :, 1:]  # all four faces of each vertex
-        parts = (hit, across, beside, corner)
+        shapes = ((h - 1, w), (h, w - 1), (h - 1, w - 1))  # of the edge and vertex stacks
+        parts = (hit, *(np.ones((stop - start, *shape), dtype=bool) for shape in shapes))
+        for lower, upper in incidences(*parts):
+            lower &= upper
         f, e1, e2, v = (np.count_nonzero(part, axis=(1, 2)) for part in parts)
         euler = f - e1 - e2 + v
         refused += [

@@ -20,36 +20,31 @@ finished by Hopcroft-Karp phases (Hopcroft & Karp 1973), so inference needs
 numpy alone. Both depend on the noisy counts only, so inference is
 post-processing and spends no extra privacy budget.
 
-Every check of the rows, and the L-infinity projection, compares
-neighbouring slices of the face, edge and vertex sections. The rows'
-dense-index pairs are built on first access, for the tests' oracles; the
-L1 projection builds its pair list from the same grid arithmetic and frees
-it on return, so no index table outlives a call.
+Every check of the rows, and both projections, read the C1 and C2 rows off
+one incidence table, :func:`eulerdp.grid.incidences`, which pairs
+neighbouring slices of the face, edge and vertex sections. The L1
+projection takes its pair list from the table on dense indices and frees it
+on return, so no index table outlives a call; the rows as dense-index
+tables are the tests' oracles.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grid import GridPartition
+from .grid import GridPartition, incidences
 from .histogram import EulerHistogram, HistogramState
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraint rows for one partition, in canonical order.
-
-    ``violation_counts`` compares neighbouring slices of the partition's
-    sections and needs no index table, so ``verify``, rounding and repair
-    never build one. The index pairs are built on first access, by the
-    tests' oracles and census; the ``l1`` projection builds its own and
-    frees them. ``c1`` holds (edge, face) dense-index pairs ordered by edge then by the
-    edge's face order; ``c2`` holds (vertex, edge) pairs ordered by vertex
-    then edge; ``c3`` holds one row (vertex, f1..f4, e1..e4) per vertex.
+    """The C1 and C2 rows of one partition, read off
+    :func:`eulerdp.grid.incidences` on demand: nothing is stored but the
+    partition. ``counts_by_family`` gives the sizes of the C1, C2 and C3
+    families, two rows per edge, four per vertex and one per vertex.
     """
 
     partition: GridPartition
@@ -61,49 +56,15 @@ class ConstraintSet:
 
     def violation_counts(self, counts: np.ndarray) -> tuple[int, int, int]:
         """Violated C1 rows, violated C2 rows and negative components: exact.
-        Each family is four comparisons of neighbouring sections' slices, as
-        :mod:`eulerdp.grid` lays out which edges bound a face or vertex."""
-        faces, hedges, vedges, vertices = self.partition.sections(counts)
-        over = np.count_nonzero
-        c1 = over(hedges > faces[:-1]) + over(hedges > faces[1:])
-        c1 += over(vedges > faces[:, :-1]) + over(vedges > faces[:, 1:])
-        c2 = over(vertices > hedges[:, :-1]) + over(vertices > hedges[:, 1:])
-        c2 += over(vertices > vedges[:-1]) + over(vertices > vedges[1:])
-        return int(c1), int(c2), int(over(counts < 0))
-
-    @cached_property
-    def c1(self) -> np.ndarray:
-        return _c1_rows(self.partition)
-
-    @cached_property
-    def c2(self) -> np.ndarray:
-        return np.column_stack([np.repeat(self.c3[:, 0], 4), self.c3[:, 5:].ravel()])
-
-    @cached_property
-    def c3(self) -> np.ndarray:
-        return _c3_rows(self.partition)
-
-
-def _c1_rows(p: GridPartition) -> np.ndarray:
-    """(edge, face) dense-index pairs, by edge then by the edge's faces."""
-    faces, hedges, vedges, _ = p.sections(np.arange(p.size, dtype=np.int64))
-    return np.concatenate([
-        np.stack([hedges, faces[:-1], hedges, faces[1:]], axis=-1).reshape(-1, 2),
-        np.stack([vedges, faces[:, :-1], vedges, faces[:, 1:]], axis=-1).reshape(-1, 2),
-    ])
-
-
-def _c3_rows(p: GridPartition) -> np.ndarray:
-    """One row (vertex, f1..f4, e1..e4) of dense indices per vertex."""
-    faces, hedges, vedges, vertices = p.sections(np.arange(p.size, dtype=np.int64))
-    return np.stack([
-        vertices, faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:],
-        hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:],
-    ], axis=-1).reshape(-1, 9)
+        Each row of the incidence table is one comparison of neighbouring
+        sections' slices."""
+        rows = incidences(*self.partition.sections(counts))
+        over = [int(np.count_nonzero(lower > upper)) for lower, upper in rows]
+        return sum(over[:4]), sum(over[4:]), int(np.count_nonzero(counts < 0))
 
 
 def build_constraints(p: GridPartition) -> ConstraintSet:
-    """The constraint set of ``p``; its index pairs wait for first access."""
+    """The constraint set of ``p``."""
     return ConstraintSet(p)
 
 
@@ -219,10 +180,10 @@ def _maximize(eu, ed, mate_u, mate_d, size) -> np.ndarray:
 
 
 def _isotonic_l1(h: np.ndarray, p: GridPartition) -> tuple[np.ndarray, int]:
-    """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
+    """Smallest L1 isotonic regression of ``h`` under the C1 and C2 pairs
     (lower, upper), and the number of minimum-cut levels it took. The pairs
-    are built here from ``p``'s sections and freed on return; nothing is
-    cached on a ``ConstraintSet``.
+    are the incidence table's rows on dense indices, plus each vertex under
+    its four faces, built here from ``p``'s sections and freed on return.
 
     Each node keeps an index interval [lo, hi) into the sorted distinct
     values. A level cuts every open interval at mid: a node ranked at or
@@ -235,17 +196,17 @@ def _isotonic_l1(h: np.ndarray, p: GridPartition) -> tuple[np.ndarray, int]:
     the unmatched up-nodes, closed under "matched down-node -> its partner"
     and under going up: the up-nodes that alternating paths from the free
     ones reach, and everything above them. That set is the same for every
-    maximum matching.
+    maximum matching, so the order of the pairs does not matter.
     """
     vals, rank = np.unique(h, return_inverse=True)
     size = len(h)
-    # every ordered pair (lower, upper): vertex-edge (the C2 rows), edge-face
-    # (the C1 rows), vertex-face
-    c1, c3 = _c1_rows(p), _c3_rows(p)
-    vertex = np.repeat(c3[:, 0], 4)
-    lower = np.concatenate([vertex, c1[:, 0], vertex])
-    upper = np.concatenate([c3[:, 5:].ravel(), c1[:, 1], c3[:, 1:5].ravel()])
-    del c1, c3, vertex
+    # every ordered pair (lower, upper): edge-face (the C1 rows), vertex-edge
+    # (the C2 rows), vertex-face
+    faces, hedges, vedges, vertices = p.sections(np.arange(size, dtype=np.int64))
+    corners = (faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:])
+    pairs = list(incidences(faces, hedges, vedges, vertices)) + [(vertices, face) for face in corners]
+    lower, upper = (np.concatenate([pair[k].ravel() for pair in pairs]) for k in (0, 1))
+    del pairs, corners, faces, hedges, vedges, vertices
     lo = np.zeros(size, dtype=np.int64)
     hi = np.full(size, len(vals), dtype=np.int64)
     levels = 0
@@ -274,19 +235,17 @@ def _isotonic_linf(h: np.ndarray, p: GridPartition) -> np.ndarray:
     """L-infinity isotonic regression of ``h``: the midpoint of the largest
     value at or below each node and the smallest value at or above it.
 
-    Each section takes the maximum (minimum) with its neighbours' slices,
-    in the order of the C2 and C1 rows, so a tie between 0.0 and -0.0 keeps
-    the sign a pass over the rows, one pair at a time, would keep."""
+    Each section takes the maximum (minimum) with its neighbours' slices
+    over the incidence table's rows: the minimum pass in table order, the
+    maximum pass C2 first, each family's rows in reverse pairs, so a tie
+    between 0.0 and -0.0 keeps the sign a pass over the rows, one pair at a
+    time, would keep."""
     below, above = h.copy(), h.copy()
-    faces, hedges, vedges, vertices = p.sections(below)
-    for lower, upper in ((vertices, hedges[:, 1:]), (vertices, hedges[:, :-1]), (vertices, vedges[1:]),
-                         (vertices, vedges[:-1]), (hedges, faces[1:]), (hedges, faces[:-1]),
-                         (vedges, faces[:, 1:]), (vedges, faces[:, :-1])):
+    rows = incidences(*p.sections(below))
+    for i in (5, 4, 7, 6, 1, 0, 3, 2):
+        lower, upper = rows[i]
         np.maximum(upper, lower, out=upper)
-    faces, hedges, vedges, vertices = p.sections(above)
-    for lower, upper in ((hedges, faces[:-1]), (hedges, faces[1:]), (vedges, faces[:, :-1]),
-                         (vedges, faces[:, 1:]), (vertices, hedges[:, :-1]), (vertices, hedges[:, 1:]),
-                         (vertices, vedges[:-1]), (vertices, vedges[1:])):
+    for lower, upper in incidences(*p.sections(above)):
         np.minimum(lower, upper, out=lower)
     return (below + above) / 2
 

@@ -31,15 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, convex_hulls
+from .geometry import PAIRWISE_BLOCK, ConvexBody, convex_hulls, prefix_squared_diameters
 from .privacy import require_finite_positive
 
 EARTH_RADIUS_M = 6371000.0
 _LAT_LON_LIMITS = np.array([90.0, 180.0])
-# float64s per block of pairwise work (512 KiB), and points per batch of
-# hulls, so no temporary grows with the number of users, nor with the
-# square of a track's length
-PAIRWISE_BLOCK = 1 << 16
 # float64s per scratch array of the KDE's row blocks, four of them in cache
 KDE_BLOCK = 1 << 15
 # most vertices a synthetic body draws
@@ -207,29 +203,6 @@ def _modes(stack: np.ndarray) -> np.ndarray:
     return stack[np.arange(len(stack)), _kde(stack, stack).argmax(axis=1)]
 
 
-def _prefix_diameters2(ordered: np.ndarray) -> np.ndarray:
-    """Squared diameter of every prefix of each ordered point set in
-    ``ordered`` (g, k, 2); returns (g, k), entry i for the first i + 1 points.
-
-    Each point's squared distance to its farthest predecessor, then a
-    running maximum, with at most ``PAIRWISE_BLOCK`` float64s per block.
-    A squared distance is dx * dx + dy * dy, the value
-    :func:`~eulerdp.geometry.diameter` sums from ``diff * diff``.
-    """
-    g, k, _ = ordered.shape
-    x, y = np.ascontiguousarray(ordered.transpose(2, 0, 1))
-    reach2 = np.empty((g, k))
-    step = max(1, PAIRWISE_BLOCK // (g * k))
-    for r in range(0, k, step):
-        dx = x[:, r : r + step, None] - x[:, None, : r + step]
-        dy = y[:, r : r + step, None] - y[:, None, : r + step]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        reach2[:, r : r + step] = np.tril(dx, r).max(axis=2)
-    return np.maximum.accumulate(reach2, axis=1)
-
-
 def _trim_lengths(prefix2: np.ndarray, bound: float) -> np.ndarray:
     """Per user, the length of the longest prefix of its nearest points,
     ordered by distance from the mode, whose largest distance between two
@@ -251,7 +224,7 @@ def _nearest(stack: np.ndarray, config: IngestConfig) -> tuple[np.ndarray, np.nd
     dist2 = dx * dx + dy * dy
     order = np.argsort(dist2, axis=1, kind="stable")[:, : config.k]
     nearest = np.take_along_axis(stack, order[:, :, None], axis=1)
-    return nearest, _prefix_diameters2(nearest)
+    return nearest, prefix_squared_diameters(nearest)
 
 
 def ingest_tracks(

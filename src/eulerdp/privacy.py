@@ -141,9 +141,23 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
     Pure in (histogram, params, seed): draw ``i`` is keyed by component dense
     index ``i``, independent of call order. The input histogram is not
     modified.
+
+    The noise is calibrated to ``params.diameter_bound``, so ``build`` must
+    have checked every body against it or a smaller bound: a histogram that
+    records no bound, or a larger one, raises ValueError.
     """
     if h.state is not HistogramState.RAW:
         raise ValueError(f"perturb expects a RAW histogram, got {h.state.value}")
+    if h.diameter_bound is None:
+        raise ValueError(
+            f"the raw histogram records no diameter bound, so the bound {params.diameter_bound} "
+            "was never checked against its bodies: build it with diameter_bound"
+        )
+    if params.diameter_bound < h.diameter_bound:
+        raise ValueError(
+            f"diameter bound {params.diameter_bound} is below the diameter bound "
+            f"{h.diameter_bound} the raw histogram's bodies were checked against"
+        )
     noise = rng.laplace_at(params.lam, 0, h.counts.size)
     noisy = np.maximum(h.counts + noise, 0.0)
     return replace(

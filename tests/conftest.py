@@ -10,9 +10,13 @@ slice-sum oracle counts one rectangle the direct way, and the float-table
 query oracle is ``query`` as it was before integral states had integer
 corner tables: a validation, four float lookups summed, and a rounding for
 integral states. The row-scan oracle is ``min_rectangle_count`` one top row
-at a time, the violation oracle reads C1 and C2 off the constraint set's
-index pairs, and the L-infinity oracle runs ``np.maximum.at`` and
-``np.minimum.at`` over them. The LP oracle
+at a time. The row oracle, ``ConstraintRows``, lists the C1, C2 and C3 rows
+as dense-index tables, as ``ConstraintSet`` built them before every use of
+the rows went through ``grid.incidences``; the violation oracle reads C1
+and C2 off its index pairs, and the L-infinity oracle runs
+``np.maximum.at`` and ``np.minimum.at`` over them. The hit-stack oracle is
+the three ANDs ``build`` took edge and vertex hits from before it read them
+off the incidence table. The LP oracle
 assembles constrained inference as the linear program it is (residual rows,
 then C1, C2 and C3 rows) and solves it with scipy's HiGHS; the min-cut
 oracle runs the same threshold partitioning as ``infer``'s ``l1`` with one
@@ -41,6 +45,8 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,9 +56,9 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from eulerdp import (
-    ConstraintSet,
     ConvexBody,
     EulerHistogram,
+    GridPartition,
     IngestError,
     QueryRegion,
     UserTrack,
@@ -63,7 +69,6 @@ from eulerdp import (
 from eulerdp import fileio
 from eulerdp.geometry import intersects_boxes
 from eulerdp.histogram import INTEGRAL_STATES
-from eulerdp.inference import build_constraints
 
 LATTICE = 1.0 / 1024.0
 
@@ -389,25 +394,68 @@ def scan_by_row_oracle(h: EulerHistogram) -> tuple[float, QueryRegion]:
     return value, region
 
 
-def violation_counts_oracle(cs: ConstraintSet, counts: np.ndarray) -> tuple[int, int, int]:
+@dataclass(frozen=True)
+class ConstraintRows:
+    """The constraint rows of one partition as dense-index tables, each
+    built on first access. ``c1`` holds (edge, face) pairs ordered by edge
+    then by the edge's faces (below, above; left, right); ``c2`` holds
+    (vertex, edge) pairs ordered by vertex then edge (the horizontal edges
+    left and right of it, the vertical edges below and above it); ``c3``
+    holds one row (vertex, f1..f4, e1..e4) per vertex."""
+
+    partition: GridPartition
+
+    @cached_property
+    def c1(self) -> np.ndarray:
+        p = self.partition
+        faces, hedges, vedges, _ = p.sections(np.arange(p.size, dtype=np.int64))
+        return np.concatenate([
+            np.stack([hedges, faces[:-1], hedges, faces[1:]], axis=-1).reshape(-1, 2),
+            np.stack([vedges, faces[:, :-1], vedges, faces[:, 1:]], axis=-1).reshape(-1, 2),
+        ])
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        return np.column_stack([np.repeat(self.c3[:, 0], 4), self.c3[:, 5:].ravel()])
+
+    @cached_property
+    def c3(self) -> np.ndarray:
+        p = self.partition
+        faces, hedges, vedges, vertices = p.sections(np.arange(p.size, dtype=np.int64))
+        return np.stack([
+            vertices, faces[:-1, :-1], faces[:-1, 1:], faces[1:, :-1], faces[1:, 1:],
+            hedges[:, :-1], hedges[:, 1:], vedges[:-1], vedges[1:],
+        ], axis=-1).reshape(-1, 9)
+
+
+def hit_stacks_oracle(hit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal edge, vertical edge and vertex hits of a (bodies, h, w)
+    stack of face hits, as three ANDs of neighbouring slices."""
+    across = hit[:, :-1] & hit[:, 1:]  # both faces of each horizontal edge
+    beside = hit[:, :, :-1] & hit[:, :, 1:]  # both faces of each vertical edge
+    corner = across[:, :, :-1] & across[:, :, 1:]  # all four faces of each vertex
+    return across, beside, corner
+
+
+def violation_counts_oracle(rows: ConstraintRows, counts: np.ndarray) -> tuple[int, int, int]:
     """Violated C1 and C2 rows, one index pair at a time, and negative
     components: the check as it ran before it compared section slices."""
     return (
-        int((counts[cs.c1[:, 0]] > counts[cs.c1[:, 1]]).sum()),
-        int((counts[cs.c2[:, 0]] > counts[cs.c2[:, 1]]).sum()),
+        int((counts[rows.c1[:, 0]] > counts[rows.c1[:, 1]]).sum()),
+        int((counts[rows.c2[:, 0]] > counts[rows.c2[:, 1]]).sum()),
         int((counts < 0).sum()),
     )
 
 
-def isotonic_linf_oracle(h: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+def isotonic_linf_oracle(h: np.ndarray, rows: ConstraintRows) -> np.ndarray:
     """The L-infinity isotonic regression ``infer`` clips, from unbuffered
     maximum and minimum passes over the C2 and C1 index pairs."""
     below = h.copy()
-    np.maximum.at(below, cs.c2[:, 1], below[cs.c2[:, 0]])
-    np.maximum.at(below, cs.c1[:, 1], below[cs.c1[:, 0]])
+    np.maximum.at(below, rows.c2[:, 1], below[rows.c2[:, 0]])
+    np.maximum.at(below, rows.c1[:, 1], below[rows.c1[:, 0]])
     above = h.copy()
-    np.minimum.at(above, cs.c1[:, 0], above[cs.c1[:, 1]])
-    np.minimum.at(above, cs.c2[:, 0], above[cs.c2[:, 1]])
+    np.minimum.at(above, rows.c1[:, 0], above[rows.c1[:, 1]])
+    np.minimum.at(above, rows.c2[:, 0], above[rows.c2[:, 1]])
     return (below + above) / 2
 
 
@@ -428,11 +476,11 @@ class LinearProgram(NamedTuple):
         return len(self.b_ub)
 
 
-# C3 row coefficients in ConstraintSet.c3 column order: vertex, 4 faces, 4 edges.
+# C3 row coefficients in ConstraintRows.c3 column order: vertex, 4 faces, 4 edges.
 _C3_COEFS = np.array([-1.0] * 5 + [1.0] * 4)
 
 
-def _assemble(h: EulerHistogram, cs: ConstraintSet, kind: str) -> LinearProgram:
+def _assemble(h: EulerHistogram, cs: ConstraintRows, kind: str) -> LinearProgram:
     """|x_i - h_i| <= r_i (``l1``) or <= r (``linf``), then
     ``x[a] - x[b] <= 0`` for each C1 and C2 pair, then the C3 rows."""
     n = cs.partition.size
@@ -464,17 +512,17 @@ def _assemble(h: EulerHistogram, cs: ConstraintSet, kind: str) -> LinearProgram:
     return LinearProgram(c, a_ub, b_ub, kind)
 
 
-def build_lad_program(h: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
+def build_lad_program(h: EulerHistogram, cs: ConstraintRows) -> LinearProgram:
     """Least-absolute-deviations program: one residual per component."""
     return _assemble(h, cs, "l1")
 
 
-def build_linf_program(h: EulerHistogram, cs: ConstraintSet) -> LinearProgram:
+def build_linf_program(h: EulerHistogram, cs: ConstraintRows) -> LinearProgram:
     """Minimax program: a single residual bounds every deviation."""
     return _assemble(h, cs, "linf")
 
 
-def lp_oracle(h: EulerHistogram, cs: ConstraintSet, objective: str) -> tuple[np.ndarray, float]:
+def lp_oracle(h: EulerHistogram, cs: ConstraintRows, objective: str) -> tuple[np.ndarray, float]:
     """Counts and objective of ``objective``'s program, solved by HiGHS."""
     lp = _assemble(h, cs, objective)
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=(0, None), method="highs")
@@ -482,7 +530,7 @@ def lp_oracle(h: EulerHistogram, cs: ConstraintSet, objective: str) -> tuple[np.
     return res.x[: cs.partition.size], float(res.fun)
 
 
-def min_cut_oracle(h: np.ndarray, cs: ConstraintSet, method: str) -> tuple[np.ndarray, int]:
+def min_cut_oracle(h: np.ndarray, cs: ConstraintRows, method: str) -> tuple[np.ndarray, int]:
     """Smallest L1 isotonic regression of ``h`` under the C2 and C1 pairs
     (lower, upper), and the number of minimum-cut levels it took, with every
     level's cut from a ``maximum_flow(method=method)``.
@@ -757,7 +805,7 @@ def read_histogram_oracle(stream) -> EulerHistogram:
         raise fileio.FormatError(str(e)) from e
 
 
-def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):
+def repair_oracle(h: EulerHistogram):
     """Counts and (c1, c2, c3, rect) fixes and cost of the clamp-pass repair.
 
     Passes run in a fixed order chosen so that no pass re-breaks an earlier
@@ -766,8 +814,7 @@ def repair_oracle(h: EulerHistogram, cs: ConstraintSet | None = None):
     a rectangle still falls short. Real-valued states get the 1e-7 dust
     tolerance this repair used to apply.
     """
-    if cs is None:
-        cs = build_constraints(h.partition)
+    cs = ConstraintRows(h.partition)
     counts = h.counts.copy()
     tol = 0.0 if h.state in INTEGRAL_STATES else 1e-7
 

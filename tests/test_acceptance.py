@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_rectangle_counts, body_intersects_box, lattice_body, valid_region_mask
+from conftest import ConstraintRows, all_rectangle_counts, body_intersects_box, lattice_body, valid_region_mask
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -102,7 +102,7 @@ def test_02_queries_are_exact_on_raw_histograms(capsys):
 
 
 def test_03_constraint_family_census(capsys):
-    cs = build_constraints(build_partition(20000.0, 20))
+    cs = ConstraintRows(build_partition(20000.0, 20))
     got = (len(cs.c1), len(cs.c2), len(cs.c3))
     ok = got == (1520, 1444, 361) and sum(got) == 3325
     _verdict(capsys, 3, ok, "constraint census at n=20 is (1520, 1444, 361)", f"got {got}")

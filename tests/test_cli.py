@@ -8,6 +8,7 @@ argparse owns those; everything else returns an exit code.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -342,6 +343,29 @@ def test_trailing_content_in_a_histogram_exits_one(bodies_file, tmp_path, capsys
     assert "after the vertices section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pattern, replacement, message",
+    [
+        (r"(^faces .*\n)[^ ]*", r"\1abc", "section 'faces' row 0: could not convert string to float: 'abc'"),
+        (r"(^faces .*\n.*) [^ \n]*$", r"\1", "section 'faces' row 0: expected 4 values"),
+        (r"^epsilon: .*$", "epsilon: nan", "epsilon: must be finite and positive, got nan"),
+    ],
+    ids=["abc", "short-row", "nan-epsilon"],
+)
+def test_malformed_release_exits_one(bodies_file, tmp_path, capsys, pattern, replacement, message):
+    """A release whose first count reads abc, whose first faces row lost a
+    count, or whose epsilon reads nan is a format error."""
+    path = tmp_path / "release.hist"
+    assert main(["release", *_grid(bodies_file, tmp_path), "--epsilon", "1", "--diameter-bound", "6.0",
+                 "--seed", "7", "--out", str(path)]) == 0
+    text, edits = re.subn(pattern, replacement, path.read_text(), count=1, flags=re.M)
+    assert edits == 1
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_user_error(tmp_path, capsys):
     assert main(["privatize", "--in", str(tmp_path / "absent.hist"),
                  "--out", str(tmp_path / "x.hist"), "--epsilon", "1"]) == 1
@@ -417,6 +441,18 @@ def test_privatize_refuses_a_bound_the_bodies_were_not_checked_against(bodies_fi
     for flags, recorded in (([], 6.0), (["--diameter-bound", "6.0"], 6.0), (["--diameter-bound", "8.0"], 8.0)):
         assert main(["privatize", "--in", raw, "--out", str(out), "--epsilon", "1", *flags, "--seed", "1"]) == 0
         assert read_histogram_file(str(out)).diameter_bound == recorded
+
+
+def test_release_names_the_line_of_a_clockwise_body(tmp_path, capsys):
+    path, out = tmp_path / "clockwise.jsonl", tmp_path / "clockwise.hist"
+    path.write_text(
+        '{"user_id": "a", "vertices": [[0.5, 0.5]]}\n'
+        '{"user_id": "b", "vertices": [[1, 1], [1, 2], [2, 1]]}\n'
+    )
+    assert main(["release", "--bodies", str(path), "--area", "5", "--n", "5", "--epsilon", "1",
+                 "--diameter-bound", "1", "--seed", "7", "--out", str(out)]) == 1
+    assert "bodies line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_names_refused_bodies_by_user_id(tmp_path, capsys):
@@ -503,6 +539,17 @@ def test_verify_catches_family_violations(tmp_path, capsys):
     assert main(["verify", "--in", path]) == 1
     # both face pairings of the edge break
     assert "violations: c1=2 c2=0 negative=0" in capsys.readouterr().out
+
+
+def test_verify_catches_a_vertex_above_one_edge(tmp_path, capsys):
+    """A vertex above one of its four edges, everything else consistent,
+    breaks one C2 row."""
+    p = build_partition(3.0, 3)
+    counts = np.concatenate([np.full(9, 5.0), [1.0], np.full(11, 2.0), [2.0, 1.0, 1.0, 1.0]])
+    path = str(tmp_path / "vertex-above.hist")
+    write_histogram_file(EulerHistogram(p, counts, HistogramState.ROUNDED), path)
+    assert main(["verify", "--in", path]) == 1
+    assert "violations: c1=0 c2=1 negative=0" in capsys.readouterr().out
 
 
 def test_verify_and_repair_refuse_a_negative_count(tmp_path, capsys):

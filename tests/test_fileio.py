@@ -42,14 +42,14 @@ from eulerdp.histogram import INTEGRAL_STATES, validate_bodies
 from eulerdp.ingest import IngestConfig, IngestError, generate_synthetic
 
 
-def _raw_histogram(n=4, origin=(0.0, 0.0)):
+def _raw_histogram(n=4, origin=(0.0, 0.0), diameter_bound=None):
     rng = np.random.default_rng(13)
     p = build_partition(float(n), n, origin)
     bodies = []
     for _ in range(20):
         b = lattice_body(rng, float(n))
         bodies.append(convex_hull(b.vertices + np.asarray(origin)))
-    return build(bodies, p)
+    return build(bodies, p, diameter_bound=diameter_bound)
 
 
 def _dump(h) -> str:
@@ -70,14 +70,14 @@ def test_raw_roundtrip_is_exact():
 
 
 def test_noisy_roundtrip_is_bit_exact():
-    h = _raw_histogram()
-    params = PrivacyParams.for_partition(1.0 / 3.0, 1.0, h.partition)
+    h = _raw_histogram(diameter_bound=6.0)  # above the area's diagonal
+    params = PrivacyParams.for_partition(1.0 / 3.0, 6.0, h.partition)
     noisy = perturb(h, params, RandomSource(55))
     text = _dump(noisy)
     back = read_histogram(io.StringIO(text))
     assert np.array_equal(back.counts, noisy.counts)  # repr round-trips floats
     assert back.epsilon == noisy.epsilon
-    assert back.diameter_bound == 1.0
+    assert back.diameter_bound == 6.0
     assert back.state is HistogramState.NOISY
     assert _dump(back) == text
 
@@ -148,8 +148,8 @@ def test_read_rejects_malformed_inputs():
     ],
 )
 def test_read_names_a_bad_header_field(line, bad, message):
-    h = _raw_histogram(origin=(0.5, 0.0))
-    params = PrivacyParams.for_partition(0.5, 1.0, h.partition)
+    h = _raw_histogram(origin=(0.5, 0.0), diameter_bound=6.0)
+    params = PrivacyParams.for_partition(0.5, 6.0, h.partition)
     text = _dump(perturb(h, params, RandomSource(3)))
     old = next(l for l in text.splitlines() if l.startswith(f"{line}: "))
     with pytest.raises(FormatError, match=f"^bad or missing header field.*{re.escape(message)}"):
@@ -565,7 +565,7 @@ def test_bodies_reader_matches_the_line_by_line_oracle(prefix, lines, ending, bl
     checking one record at a time, or the same FormatError."""
     text = "".join(line + ending for line in _BULK_BODIES[:prefix] + lines)
     with mock.patch.multiple(fileio, BODIES_BLOCK=block or fileio.BODIES_BLOCK), mock.patch.multiple(
-        geometry, CHECK_BLOCK=check or geometry.CHECK_BLOCK
+        geometry, PAIRWISE_BLOCK=check or geometry.PAIRWISE_BLOCK
     ):
         got = _bodies_result(read_bodies, text)
     assert got == _bodies_result(read_bodies_oracle, text)

@@ -14,6 +14,7 @@ from conftest import (
     box_dimension,
     build_oracle_counts,
     grid_components,
+    hit_stacks_oracle,
     lattice_body,
     partitions,
     point_in_box,
@@ -21,6 +22,7 @@ from conftest import (
 )
 from eulerdp import GridPartition, build, build_partition, convex_hull, validate_bodies
 from eulerdp.geometry import intersects_boxes
+from eulerdp.grid import incidences
 
 
 def boxes_overlap(a, b) -> bool:
@@ -76,6 +78,26 @@ def test_incidence_matches_geometry():
         assert got.tolist() == [float(point_in_box(centre, b)) for b in boxes]
         assert got[i] == 1.0
         assert got.sum() == {2: 1, 1: 3, 0: 9}[box_dimension(box)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_incidence_ands_equal_the_hit_stack_oracle(bodies, h, w, seed):
+    """Edge and vertex stacks that start True and take ``lower &= upper``
+    over the incidence table, edges from faces then vertices from edges,
+    equal the three ANDs of neighbouring slices, on (bodies, h, w) face hit
+    stacks whose windows are padded with False, as ``build`` pads them."""
+    rng = np.random.default_rng(seed)
+    hit = np.zeros((bodies, h, w), dtype=bool)
+    for j in range(bodies):
+        rows, cols = rng.integers(1, h + 1), rng.integers(1, w + 1)
+        hit[j, :rows, :cols] = rng.random((rows, cols)) < rng.random()
+    shapes = ((h - 1, w), (h, w - 1), (h - 1, w - 1))
+    stacks = (hit, *(np.ones((bodies, *shape), dtype=bool) for shape in shapes))
+    for lower, upper in incidences(*stacks):
+        lower &= upper
+    for got, want in zip(stacks[1:], hit_stacks_oracle(hit)):
+        assert np.array_equal(got, want)
 
 
 def test_box_of_hand_values():

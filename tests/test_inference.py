@@ -11,6 +11,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import (
+    ConstraintRows,
     box_contains,
     box_dimension,
     build_lad_program,
@@ -35,6 +36,7 @@ from eulerdp import (
     verify_violations,
 )
 from eulerdp import inference
+from eulerdp.grid import incidences
 
 
 def test_family_census():
@@ -49,7 +51,7 @@ def test_constraints_match_incidence_api():
     incidence read off the component boxes: an edge lies in its two faces,
     a vertex in its four edges and four faces."""
     p = build_partition(5.0, 5)
-    cs = build_constraints(p)
+    rows = ConstraintRows(p)
     boxes = [box for _, box in grid_components(p)]
 
     def within(i: int, dim: int) -> list[int]:
@@ -59,9 +61,9 @@ def test_constraints_match_incidence_api():
 
     edges = [i for i, b in enumerate(boxes) if box_dimension(b) == 1]
     vertices = [i for i, b in enumerate(boxes) if box_dimension(b) == 0]
-    assert cs.c1.tolist() == [[e, f] for e in edges for f in within(e, 2)]
-    assert cs.c2.tolist() == [[v, e] for v in vertices for e in within(v, 1)]
-    assert cs.c3.tolist() == [[v] + within(v, 2) + within(v, 1) for v in vertices]
+    assert rows.c1.tolist() == [[e, f] for e in edges for f in within(e, 2)]
+    assert rows.c2.tolist() == [[v, e] for v in vertices for e in within(v, 1)]
+    assert rows.c3.tolist() == [[v] + within(v, 2) + within(v, 1) for v in vertices]
 
 
 def test_excess_and_violation_counts():
@@ -89,18 +91,26 @@ def test_excess_and_violation_counts():
     # raw histograms are consistent by construction
     raw = np.array([2, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.float64)
     assert cs.violation_counts(raw) == (0, 0, 0)
+    assert [type(count) for count in cs.violation_counts(counts)] == [int, int, int]
 
 
-def test_constraint_arrays_wait_for_first_access():
-    cs = build_constraints(build_partition(30.0, 30))
-    assert cs.counts_by_family == (2 * 2 * 30 * 29, 4 * 29 * 29, 29 * 29)
-    cs.violation_counts(np.zeros(cs.partition.size))
-    assert not {"c1", "c2", "c3"} & vars(cs).keys()
-    noisy = EulerHistogram(cs.partition, np.random.default_rng(3).laplace(2.0, 3.0, cs.partition.size),
-                           HistogramState.NOISY)
-    infer(noisy, cs)  # the l1 projection builds its pairs and keeps none
-    assert not {"c1", "c2", "c3"} & vars(cs).keys()
-    assert (len(cs.c1), len(cs.c2), len(cs.c3)) == cs.counts_by_family
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40))
+def test_incidences_give_the_c1_and_c2_pairs(n):
+    """On dense indices the incidence table holds exactly the C1 and C2
+    index pairs, in their order once each family's rows are interleaved,
+    and the families have the sizes ``counts_by_family`` states."""
+    p = build_partition(float(n), n)
+    table = incidences(*p.sections(np.arange(p.size, dtype=np.int64)))
+
+    def pairs(rows) -> np.ndarray:  # each lower's pairs in row order, then the next lower
+        return np.stack([np.stack(pair, axis=-1) for pair in rows], axis=-2).reshape(-1, 2)
+
+    oracle = ConstraintRows(p)
+    assert np.array_equal(np.concatenate([pairs(table[0:2]), pairs(table[2:4])]), oracle.c1)
+    assert np.array_equal(pairs(table[4:8]), oracle.c2)
+    sizes = (len(oracle.c1), len(oracle.c2), len(oracle.c3))
+    assert sizes == build_constraints(p).counts_by_family
 
 
 @settings(max_examples=120, deadline=None)
@@ -131,14 +141,14 @@ def test_slice_violation_counts_equal_the_index_pairs(n, state, kind, seed):
         step = 1.0 if integral else np.nextafter(1.0, 2.0) - 1.0
         counts[at] += rng.choice([-step, step], len(at))
     h = EulerHistogram(p, counts, state)
-    want = violation_counts_oracle(cs, h.counts)
+    want = violation_counts_oracle(ConstraintRows(p), h.counts)
     assert verify_violations(h) == want
     assert cs.violation_counts(h.counts) == want
 
 
 def test_lad_program_rows_dense():
     p = build_partition(2.0, 2)
-    cs = build_constraints(p)
+    cs = ConstraintRows(p)
     h = EulerHistogram(p, np.zeros(9), HistogramState.NOISY)
     a = build_lad_program(h, cs).a_ub.toarray()
     # lo_f0_0: -x_0 - r_0 <= -h_0
@@ -158,7 +168,7 @@ def test_lad_program_rows_dense():
 
 def test_linf_program_shape():
     p = build_partition(2.0, 2)
-    cs = build_constraints(p)
+    cs = ConstraintRows(p)
     h = EulerHistogram(p, np.zeros(9), HistogramState.NOISY)
     lp = build_linf_program(h, cs)
     assert lp.kind == "linf"
@@ -173,8 +183,8 @@ def _noisy_fixture(seed=101, n=4, eps=0.8):
     rng = np.random.default_rng(9)
     p = build_partition(float(n), n)
     bodies = [lattice_body(rng, float(n)) for _ in range(25)]
-    raw = build(bodies, p)
-    params = PrivacyParams.for_partition(eps, 1.0, p)
+    raw = build(bodies, p, diameter_bound=1.5 * n)  # above the area's diagonal
+    params = PrivacyParams.for_partition(eps, 1.5 * n, p)
     return raw, perturb(raw, params, RandomSource(seed))
 
 
@@ -217,7 +227,7 @@ def test_infer_refuses_to_tag_violating_counts(monkeypatch):
     _, noisy = _noisy_fixture()
     cs = build_constraints(noisy.partition)
     violating = np.zeros(noisy.partition.size)
-    violating[cs.c1[0, 0]] = 1.0  # an edge above its two empty faces
+    violating[ConstraintRows(noisy.partition).c1[0, 0]] = 1.0  # an edge above its two empty faces
     assert cs.violation_counts(violating)[0] > 0
     monkeypatch.setattr(inference, "_isotonic_l1", lambda h, p: (violating, 1))
     with pytest.raises(RuntimeError, match="rows still violated"):
@@ -248,7 +258,7 @@ def test_infer_matches_the_lp_oracle(noisy):
     dust = 1e-9 * np.abs(noisy.counts).max()
     for objective in ("l1", "linf"):
         consistent, report = infer(noisy, cs, objective=objective)
-        oracle_x, oracle = lp_oracle(noisy, cs, objective)
+        oracle_x, oracle = lp_oracle(noisy, ConstraintRows(noisy.partition), objective)
         assert report.objective == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         x = consistent.counts
         if objective == "l1":
@@ -292,7 +302,7 @@ def _laplace_44() -> EulerHistogram:
 def test_l1_equals_the_min_cut_oracle(noisy):
     """The matching's cut is the minimal minimum cut of every level, the one
     a maximum flow leaves reachable whichever flow it finds."""
-    cs = build_constraints(noisy.partition)
+    cs = ConstraintRows(noisy.partition)
     x, levels = inference._isotonic_l1(noisy.counts, noisy.partition)
     for method in ("dinic", "edmonds_karp"):
         oracle_x, oracle_levels = min_cut_oracle(noisy.counts, cs, method)
@@ -327,7 +337,7 @@ def test_linf_slices_equal_the_pair_passes(noisy, seed, signed_zeros):
         rng = np.random.default_rng(seed)
         counts = rng.choice([0.0, -0.0, (1.0, -1.0)[seed % 2]], noisy.partition.size)
         noisy = noisy.with_counts(counts, HistogramState.NOISY)
-    want = isotonic_linf_oracle(noisy.counts, build_constraints(noisy.partition))
+    want = isotonic_linf_oracle(noisy.counts, ConstraintRows(noisy.partition))
     assert inference._isotonic_linf(noisy.counts, noisy.partition).tobytes() == want.tobytes()
     consistent, _ = infer(noisy, objective="linf")
     assert consistent.counts.tobytes() == np.maximum(want, 0.0).tobytes()

@@ -25,9 +25,10 @@ from eulerdp import (
     generate_synthetic,
     ingest_tracks,
 )
-from eulerdp import ingest
+from eulerdp import geometry, ingest
 from eulerdp.fileio import write_bodies
-from eulerdp.ingest import _kde, _modes, _planar, _prefix_diameters2, _scott_matrices, _trim_lengths
+from eulerdp.geometry import prefix_squared_diameters
+from eulerdp.ingest import _kde, _modes, _planar, _scott_matrices, _trim_lengths
 
 from conftest import (
     ingest_tracks_oracle,
@@ -320,7 +321,7 @@ def test_trim_matches_iterative_oracle():
     bound = oracle_diameter(oracle_convex_hull(np.array([v0, v1, v2, v3, v2_inside])))
     for pts, keep in ((np.array([v1, v3, v2, v2_inside, v0]), 4), (np.array([v0, v1, v2, v3, v2_inside]), 2)):
         assert _set_diameter(pts[:keep]) <= bound < _set_diameter(pts[: keep + 1])
-        assert _trim_lengths(_prefix_diameters2(pts[None]), bound).tolist() == [keep]
+        assert _trim_lengths(prefix_squared_diameters(pts[None]), bound).tolist() == [keep]
         cases.append((pts, bound))
     by_length: dict[int, list] = {}
     for pts, bound in cases:
@@ -328,10 +329,10 @@ def test_trim_matches_iterative_oracle():
     on_bound = mixed = 0
     for group in by_length.values():
         stack = np.array(list({id(pts): pts for pts, _ in group}.values()))
-        prefix2 = _prefix_diameters2(stack)
+        prefix2 = prefix_squared_diameters(stack)
         for rows in (1, 3):
-            with mock.patch.object(ingest, "PAIRWISE_BLOCK", stack.shape[1] * rows):
-                assert _prefix_diameters2(stack).tobytes() == prefix2.tobytes()
+            with mock.patch.object(geometry, "PAIRWISE_BLOCK", stack.shape[1] * rows):
+                assert prefix_squared_diameters(stack).tobytes() == prefix2.tobytes()
         spans = [[_set_diameter(pts[:keep]) for keep in range(1, len(pts) + 1)] for pts in stack]
         for bound in sorted({bound for _, bound in group}):
             want = []
@@ -354,7 +355,7 @@ def test_trim_keeps_the_longest_prefix_within_the_bound(points, bound):
     """The kept prefix's point-set diameter is within the bound, the next
     longer prefix's is not, and the hull of the kept points is too."""
     pts = np.array(points)
-    keep = int(_trim_lengths(_prefix_diameters2(pts[None]), bound)[0])
+    keep = int(_trim_lengths(prefix_squared_diameters(pts[None]), bound)[0])
     assert keep == 1 or _set_diameter(pts[:keep]) <= bound
     assert keep == len(pts) or _set_diameter(pts[: keep + 1]) > bound
     assert diameter(convex_hull(pts[:keep])) <= _set_diameter(pts[:keep])

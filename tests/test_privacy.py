@@ -183,7 +183,7 @@ def test_laplace_zero_scale_and_validation():
 
 
 def _raw(p, value=0.0):
-    return EulerHistogram(p, np.full(p.size, value), HistogramState.RAW)
+    return EulerHistogram(p, np.full(p.size, value), HistogramState.RAW, diameter_bound=1.0)
 
 
 def test_perturb_requires_raw_state():
@@ -192,6 +192,24 @@ def test_perturb_requires_raw_state():
     noisy = perturb(_raw(p), params, ConstantNoise(0.0))
     with pytest.raises(ValueError):
         perturb(noisy, params, ConstantNoise(0.0))
+
+
+def test_perturb_refuses_an_unchecked_bound():
+    """The noise is calibrated to the params' bound, so the raw histogram
+    must record one its bodies were checked against, no larger: no bound
+    and a larger bound are refused, naming both values; an equal or smaller
+    recorded bound passes."""
+    p = build_partition(4.0, 4)
+    params = PrivacyParams.for_partition(1.0, 1.0, p)
+    unchecked = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW)
+    with pytest.raises(ValueError, match="records no diameter bound, so the bound 1.0 was never checked"):
+        perturb(unchecked, params, ConstantNoise(0.0))
+    wider = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW, diameter_bound=1.5)
+    with pytest.raises(ValueError, match="diameter bound 1.0 is below the diameter bound 1.5 "):
+        perturb(wider, params, ConstantNoise(0.0))
+    for recorded in (1.0, 0.5):
+        raw = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW, diameter_bound=recorded)
+        assert perturb(raw, params, ConstantNoise(0.0)).diameter_bound == 1.0
 
 
 def test_perturb_zero_noise_is_identity_with_metadata():

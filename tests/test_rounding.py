@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_body, repair_oracle
+from conftest import ConstraintRows, lattice_body, repair_oracle
 from eulerdp import (
     EulerHistogram,
     HistogramState,
@@ -29,8 +29,8 @@ def _consistent_fixture(seed=17, n=5, eps=0.5):
     rng = np.random.default_rng(23)
     p = build_partition(float(n), n)
     bodies = [lattice_body(rng, float(n)) for _ in range(30)]
-    raw = build(bodies, p)
-    noisy = perturb(raw, PrivacyParams.for_partition(eps, 1.0, p), RandomSource(seed))
+    raw = build(bodies, p, diameter_bound=1.5 * n)  # above the area's diagonal
+    noisy = perturb(raw, PrivacyParams.for_partition(eps, 1.5 * n, p), RandomSource(seed))
     consistent, _ = infer(noisy)
     return consistent
 
@@ -206,8 +206,8 @@ def test_repair_matches_clamp_pass_oracle(n, bodies, objective, log_epsilon, see
     epsilon = 10.0**log_epsilon
     rng = np.random.default_rng(seed)
     p = build_partition(float(n), n)
-    raw = build([lattice_body(rng, float(n)) for _ in range(bodies)], p)
-    noisy = perturb(raw, PrivacyParams.for_partition(epsilon, 1.0, p), RandomSource(seed))
+    raw = build([lattice_body(rng, float(n)) for _ in range(bodies)], p, diameter_bound=1.5 * n)
+    noisy = perturb(raw, PrivacyParams.for_partition(epsilon, 1.5 * n, p), RandomSource(seed))
     rounded = round_counts(infer(noisy, objective=objective)[0])
     released, report = repair(rounded)
     counts, fixes, cost = repair_oracle(rounded)
@@ -225,7 +225,7 @@ def consistent_histograms(draw) -> EulerHistogram:
     lift an edge just above a face."""
     n = draw(st.integers(2, 6))
     p = build_partition(float(n), n)
-    cs = build_constraints(p)
+    cs = ConstraintRows(p)
     half = st.integers(0, 40).map(lambda k: k / 2)
     dust = st.sampled_from([-5e-8, 0.0, 5e-8])
     value = st.one_of(st.floats(0.0, 20.0), st.builds(lambda v, d: max(v + d, 0.0), half, dust))
