@@ -30,9 +30,18 @@ rows that inference checks and projects onto.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def require_finite_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not a finite number
+    above zero (an infinite epsilon would draw no noise at all)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,11 @@ class GridPartition:
             raise ValueError("origin must be finite")
         if not (np.isfinite(self.area_side) and self.area_side > 0):
             raise ValueError("area_side must be positive and finite")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid resolution n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("grid resolution n must be at least 2")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def cell_side(self) -> float:
@@ -182,4 +194,4 @@ def incidences(faces, hedges, vedges, vertices) -> tuple:
 def build_partition(
     area_side: float, n: int, origin: tuple[float, float] = (0.0, 0.0)
 ) -> GridPartition:
-    return GridPartition((float(origin[0]), float(origin[1])), float(area_side), int(n))
+    return GridPartition((float(origin[0]), float(origin[1])), float(area_side), n)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .fileio import read_bodies_file
 from .geometry import ConvexBody
-from .grid import build_partition
+from .grid import build_partition, require_finite_positive
 from .histogram import EulerHistogram, QueryRegion, build, query
 from .inference import infer
 from .ingest import IngestConfig, generate_synthetic
-from .privacy import PrivacyParams, RandomSource, derive_seed, perturb, require_finite_positive
+from .privacy import PrivacyParams, RandomSource, derive_seed, perturb
 from .rounding import repair, round_counts, verify_violations
 
 ALGORITHMS = ("DP", "C", "R")
@@ -108,6 +108,8 @@ class ExperimentConfig:
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.synthetic is None) == (self.bodies_path is None):
             raise ConfigError("exactly one of synthetic kind or bodies file required")
         if self.bodies_path is not None:

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import ConvexBody, intersects_boxes
-from .grid import GridPartition, incidences
+from .grid import GridPartition, incidences, require_finite_positive
 
 
 class HistogramState(Enum):
@@ -187,10 +187,13 @@ def validate_bodies(
 ) -> tuple[list[ConvexBody], list[tuple[int, str]]]:
     """Check bodies against the area and the diameter bound, with no slack:
     a body is accepted only if its bbox lies inside the area rectangle and
-    its diameter is at most the bound.
+    its diameter is at most the bound. A bound that is not finite and
+    positive raises ValueError, whatever the bodies.
 
     Returns (accepted, rejected) where rejected holds (input index, reason).
     """
+    if diameter_bound is not None:
+        require_finite_positive(diameter_bound=diameter_bound)
     (xlo, ylo), span = p.origin, p.n * p.cell_side
     xhi, yhi = xlo + span, ylo + span
     kept: list[ConvexBody] = []

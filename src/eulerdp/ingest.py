@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PAIRWISE_BLOCK, ConvexBody, convex_hulls, prefix_squared_diameters
-from .privacy import require_finite_positive
+from .grid import require_finite_positive
 
 EARTH_RADIUS_M = 6371000.0
 _LAT_LON_LIMITS = np.array([90.0, 180.0])

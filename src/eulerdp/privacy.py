@@ -8,6 +8,10 @@ in total. Laplace noise with scale ``sensitivity / epsilon`` on every
 component then provides epsilon-differential privacy for the whole histogram,
 and post-processing (inference, rounding) cannot weaken it.
 
+:class:`PrivacyParams` holds epsilon, B and d, and derives the sensitivity
+and the noise scale from them; it is immutable, so the scale ``perturb``
+draws with is always the one the three values give.
+
 Noise draws come from a counter-based stream: draw ``i`` is a pure function of
 ``(seed, i)``, so perturbation is reproducible, order-independent, and safe to
 parallelize. Uniforms are produced by hashing the counter with the SplitMix64
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridPartition
+from .grid import GridPartition, require_finite_positive
 from .histogram import EulerHistogram, HistogramState
 
 _MASK = (1 << 64) - 1
@@ -76,14 +80,6 @@ class RandomSource:
         return laplace_inverse_cdf(self.uniforms_at(start, count), lam)
 
 
-def require_finite_positive(**values: float) -> None:
-    """Raise ValueError naming the first value that is not a finite number
-    above zero (an infinite epsilon would draw no noise at all)."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def _snapped_ceil(ratio: float) -> int:
     # Ratios that are integers up to float dust (e.g. 2 / (20/30)) must not
     # jump to the next integer.
@@ -111,28 +107,30 @@ def sensitivity_closed_form(diameter_bound: float, cell_side: float) -> float:
     return 4.5 * (c + 1) * c
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrivacyParams:
+    """Immutable epsilon, bound B and cell side d; sensitivity and lam derive from them."""
+
     epsilon: float
     diameter_bound: float
-    sensitivity: int
-    lam: float
+    cell_side: float
 
     def __post_init__(self) -> None:
         require_finite_positive(epsilon=self.epsilon, diameter_bound=self.diameter_bound)
-        if self.sensitivity < 1:
-            raise ValueError("sensitivity must be at least 1")
-        if not np.isclose(self.lam, self.sensitivity / self.epsilon, rtol=1e-12):
-            raise ValueError("lam must equal sensitivity / epsilon")
-        if not math.isfinite(self.lam):
+        if not math.isfinite(self.lam):  # global_sensitivity checks cell_side
             raise ValueError(f"epsilon {self.epsilon} is too small: the noise scale overflows")
 
+    @property
+    def sensitivity(self) -> int:
+        return global_sensitivity(self.diameter_bound, self.cell_side)
+
+    @property
+    def lam(self) -> float:
+        return self.sensitivity / self.epsilon
+
     @classmethod
-    def for_partition(
-        cls, epsilon: float, diameter_bound: float, p: GridPartition
-    ) -> PrivacyParams:
-        sens = global_sensitivity(diameter_bound, p.cell_side)
-        return cls(epsilon, diameter_bound, sens, sens / epsilon)
+    def for_partition(cls, epsilon: float, diameter_bound: float, p: GridPartition) -> PrivacyParams:
+        return cls(epsilon, diameter_bound, p.cell_side)
 
 
 def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
@@ -142,9 +140,11 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
     index ``i``, independent of call order. The input histogram is not
     modified.
 
-    The noise is calibrated to ``params.diameter_bound``, so ``build`` must
-    have checked every body against it or a smaller bound: a histogram that
-    records no bound, or a larger one, raises ValueError.
+    The noise is calibrated to ``params.diameter_bound`` and
+    ``params.cell_side``, so ``build`` must have checked every body against
+    that bound or a smaller one, on a grid of that cell side: a histogram
+    that records no bound, a larger one, or another cell side raises
+    ValueError.
     """
     if h.state is not HistogramState.RAW:
         raise ValueError(f"perturb expects a RAW histogram, got {h.state.value}")
@@ -157,6 +157,11 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
         raise ValueError(
             f"diameter bound {params.diameter_bound} is below the diameter bound "
             f"{h.diameter_bound} the raw histogram's bodies were checked against"
+        )
+    if params.cell_side != h.partition.cell_side:
+        raise ValueError(
+            f"the params are for cell side {params.cell_side}, but the raw histogram's "
+            f"grid has cell side {h.partition.cell_side}"
         )
     noise = rng.laplace_at(params.lam, 0, h.counts.size)
     noisy = np.maximum(h.counts + noise, 0.0)

@@ -310,6 +310,30 @@ def test_non_finite_privacy_flags_exit_one(bodies_file, tmp_path, capsys, flag, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_build_refuses_a_bad_diameter_bound(bodies_file, tmp_path, capsys, bad):
+    """A bound that is not finite and positive would be written to a raw
+    file no reader accepts: build exits 1 naming it, with bodies or none,
+    and writes nothing."""
+    empty = tmp_path / "empty.jsonl"
+    write_bodies_file([], str(empty))
+    for bodies in (bodies_file, str(empty)):
+        out = tmp_path / "raw.hist"
+        rc = main(["build", "--bodies", bodies, "--area", "4", "--n", "4",
+                   "--diameter-bound", bad, "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: diameter_bound must be finite and positive, got {float(bad)}\n"
+        )
+        assert not out.exists()
+
+
+def test_negative_experiment_seed_exits_one(capsys):
+    keys = ["area_side=5", "n=5", "diameter_bound=1", "epsilon=1", "seed=-1",
+            "synthetic=uniform", "count=5", "repetitions=1"]
+    assert main(["experiment", *(a for kv in keys for a in ("--set", kv))]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_vanishing_epsilon_exits_one(bodies_file, tmp_path, capsys):
     """sensitivity / 1e-308 overflows to an infinite noise scale, which is
     refused by name before any noise is drawn."""

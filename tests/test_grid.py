@@ -276,3 +276,16 @@ def test_partition_validation():
         build_partition(-2.0, 4)
     with pytest.raises(ValueError):
         GridPartition((float("nan"), 0.0), 1.0, 3)
+    # a float n is refused by name, not truncated to a smaller grid or
+    # carried into a fractional component count
+    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 5.9"):
+        build_partition(4000.0, 5.9)
+    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 2.5"):
+        GridPartition((0.0, 0.0), 10.0, 2.5)
+    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 4.0"):
+        build_partition(4.0, 4.0)
+    for n in (5, np.int64(5), np.int32(5), np.uint8(5)):  # stored as int
+        p = build_partition(4000.0, n)
+        assert type(p.n) is int and p == build_partition(4000.0, 5) and p.size == 81
+    with pytest.raises(ValueError, match="at least 2"):
+        build_partition(4.0, np.int64(1))

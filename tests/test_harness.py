@@ -104,6 +104,8 @@ def test_experiment_config_validation():
         _base_config(bodies_path="x.jsonl")  # two body sources
     with pytest.raises(ConfigError):
         _base_config(repetitions=0)
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        _base_config(seed=-1)  # refused by name, not inside numpy's seeding
     with pytest.raises(ConfigError):
         _base_config(objective="l2")
     with pytest.raises(ConfigError):
@@ -155,6 +157,8 @@ def test_config_from_mapping_errors():
         config_from_mapping({"n": "5", "synthetic": "uniform"})
     with pytest.raises(ConfigError, match="config key n"):
         config_from_mapping({**base, "n": "five"})
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        config_from_mapping({**base, "seed": "-1"})
     with pytest.raises(ConfigError, match="config key qr_shapes: shape '3by3' is not RxC"):
         config_from_mapping({**base, "qr_shapes": "3by3"})
     with pytest.raises(ConfigError, match="config key qr_percents: could not convert"):

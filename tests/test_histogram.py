@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import re
 import tracemalloc
@@ -356,6 +357,21 @@ def test_validate_bodies_rejects_outside_and_oversized():
     assert not kept and "diameter" in rejected[0][1]
     kept, _ = validate_bodies([inside], p, diameter_bound=1.5)
     assert len(kept) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_build_refuses_a_bound_that_is_not_finite_and_positive(bad):
+    """NaN and inf would admit every body, and no file could record the
+    bound: validate_bodies and build refuse it by name, with or without
+    bodies."""
+    p = build_partition(4.0, 4)
+    inside = convex_hull([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)])
+    for bodies in ([], [inside]):
+        with pytest.raises(ValueError, match=f"^diameter_bound must be finite and positive, got {bad}$"):
+            validate_bodies(bodies, p, diameter_bound=bad)
+        with pytest.raises(ValueError, match=f"^diameter_bound must be finite and positive, got {bad}$"):
+            build(bodies, p, diameter_bound=bad)
+    assert build([inside], p).diameter_bound is None  # no bound is still no bound
 
 
 def test_validate_bodies_computes_each_diameter_once(monkeypatch):

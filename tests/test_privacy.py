@@ -7,6 +7,7 @@ later releases, so any change to the mixing constants is a format break.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,23 +78,51 @@ def test_privacy_params_for_partition():
 
 def test_privacy_params_validation():
     with pytest.raises(ValueError):
-        PrivacyParams(0.0, 1.0, 9, 9.0)
+        PrivacyParams(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        PrivacyParams(1.0, -1.0, 9, 9.0)
+        PrivacyParams(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
-        PrivacyParams(1.0, 1.0, 0, 0.0)
-    with pytest.raises(ValueError):
-        PrivacyParams(1.0, 1.0, 9, 10.0)  # lam inconsistent with sens/eps
+        PrivacyParams(1.0, 1.0, 0.0)
+
+
+def test_privacy_params_are_three_frozen_values():
+    """Only epsilon, the bound and the cell side are set; the sensitivity
+    and the noise scale are derived and no field can be reassigned."""
+    params = PrivacyParams(1.0, 2.0, 1.0)
+    assert [f.name for f in dataclasses.fields(PrivacyParams)] == ["epsilon", "diameter_bound", "cell_side"]
+    assert (params.sensitivity, params.lam) == (25, 25.0)
+    for name, value in (("epsilon", 1e-9), ("cell_side", 2.0), ("lam", 1e-9), ("sensitivity", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, value)
+    assert (params.sensitivity, params.lam) == (25, 25.0)
+    with pytest.raises(TypeError):
+        PrivacyParams(1.0, 2.0, 1, 1.0)  # the old (epsilon, bound, sensitivity, lam) call
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    epsilon=st.floats(1e-6, 1e3),
+    bound=st.floats(1e-3, 1e4),
+    cell_side=st.floats(1e-1, 1e4),
+)
+def test_lam_is_sensitivity_over_epsilon_bit_for_bit(epsilon, bound, cell_side):
+    params = PrivacyParams(epsilon, bound, cell_side)
+    sensitivity = global_sensitivity(bound, cell_side)
+    assert params.sensitivity == sensitivity
+    assert params.lam == sensitivity / epsilon
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_parameters_are_refused_by_name(bad):
-    """An infinite epsilon would draw no noise, and an infinite bound has no
-    sensitivity: each is refused with the field's name, never computed with."""
+    """An infinite epsilon would draw no noise, and an infinite bound or cell
+    side has no sensitivity: each is refused with the field's name, never
+    computed with."""
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-        PrivacyParams(bad, 1.0, 9, 0.0)
+        PrivacyParams(bad, 1.0, 1.0)
     with pytest.raises(ValueError, match="diameter_bound must be finite and positive"):
-        PrivacyParams(1.0, bad, 9, 9.0)
+        PrivacyParams(1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="cell_side must be finite and positive"):
+        PrivacyParams(1.0, 1.0, bad)
     p = build_partition(4.0, 4)
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
         PrivacyParams.for_partition(bad, 1.0, p)
@@ -112,8 +141,10 @@ def test_vanishing_epsilon_is_refused_by_name():
     with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
         PrivacyParams.for_partition(1e-308, 1.0, p)
     with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
-        PrivacyParams(1e-308, 1.0, 9, math.inf)
-    assert PrivacyParams(1e-308, 1.0, 1, 1e308).lam == 1e308
+        PrivacyParams(1e-308, 1.0, 1.0)
+    near = PrivacyParams(9 / 1e308, 1.0, 1.0)
+    assert near.sensitivity == 9
+    assert math.isfinite(near.lam) and near.lam == pytest.approx(1e308, rel=1e-12)
 
 
 def test_derive_seed_goldens():
@@ -210,6 +241,21 @@ def test_perturb_refuses_an_unchecked_bound():
     for recorded in (1.0, 0.5):
         raw = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW, diameter_bound=recorded)
         assert perturb(raw, params, ConstantNoise(0.0)).diameter_bound == 1.0
+
+
+def test_perturb_refuses_params_for_another_cell_side():
+    """The noise scale comes from the params' cell side: params made for a
+    coarser or finer grid than the histogram's are refused, naming both cell
+    sides, and params for the same cell side, from any partition, pass."""
+    fine, coarse = build_partition(4.0, 4), build_partition(8.0, 4)  # d = 1 and d = 2
+    raw = EulerHistogram(fine, np.zeros(fine.size), HistogramState.RAW, diameter_bound=2.0)
+    for params in (PrivacyParams.for_partition(1.0, 2.0, coarse), PrivacyParams(1.0, 2.0, 0.5)):
+        with pytest.raises(ValueError, match=f"cell side {params.cell_side}, but the raw histogram's grid has cell side 1.0"):
+            perturb(raw, params, ConstantNoise(0.0))
+    for params in (PrivacyParams.for_partition(1.0, 2.0, fine), PrivacyParams(1.0, 2.0, 1.0)):
+        out = perturb(raw, params, RandomSource(5))
+        want = np.maximum(RandomSource(5).laplace_at(25.0, 0, fine.size), 0.0)
+        assert np.array_equal(out.counts, want)
 
 
 def test_perturb_zero_noise_is_identity_with_metadata():
