@@ -22,6 +22,7 @@ from eulerdp import (
     RandomSource,
     build,
     build_partition,
+    global_sensitivity,
     infer,
     min_rectangle_count,
     perturb,
@@ -63,7 +64,8 @@ p = build_partition(4000.0, 5)  # 5x5 grid, 800 m cells
 raw = build(bodies, p, diameter_bound=800.0)
 
 params = PrivacyParams.for_partition(1.0, 800.0, p)
-print(f"noise scale: sensitivity {params.sensitivity} / epsilon 1.0 = {params.lam:g}")
+print(f"noise scale: sensitivity {global_sensitivity(800.0, p.cell_side)} / epsilon 1.0 = "
+      f"{params.noise_scale(p.cell_side):g}")
 
 noisy = perturb(raw, params, RandomSource(4242))
 consistent, report = infer(noisy)

@@ -8,9 +8,9 @@ in total. Laplace noise with scale ``sensitivity / epsilon`` on every
 component then provides epsilon-differential privacy for the whole histogram,
 and post-processing (inference, rounding) cannot weaken it.
 
-:class:`PrivacyParams` holds epsilon, B and d, and derives the sensitivity
-and the noise scale from them; it is immutable, so the scale ``perturb``
-draws with is always the one the three values give.
+:class:`PrivacyParams` holds only epsilon and B, and is immutable. The noise
+scale also needs d, so ``perturb`` derives it from the histogram's own grid:
+the scale it draws with is always the one epsilon, B and that d give.
 
 Noise draws come from a counter-based stream: draw ``i`` is a pure function of
 ``(seed, i)``, so perturbation is reproducible, order-independent, and safe to
@@ -109,28 +109,28 @@ def sensitivity_closed_form(diameter_bound: float, cell_side: float) -> float:
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Immutable epsilon, bound B and cell side d; sensitivity and lam derive from them."""
+    """Immutable epsilon and diameter bound B; the noise scale derives from
+    them and the cell side of the grid being perturbed."""
 
     epsilon: float
     diameter_bound: float
-    cell_side: float
 
     def __post_init__(self) -> None:
         require_finite_positive(epsilon=self.epsilon, diameter_bound=self.diameter_bound)
-        if not math.isfinite(self.lam):  # global_sensitivity checks cell_side
+
+    def noise_scale(self, cell_side: float) -> float:
+        """Laplace scale ``global_sensitivity(B, cell_side) / epsilon``."""
+        lam = global_sensitivity(self.diameter_bound, cell_side) / self.epsilon
+        if not math.isfinite(lam):
             raise ValueError(f"epsilon {self.epsilon} is too small: the noise scale overflows")
-
-    @property
-    def sensitivity(self) -> int:
-        return global_sensitivity(self.diameter_bound, self.cell_side)
-
-    @property
-    def lam(self) -> float:
-        return self.sensitivity / self.epsilon
+        return lam
 
     @classmethod
     def for_partition(cls, epsilon: float, diameter_bound: float, p: GridPartition) -> PrivacyParams:
-        return cls(epsilon, diameter_bound, p.cell_side)
+        """Params for histograms on ``p``, refused now if their noise scale there overflows."""
+        params = cls(epsilon, diameter_bound)
+        params.noise_scale(p.cell_side)
+        return params
 
 
 def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
@@ -140,11 +140,11 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
     index ``i``, independent of call order. The input histogram is not
     modified.
 
-    The noise is calibrated to ``params.diameter_bound`` and
-    ``params.cell_side``, so ``build`` must have checked every body against
-    that bound or a smaller one, on a grid of that cell side: a histogram
-    that records no bound, a larger one, or another cell side raises
-    ValueError.
+    The noise is calibrated to ``params.diameter_bound`` and the
+    histogram's cell side, so ``build`` must have checked every body against
+    that bound or a smaller one: a histogram that records no bound or a
+    larger one raises ValueError, as does an epsilon whose noise scale
+    overflows.
     """
     if h.state is not HistogramState.RAW:
         raise ValueError(f"perturb expects a RAW histogram, got {h.state.value}")
@@ -158,12 +158,8 @@ def perturb(h: EulerHistogram, params: PrivacyParams, rng) -> EulerHistogram:
             f"diameter bound {params.diameter_bound} is below the diameter bound "
             f"{h.diameter_bound} the raw histogram's bodies were checked against"
         )
-    if params.cell_side != h.partition.cell_side:
-        raise ValueError(
-            f"the params are for cell side {params.cell_side}, but the raw histogram's "
-            f"grid has cell side {h.partition.cell_side}"
-        )
-    noise = rng.laplace_at(params.lam, 0, h.counts.size)
+    lam = params.noise_scale(h.partition.cell_side)
+    noise = rng.laplace_at(lam, 0, h.counts.size)
     noisy = np.maximum(h.counts + noise, 0.0)
     return replace(
         h,

@@ -113,6 +113,7 @@ def test_04_noise_tail_bound(capsys):
     bodies = _synthetic(5, 10.0, 1.0, seed=92)
     raw = build(bodies, p, diameter_bound=1.0)
     params = PrivacyParams.for_partition(1.0, 1.0, p)
+    lam = params.noise_scale(p.cell_side)
     devs = np.empty(1000)
     for i in range(1000):
         noisy = perturb(raw, params, RandomSource(derive_seed(650, i)))
@@ -120,7 +121,7 @@ def test_04_noise_tail_bound(capsys):
     results = []
     ok = True
     for delta in (0.01, 0.05, 0.1):
-        bound = utility_bound_dp(delta, params.lam, p.size)
+        bound = utility_bound_dp(delta, lam, p.size)
         freq = float((devs <= bound).mean())
         ok = ok and freq >= 1.0 - delta
         results.append(f"delta={delta:g}: {freq:.3f}")
@@ -154,15 +155,16 @@ def test_05_neighbouring_database_odds_ratio(capsys):
     assert np.array_equal(delta_h, np.ones(9)), "the added body must touch all 9 components"
 
     params = PrivacyParams.for_partition(eps, d, p)
-    assert params.lam == 9.0
+    lam = params.noise_scale(p.cell_side)
+    assert lam == 9.0
     # the mechanism draws exactly this stream (spot-check one seed end to end)
     probe = perturb(base, params, RandomSource(7))
-    stream = np.maximum(base.counts + RandomSource(7).laplace_at(params.lam, 0, 9), 0.0)
+    stream = np.maximum(base.counts + RandomSource(7).laplace_at(lam, 0, 9), 0.0)
     assert np.array_equal(probe.counts, stream)
 
     m = 1_000_000
-    noise_a = RandomSource(881).laplace_at(params.lam, 0, 9 * m).reshape(m, 9)
-    noise_b = RandomSource(882).laplace_at(params.lam, 0, 9 * m).reshape(m, 9)
+    noise_a = RandomSource(881).laplace_at(lam, 0, 9 * m).reshape(m, 9)
+    noise_b = RandomSource(882).laplace_at(lam, 0, 9 * m).reshape(m, 9)
     p1 = float((noise_a >= 0.0).all(axis=1).mean())   # event under the grown database
     p2 = float((noise_b >= 1.0).all(axis=1).mean())   # same event under the base
     log_ratio = math.log(p1 / p2)
@@ -184,7 +186,7 @@ def test_06_inference_dominance_and_09_rounding_bound(capsys):
     raw = build(bodies, p, diameter_bound=1.0)
     params = PrivacyParams.for_partition(1.0, 1.0, p)
     cs = build_constraints(p)
-    bound = utility_bound_dp(delta, params.lam, p.size)
+    bound = utility_bound_dp(delta, params.noise_scale(p.cell_side), p.size)
 
     l1_fail = 0
     round_fail = 0

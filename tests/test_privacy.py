@@ -70,31 +70,30 @@ def test_sensitivity_validation():
 def test_privacy_params_for_partition():
     p = build_partition(20000.0, 20)  # d = 1000
     params = PrivacyParams.for_partition(1.0, 2000.0, p)
-    assert params.sensitivity == 25
-    assert params.lam == 25.0
+    assert params == PrivacyParams(1.0, 2000.0)
+    assert params.noise_scale(p.cell_side) == 25.0
     params = PrivacyParams.for_partition(0.5, 2000.0, p)
-    assert params.lam == 50.0
+    assert params.noise_scale(p.cell_side) == 50.0
 
 
 def test_privacy_params_validation():
     with pytest.raises(ValueError):
-        PrivacyParams(0.0, 1.0, 1.0)
+        PrivacyParams(0.0, 1.0)
     with pytest.raises(ValueError):
-        PrivacyParams(1.0, -1.0, 1.0)
+        PrivacyParams(1.0, -1.0)
     with pytest.raises(ValueError):
-        PrivacyParams(1.0, 1.0, 0.0)
+        PrivacyParams(1.0, 1.0).noise_scale(0.0)
 
 
-def test_privacy_params_are_three_frozen_values():
-    """Only epsilon, the bound and the cell side are set; the sensitivity
-    and the noise scale are derived and no field can be reassigned."""
-    params = PrivacyParams(1.0, 2.0, 1.0)
-    assert [f.name for f in dataclasses.fields(PrivacyParams)] == ["epsilon", "diameter_bound", "cell_side"]
-    assert (params.sensitivity, params.lam) == (25, 25.0)
-    for name, value in (("epsilon", 1e-9), ("cell_side", 2.0), ("lam", 1e-9), ("sensitivity", 1)):
+def test_privacy_params_are_two_frozen_values():
+    """Only epsilon and the bound are set; the noise scale is derived from
+    them and a cell side, and no field can be reassigned."""
+    params = PrivacyParams(1.0, 2.0)
+    assert [f.name for f in dataclasses.fields(PrivacyParams)] == ["epsilon", "diameter_bound"]
+    for name, value in (("epsilon", 1e-9), ("diameter_bound", 0.1), ("lam", 1e-9), ("sensitivity", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(params, name, value)
-    assert (params.sensitivity, params.lam) == (25, 25.0)
+    assert params == PrivacyParams(1.0, 2.0) and params.noise_scale(1.0) == 25.0
     with pytest.raises(TypeError):
         PrivacyParams(1.0, 2.0, 1, 1.0)  # the old (epsilon, bound, sensitivity, lam) call
 
@@ -106,10 +105,8 @@ def test_privacy_params_are_three_frozen_values():
     cell_side=st.floats(1e-1, 1e4),
 )
 def test_lam_is_sensitivity_over_epsilon_bit_for_bit(epsilon, bound, cell_side):
-    params = PrivacyParams(epsilon, bound, cell_side)
-    sensitivity = global_sensitivity(bound, cell_side)
-    assert params.sensitivity == sensitivity
-    assert params.lam == sensitivity / epsilon
+    params = PrivacyParams(epsilon, bound)
+    assert params.noise_scale(cell_side) == global_sensitivity(bound, cell_side) / epsilon
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -118,11 +115,11 @@ def test_non_finite_parameters_are_refused_by_name(bad):
     side has no sensitivity: each is refused with the field's name, never
     computed with."""
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-        PrivacyParams(bad, 1.0, 1.0)
+        PrivacyParams(bad, 1.0)
     with pytest.raises(ValueError, match="diameter_bound must be finite and positive"):
-        PrivacyParams(1.0, bad, 1.0)
+        PrivacyParams(1.0, bad)
     with pytest.raises(ValueError, match="cell_side must be finite and positive"):
-        PrivacyParams(1.0, 1.0, bad)
+        PrivacyParams(1.0, 1.0).noise_scale(bad)
     p = build_partition(4.0, 4)
     with pytest.raises(ValueError, match="epsilon must be finite and positive"):
         PrivacyParams.for_partition(bad, 1.0, p)
@@ -135,16 +132,18 @@ def test_non_finite_parameters_are_refused_by_name(bad):
 
 def test_vanishing_epsilon_is_refused_by_name():
     """A positive epsilon so small that sensitivity / epsilon overflows would
-    draw infinite noise: the params refuse it, naming epsilon."""
+    draw infinite noise: the noise scale refuses it, naming epsilon, so
+    ``for_partition`` and ``perturb`` do, the latter before drawing."""
     p = build_partition(4.0, 4)
     assert math.isinf(global_sensitivity(1.0, p.cell_side) / 1e-308)
     with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
         PrivacyParams.for_partition(1e-308, 1.0, p)
     with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
-        PrivacyParams(1e-308, 1.0, 1.0)
-    near = PrivacyParams(9 / 1e308, 1.0, 1.0)
-    assert near.sensitivity == 9
-    assert math.isfinite(near.lam) and near.lam == pytest.approx(1e308, rel=1e-12)
+        PrivacyParams(1e-308, 1.0).noise_scale(1.0)
+    with pytest.raises(ValueError, match="epsilon 1e-308 is too small"):
+        perturb(_raw(p), PrivacyParams(1e-308, 1.0), None)  # no source to draw from
+    near = PrivacyParams(9 / 1e308, 1.0).noise_scale(p.cell_side)
+    assert math.isfinite(near) and near == pytest.approx(1e308, rel=1e-12)
 
 
 def test_derive_seed_goldens():
@@ -243,19 +242,17 @@ def test_perturb_refuses_an_unchecked_bound():
         assert perturb(raw, params, ConstantNoise(0.0)).diameter_bound == 1.0
 
 
-def test_perturb_refuses_params_for_another_cell_side():
-    """The noise scale comes from the params' cell side: params made for a
-    coarser or finer grid than the histogram's are refused, naming both cell
-    sides, and params for the same cell side, from any partition, pass."""
+def test_perturb_scales_noise_to_the_histograms_cell_side():
+    """The noise scale comes from the histogram's own grid: the same params,
+    from whichever partition, draw the lam = 25 stream on a d = 1 grid and
+    the lam = 9 stream on a d = 2 grid (B = 2)."""
     fine, coarse = build_partition(4.0, 4), build_partition(8.0, 4)  # d = 1 and d = 2
-    raw = EulerHistogram(fine, np.zeros(fine.size), HistogramState.RAW, diameter_bound=2.0)
-    for params in (PrivacyParams.for_partition(1.0, 2.0, coarse), PrivacyParams(1.0, 2.0, 0.5)):
-        with pytest.raises(ValueError, match=f"cell side {params.cell_side}, but the raw histogram's grid has cell side 1.0"):
-            perturb(raw, params, ConstantNoise(0.0))
-    for params in (PrivacyParams.for_partition(1.0, 2.0, fine), PrivacyParams(1.0, 2.0, 1.0)):
-        out = perturb(raw, params, RandomSource(5))
-        want = np.maximum(RandomSource(5).laplace_at(25.0, 0, fine.size), 0.0)
-        assert np.array_equal(out.counts, want)
+    for p, lam in ((fine, 25.0), (coarse, 9.0)):
+        raw = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW, diameter_bound=2.0)
+        want = np.maximum(RandomSource(5).laplace_at(lam, 0, p.size), 0.0)
+        for params in (PrivacyParams.for_partition(1.0, 2.0, coarse),
+                       PrivacyParams.for_partition(1.0, 2.0, fine), PrivacyParams(1.0, 2.0)):
+            assert np.array_equal(perturb(raw, params, RandomSource(5)).counts, want)
 
 
 def test_perturb_zero_noise_is_identity_with_metadata():
@@ -285,7 +282,7 @@ def test_perturb_matches_stream_by_dense_index():
     params = PrivacyParams.for_partition(1.0, 1.0, p)
     seed = 909
     out = perturb(_raw(p, 10.0), params, RandomSource(seed))
-    want = np.maximum(10.0 + RandomSource(seed).laplace_at(params.lam, 0, p.size), 0.0)
+    want = np.maximum(10.0 + RandomSource(seed).laplace_at(params.noise_scale(p.cell_side), 0, p.size), 0.0)
     assert np.array_equal(out.counts, want)
 
 
