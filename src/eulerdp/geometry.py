@@ -320,20 +320,26 @@ def intersects_boxes(body: ConvexBody, boxes: np.ndarray) -> np.ndarray:
     and points. A box is kept while the gap between its projection and the
     body's is at most 0 on every axis, so touching counts and a box 1e-12
     away does not.
+
+    On an axis (ux, uy) the box's projection runs from
+    min(ux*xlo, ux*xhi) + min(uy*ylo, uy*yhi) to the same sum of maxima;
+    each of the four products is formed once and feeds both ends.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.size == 0:
         return np.zeros(0, dtype=bool)
     alive = np.ones(len(boxes), dtype=bool)
     verts = body.vertices
+    xlo, xhi, ylo, yhi = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     for ux, uy in _axes(verts):
         proj = verts[:, 0] * ux + verts[:, 1] * uy
         bmin, bmax = proj.min(), proj.max()
-        px = np.minimum(ux * boxes[:, 0], ux * boxes[:, 1])
-        qx = np.maximum(ux * boxes[:, 0], ux * boxes[:, 1])
-        py = np.minimum(uy * boxes[:, 2], uy * boxes[:, 3])
-        qy = np.maximum(uy * boxes[:, 2], uy * boxes[:, 3])
-        gap = np.maximum((px + py) - bmax, bmin - (qx + qy))
+        x0, x1 = ux * xlo, ux * xhi
+        y0, y1 = uy * ylo, uy * yhi
+        gap = np.maximum(
+            (np.minimum(x0, x1) + np.minimum(y0, y1)) - bmax,
+            bmin - (np.maximum(x0, x1) + np.maximum(y0, y1)),
+        )
         alive &= gap <= 0.0
         if not alive.any():
             break

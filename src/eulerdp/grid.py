@@ -44,6 +44,15 @@ def require_finite_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def require_integer(**values: object) -> None:
+    """Raise ValueError naming the first value that is neither an ``int`` nor
+    a numpy integer, the rule ``GridPartition`` applies to ``n``: a float,
+    even a whole one, is refused here rather than failing deep in numpy."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridPartition:
     """Immutable description of the grid: origin, area side, and resolution."""

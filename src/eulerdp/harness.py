@@ -20,7 +20,7 @@ import numpy as np
 
 from .fileio import read_bodies_file
 from .geometry import ConvexBody
-from .grid import build_partition, require_finite_positive
+from .grid import build_partition, require_finite_positive, require_integer
 from .histogram import EulerHistogram, QueryRegion, build, query
 from .inference import infer
 from .ingest import IngestConfig, generate_synthetic
@@ -105,6 +105,12 @@ class ExperimentConfig:
         try:
             require_finite_positive(
                 area_side=self.area_side, diameter_bound=self.diameter_bound, epsilon=self.epsilon
+            )
+            optional = {"n": self.n, "count": self.count}
+            require_integer(
+                seed=self.seed,
+                repetitions=self.repetitions,
+                **{name: value for name, value in optional.items() if value is not None},
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import ConvexBody, intersects_boxes
-from .grid import GridPartition, incidences, require_finite_positive
+from .grid import GridPartition, incidences, require_finite_positive, require_integer
 
 
 class HistogramState(Enum):
@@ -172,6 +172,7 @@ class QueryRegion:
     c1: int
 
     def __post_init__(self) -> None:
+        require_integer(r0=self.r0, r1=self.r1, c0=self.c0, c1=self.c1)
         if self.r0 > self.r1 or self.c0 > self.c1:
             raise ValueError("query region must have r0 <= r1 and c0 <= c1")
         if self.r0 < 0 or self.c0 < 0:

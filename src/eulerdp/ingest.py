@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PAIRWISE_BLOCK, ConvexBody, convex_hulls, prefix_squared_diameters
-from .grid import require_finite_positive
+from .grid import require_finite_positive, require_integer
 
 EARTH_RADIUS_M = 6371000.0
 _LAT_LON_LIMITS = np.array([90.0, 180.0])
@@ -78,6 +78,7 @@ class IngestConfig:
     def __post_init__(self):
         try:
             require_finite_positive(area_side=self.area_side, diameter_bound=self.diameter_bound)
+            require_integer(k=self.k)
         except ValueError as e:
             raise IngestError(str(e)) from None
         if self.k < 1:
@@ -287,6 +288,10 @@ def generate_synthetic(
     Body size scales with the diameter bound but shrinks near the walls so
     every body stays inside without clipping.
     """
+    try:
+        require_integer(count=count)
+    except ValueError as e:
+        raise IngestError(str(e)) from None
     if count < 0:
         raise IngestError("count must be >= 0")
     ox, oy = config.origin

@@ -61,11 +61,16 @@ class RandomSource:
     """Deterministic counter-based noise stream for one seed.
 
     ``uniforms_at`` / ``laplace_at`` address draws by absolute counter, which
-    is what perturbation uses (counter = component dense index).
+    is what perturbation uses (counter = component dense index). A seed is
+    an integer in [0, 2**64); anything else raises ValueError rather than
+    wrapping onto another seed's stream (1.5, -1 and 2**64 would draw the
+    streams of 1, 2**64 - 1 and 0).
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self.seed = int(seed)
         self._base = np.uint64(self.seed)
 
     def uniforms_at(self, start: int, count: int) -> np.ndarray:

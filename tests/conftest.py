@@ -26,6 +26,10 @@ geometry the ``grid`` module documents, and the window oracle rebuilds one
 body's candidate faces, edges and vertices from meshgrids of grid-line
 indices, as ``build`` tested them before it counted edges and vertices from
 its face hits; ``partitions`` draws grids whose lines are often inexact. The
+separating-axis oracle is ``intersects_boxes`` as it was before it formed
+each box-corner product once: the same axes, and on each of them eight
+products, two for each end of the box's projection; ``build_oracle_counts``
+runs it on ``window_oracle``'s boxes. The
 body oracles are the vectorised numpy form of ``ConvexBody``'s checks and
 the Python-float form it ran, a turn at a time, before it shared the
 library's block check. The extraction oracle turns GPS tracks into bodies
@@ -67,7 +71,6 @@ from eulerdp import (
     min_rectangle_count,
 )
 from eulerdp import fileio
-from eulerdp.geometry import intersects_boxes
 from eulerdp.histogram import INTEGRAL_STATES
 
 LATTICE = 1.0 / 1024.0
@@ -285,13 +288,41 @@ def window_oracle(p, xlo: float, xhi: float, ylo: float, yhi: float):
     return np.concatenate(idx_parts), np.concatenate(box_parts)
 
 
+def intersects_boxes_oracle(body: ConvexBody, boxes) -> np.ndarray:
+    """``intersects_boxes`` with eight products per axis: the two grid axes,
+    then each nonzero edge's normal (and, for a segment, its direction), and
+    a box kept while its projected gap is at most 0 on every one."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    verts = body.vertices
+    k = len(verts)
+    axes = [(1.0, 0.0), (0.0, 1.0)]
+    for i in range(k if k >= 2 else 0):
+        dx = verts[(i + 1) % k, 0] - verts[i, 0]
+        dy = verts[(i + 1) % k, 1] - verts[i, 1]
+        if dx == 0.0 and dy == 0.0:
+            continue
+        axes.append((-dy, dx))
+        if k == 2:
+            axes.append((dx, dy))
+    alive = np.ones(len(boxes), dtype=bool)
+    for ux, uy in axes:
+        proj = verts[:, 0] * ux + verts[:, 1] * uy
+        bmin, bmax = proj.min(), proj.max()
+        px = np.minimum(ux * boxes[:, 0], ux * boxes[:, 1])
+        qx = np.maximum(ux * boxes[:, 0], ux * boxes[:, 1])
+        py = np.minimum(uy * boxes[:, 2], uy * boxes[:, 3])
+        qy = np.maximum(uy * boxes[:, 2], uy * boxes[:, 3])
+        alive &= np.maximum((px + py) - bmax, bmin - (qx + qy)) <= 0.0
+    return alive
+
+
 def build_oracle_counts(bodies, p) -> np.ndarray:
-    """Raw counts of ``build`` from ``window_oracle`` and ``intersects_boxes``,
-    without validation."""
+    """Raw counts of ``build`` from ``window_oracle`` and
+    ``intersects_boxes_oracle``, without validation."""
     counts = np.zeros(p.size)
     for body in bodies:
         idx, boxes = window_oracle(p, *body.bbox)
-        counts[idx[intersects_boxes(body, boxes)]] += 1.0
+        counts[idx[intersects_boxes_oracle(body, boxes)]] += 1.0
     return counts
 
 

@@ -125,6 +125,18 @@ def test_release_reproducible_and_free_of_secrets(bodies_file, tmp_path, capsys)
     assert np.array_equal(h.counts, np.floor(h.counts))
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_privatize_refuses_a_seed_outside_64_bits(bodies_file, tmp_path, capsys, seed):
+    """--seed -1 and --seed 2**64 once reused the noise of 2**64 - 1 and 0."""
+    raw, noisy = str(tmp_path / "raw.hist"), tmp_path / "noisy.hist"
+    main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
+    capsys.readouterr()
+    rc = main(["privatize", "--in", raw, "--out", str(noisy),
+               "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", seed])
+    assert rc == 1 and not noisy.exists()
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+
 def test_privatize_without_seed_draws_fresh_noise(bodies_file, tmp_path, capsys):
     raw = str(tmp_path / "raw.hist")
     main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])

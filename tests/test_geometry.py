@@ -24,6 +24,7 @@ from conftest import (
     box_contains,
     box_dimension,
     grid_components,
+    intersects_boxes_oracle,
     lattice_body,
     numpy_body_oracle,
     oracle_convex_hull,
@@ -465,3 +466,55 @@ def test_edges_and_vertices_are_hit_with_all_their_faces(data):
         hit = dict(zip((label for label, _ in comps), intersects_boxes(body, boxes).tolist()))
         for label, faces in faces_of.items():
             assert hit[label] == all(hit[f"f{r}_{c}"] for r, c in faces), label
+
+
+# coordinates as small multiples of a scale: subnormal, normal, and so large
+# that edge vectors and box-corner products overflow to +-inf, and their sums
+# to NaN
+extreme_scales = st.sampled_from([5e-324, 1e-310, 2.0**-1022, 1.0, 1e154, 1e300, 2.0**1020])
+
+
+@st.composite
+def extreme_bodies_and_boxes(draw):
+    scale = draw(extreme_scales)
+    coord = (st.integers(-8, 8) | st.floats(-8.0, 8.0)).map(lambda k: k * scale)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    pairs = st.tuples(coord, coord).map(sorted)
+    rows = draw(st.lists(st.tuples(pairs, pairs), min_size=1, max_size=30))
+    return convex_hull(pts), np.array([[*xs, *ys] for xs, ys in rows])
+
+
+def _kernel_and_oracle(body, boxes):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return intersects_boxes(body, boxes), intersects_boxes_oracle(body, boxes)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_intersects_boxes_equals_the_eight_product_oracle(data):
+    """Forming each box-corner product once leaves every hit as it was:
+    elementwise equal to the eight-product oracle on points, segments along
+    grid lines and polygons touching them, against every component box of a
+    drawn grid, and on bodies and boxes at subnormal and near-overflow
+    coordinates, where products become +-inf or NaN."""
+    p = data.draw(partitions)
+    boxes = np.array([box for _, box in grid_components(p)])
+    for body in data.draw(area_bodies(p)):
+        got, want = _kernel_and_oracle(body, boxes)
+        assert got.dtype == bool and np.array_equal(got, want)
+    body, boxes = data.draw(extreme_bodies_and_boxes())
+    got, want = _kernel_and_oracle(body, boxes)
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+def test_kernel_and_oracle_agree_where_products_overflow():
+    """A segment whose direction overflows to inf: its axes carry inf and
+    the products inf * 0 are NaN, which drops even the unit box the segment
+    crosses, on both sides alike."""
+    body = convex_hull([(-(2.0**1023), 0.0), (2.0**1023, 1.0)])
+    boxes = np.array([[0.0, 1.0, 0.0, 1.0], [-1e308, 1e308, -1e308, 1e308], [0.0, 0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = body.vertices[1, 0] - body.vertices[0, 0]
+        assert dx == math.inf and math.isnan(dx * 0.0)
+    got, want = _kernel_and_oracle(body, boxes)
+    assert np.array_equal(got, want)

@@ -115,6 +115,14 @@ def test_experiment_config_validation():
     assert _base_config(qr_shapes=((5, 2),)).grid_n == 5
 
 
+@pytest.mark.parametrize("field, bad", [("n", 5.0), ("count", 2.5), ("repetitions", 2.5), ("seed", 1.5)])
+def test_experiment_config_refuses_a_non_integer_by_name(field, bad):
+    """Refused when the config is made, not as a TypeError inside
+    ``shapes_for_percent`` or ``run_query_experiment``."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got {bad}$"):
+        _base_config(**{field: bad})
+
+
 @pytest.mark.parametrize("field", ["area_side", "diameter_bound", "epsilon"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
 def test_experiment_config_refuses_non_finite_parameters(field, bad):

@@ -333,6 +333,16 @@ def test_query_region_validation():
         query(h, qr)
 
 
+@pytest.mark.parametrize("field", ["r0", "r1", "c0", "c1"])
+def test_query_region_refuses_a_non_integer_index_by_name(field):
+    """A float index is refused when the region is made, not as a list
+    index inside ``query``; numpy integers pass, as for ``GridPartition.n``."""
+    bounds = {"r0": 0, "r1": 1, "c0": 0, "c1": 1}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 1.0$"):
+        QueryRegion(**{**bounds, field: 1.0})
+    assert QueryRegion(**{**bounds, field: np.int64(1)}) == QueryRegion(**{**bounds, field: 1})
+
+
 def test_query_return_types():
     p = build_partition(4.0, 4)
     h = EulerHistogram(p, np.zeros(p.size), HistogramState.RAW)

@@ -121,6 +121,13 @@ def test_config_validation():
         IngestConfig(1.0, 1.0, 5, center=(95.0, 0.0))
 
 
+def test_config_refuses_a_non_integer_k_by_name():
+    """k = 2.5 used to be accepted, and ``ingest_tracks`` then failed on a slice."""
+    with pytest.raises(IngestError, match=r"^k must be an integer, got 2.5$"):
+        IngestConfig(1000.0, 100.0, 2.5, center=CENTER)
+    assert IngestConfig(1000.0, 100.0, np.int64(5)).k == 5
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("field", ["area_side", "diameter_bound"])
 def test_config_refuses_non_finite_sizes(field, bad):
@@ -417,6 +424,13 @@ def test_generate_synthetic_edge_cases():
         generate_synthetic("uniform", -1, cfg, rng)
     with pytest.raises(IngestError):
         generate_synthetic("blobs", 5, cfg, rng)
+
+
+def test_generate_synthetic_refuses_a_non_integer_count_by_name():
+    cfg = IngestConfig(2000.0, 300.0, 5)
+    with pytest.raises(IngestError, match=r"^count must be an integer, got 2.5$"):
+        generate_synthetic("uniform", 2.5, cfg, np.random.default_rng(3))
+    assert len(generate_synthetic("uniform", np.int64(3), cfg, np.random.default_rng(3))) == 3
 
 
 def test_generate_synthetic_deterministic_per_seed():

@@ -170,6 +170,15 @@ def test_uniform_stream_goldens():
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+def test_random_source_refuses_a_seed_it_would_alias(seed):
+    """1.5, -1 and 2**64 once drew the streams of 1, 2**64 - 1 and 0."""
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        RandomSource(seed)
+    for ok in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(1)):
+        assert RandomSource(ok).uniforms_at(0, 3).tolist() == RandomSource(int(ok)).uniforms_at(0, 3).tolist()
+
+
 def test_uniforms_strictly_inside_unit_interval():
     rs = RandomSource(7)
     u = rs.uniforms_at(0, 200_000)
