@@ -29,7 +29,7 @@ from .histogram import (
     min_rectangle_count,
     query,
 )
-from .inference import infer
+from .inference import OBJECTIVES, infer
 from .ingest import IngestConfig, ingest_tracks
 from .privacy import PrivacyParams, RandomSource, perturb
 from .rounding import repair, round_counts, verify_violations
@@ -106,30 +106,21 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _privatize(h: EulerHistogram, epsilon: float, bound: float | None, seed: int | None):
-    # The noise is calibrated to the bound and the file records it as fact,
-    # so it must be one that build checked every body against.
-    recorded = h.diameter_bound
-    if recorded is None:
+def _privatize(h: EulerHistogram, epsilon: float, seed: int | None) -> EulerHistogram:
+    # noise calibrated to the bound build checked every body against
+    if h.diameter_bound is None:
         raise ConfigError(
-            f"the raw histogram records no diameter bound, so --diameter-bound {bound} was never "
-            "checked against its bodies: build it with --diameter-bound"
+            "the raw histogram records no diameter bound, so its noise cannot be "
+            "calibrated: build it with --diameter-bound"
         )
-    if bound is None:
-        bound = recorded
-    elif bound < recorded:
-        raise ConfigError(
-            f"--diameter-bound {bound} is below the diameter bound {recorded} "
-            "the raw histogram's bodies were checked against"
-        )
-    params = PrivacyParams.for_partition(epsilon, bound, h.partition)
+    params = PrivacyParams.for_partition(epsilon, h.diameter_bound, h.partition)
     source = RandomSource(seed if seed is not None else _fresh_seed())
     return perturb(h, params, source)
 
 
 def _cmd_privatize(args) -> int:
     h = _read_state(args.input, HistogramState.RAW, "privatize")
-    noisy = _privatize(h, args.epsilon, args.diameter_bound, args.seed)
+    noisy = _privatize(h, args.epsilon, args.seed)
     fileio.write_histogram_file(noisy, args.out)
     print(f"noisy histogram written to {args.out}")
     return 0
@@ -161,7 +152,7 @@ def _cmd_round(args) -> int:
 
 def _cmd_release(args) -> int:
     raw = _build_histogram(args)
-    noisy = _privatize(raw, args.epsilon, args.diameter_bound, args.seed)
+    noisy = _privatize(raw, args.epsilon, args.seed)
     consistent, _ = infer(noisy, objective=args.objective)
     released = _round_and_repair(consistent)
     fileio.write_histogram_file(released, args.out)
@@ -240,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--diameter-bound", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_privatize)
 
     p = sub.add_parser("infer", help="noisy -> consistent")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--objective", choices=("l1", "linf"), default="l1")
+    p.add_argument("--objective", choices=OBJECTIVES, default="l1")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("round", help="consistent -> rounded (with covert repair)")
@@ -262,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--diameter-bound", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--objective", choices=("l1", "linf"), default="l1")
+    p.add_argument("--objective", choices=OBJECTIVES, default="l1")
     p.set_defaults(func=_cmd_release)
 
     p = sub.add_parser("query", help="answer one rectangle query")
@@ -291,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # solver failures, bugs
+    except Exception as e:  # bugs
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

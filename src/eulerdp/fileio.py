@@ -27,10 +27,6 @@ class FormatError(ValueError):
     pass
 
 
-def _fmt(value: float, integral: bool) -> str:
-    return str(int(value)) if integral else repr(float(value))
-
-
 # one block per section of GridPartition.sections, in dense order
 _SECTION_NAMES = ("faces", "horizontal-edges", "vertical-edges", "vertices")
 
@@ -53,8 +49,8 @@ def write_histogram(h: EulerHistogram, stream: TextIO) -> None:
         lines.append(f"diameter_bound: {h.diameter_bound!r}")
     for name, block in zip(_SECTION_NAMES, p.sections(h.counts)):
         lines.append(f"{name} {block.shape[0]} {block.shape[1]}")
-        for row in block:
-            lines.append(" ".join(_fmt(v, integral) for v in row))
+        for row in block.tolist():
+            lines.append(" ".join(map(str, map(int, row)) if integral else map(repr, row)))
     stream.write("\n".join(lines) + "\n")
 
 

@@ -53,6 +53,14 @@ def require_integer(**values: object) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_finite_pair(**pairs: tuple[float, float]) -> None:
+    """Raise ValueError naming the first coordinate pair, such as an origin,
+    that holds a NaN or an infinity."""
+    for name, pair in pairs.items():
+        if not all(map(math.isfinite, pair)):
+            raise ValueError(f"{name} must be finite, got {pair}")
+
+
 @dataclass(frozen=True)
 class GridPartition:
     """Immutable description of the grid: origin, area side, and resolution."""
@@ -62,13 +70,9 @@ class GridPartition:
     n: int
 
     def __post_init__(self) -> None:
-        ox, oy = self.origin
-        if not (np.isfinite(ox) and np.isfinite(oy)):
-            raise ValueError("origin must be finite")
-        if not (np.isfinite(self.area_side) and self.area_side > 0):
-            raise ValueError("area_side must be positive and finite")
-        if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"grid resolution n must be an integer, got {self.n!r}")
+        require_finite_pair(origin=self.origin)
+        require_finite_positive(area_side=self.area_side)
+        require_integer(n=self.n)
         if self.n < 2:
             raise ValueError("grid resolution n must be at least 2")
         object.__setattr__(self, "n", int(self.n))

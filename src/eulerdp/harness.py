@@ -20,11 +20,11 @@ import numpy as np
 
 from .fileio import read_bodies_file
 from .geometry import ConvexBody
-from .grid import build_partition, require_finite_positive, require_integer
+from .grid import GridPartition, build_partition, require_finite_positive, require_integer
 from .histogram import EulerHistogram, QueryRegion, build, query
-from .inference import infer
+from .inference import OBJECTIVES, infer
 from .ingest import IngestConfig, generate_synthetic
-from .privacy import PrivacyParams, RandomSource, derive_seed, perturb
+from .privacy import PrivacyParams, RandomSource, derive_seed, perturb, require_seed
 from .rounding import repair, round_counts, verify_violations
 
 ALGORITHMS = ("DP", "C", "R")
@@ -84,6 +84,9 @@ class ExperimentConfig:
 
     ``count`` sizes a synthetic population (1000 unless set); a bodies file
     sets its own count, so ``count`` must stay unset with ``bodies_path``.
+    ``seed`` follows :func:`eulerdp.privacy.require_seed`. The config
+    builds the ``partition`` and ``params`` a run uses, so what they refuse
+    is a ConfigError when the config is made.
     """
 
     area_side: float
@@ -100,22 +103,23 @@ class ExperimentConfig:
     repetitions: int = 100
     objective: str = "l1"
     origin: tuple[float, float] = (0.0, 0.0)
+    partition: GridPartition = field(init=False, repr=False, compare=False)
+    params: PrivacyParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            require_finite_positive(
-                area_side=self.area_side, diameter_bound=self.diameter_bound, epsilon=self.epsilon
+            require_seed(self.seed)
+            require_integer(repetitions=self.repetitions)
+            if self.count is not None:
+                require_integer(count=self.count)
+            partition = build_partition(
+                self.area_side, resolve_grid_n(self.area_side, self.n, self.cell_side), self.origin
             )
-            optional = {"n": self.n, "count": self.count}
-            require_integer(
-                seed=self.seed,
-                repetitions=self.repetitions,
-                **{name: value for name, value in optional.items() if value is not None},
-            )
+            params = PrivacyParams.for_partition(self.epsilon, self.diameter_bound, partition)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "params", params)
         if (self.synthetic is None) == (self.bodies_path is None):
             raise ConfigError("exactly one of synthetic kind or bodies file required")
         if self.bodies_path is not None:
@@ -127,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError("count must be >= 0")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.objective not in ("l1", "linf"):
+        if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be l1 or linf, got {self.objective!r}")
         if not self.qr_percents and not self.qr_shapes:
             raise ConfigError("at least one QR percent or explicit shape required")
@@ -140,7 +144,7 @@ class ExperimentConfig:
 
     @property
     def grid_n(self) -> int:
-        return resolve_grid_n(self.area_side, self.n, self.cell_side)
+        return self.partition.n
 
 
 def _comma_list(parse: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -249,11 +253,11 @@ class _RepResult:
 
 
 def _run_repetition(
-    config: ExperimentConfig, rep: int, raw: EulerHistogram, params: PrivacyParams,
+    config: ExperimentConfig, rep: int, raw: EulerHistogram,
     qr_specs: list[tuple[str, list[tuple[int, int]]]],
 ) -> _RepResult:
     t0 = time.perf_counter()
-    noisy = perturb(raw, params, RandomSource(derive_seed(config.seed, rep)))
+    noisy = perturb(raw, config.params, RandomSource(derive_seed(config.seed, rep)))
     t1 = time.perf_counter()
     consistent, _ = infer(noisy, objective=config.objective)
     t2 = time.perf_counter()
@@ -309,12 +313,9 @@ def load_experiment_bodies(config: ExperimentConfig) -> list[ConvexBody]:
 def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
     """Run the configured repetitions and assemble the metrics tables."""
     n = config.grid_n
-    p = build_partition(config.area_side, n, config.origin)
-    params = PrivacyParams.for_partition(config.epsilon, config.diameter_bound, p)
-
     bodies = load_experiment_bodies(config)
     t0 = time.perf_counter()
-    raw = build(bodies, p, diameter_bound=config.diameter_bound)
+    raw = build(bodies, config.partition, diameter_bound=config.diameter_bound)
     build_time = time.perf_counter() - t0
 
     qr_specs: list[tuple[str, list[tuple[int, int]]]] = []
@@ -324,7 +325,7 @@ def run_query_experiment(config: ExperimentConfig) -> MetricsReport:
         qr_specs.append((f"{r}x{c}", [(r, c)]))
 
     results = [
-        _run_repetition(config, rep, raw, params, qr_specs)
+        _run_repetition(config, rep, raw, qr_specs)
         for rep in range(config.repetitions)
     ]
 

@@ -38,6 +38,8 @@ import numpy as np
 from .grid import GridPartition, incidences
 from .histogram import EulerHistogram, HistogramState
 
+OBJECTIVES = ("l1", "linf")  # least total, least largest deviation
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -259,7 +261,7 @@ def infer(
     L1 (``"l1"``) or the largest (``"linf"``) deviation from its counts."""
     if hn.state is not HistogramState.NOISY:
         raise ValueError(f"infer expects a NOISY histogram, got {hn.state.value}")
-    if objective not in ("l1", "linf"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"objective must be 'l1' or 'linf', got {objective!r}")
     if cs is None:
         cs = build_constraints(hn.partition)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PAIRWISE_BLOCK, ConvexBody, convex_hulls, prefix_squared_diameters
-from .grid import require_finite_positive, require_integer
+from .grid import require_finite_pair, require_finite_positive, require_integer
 
 EARTH_RADIUS_M = 6371000.0
 _LAT_LON_LIMITS = np.array([90.0, 180.0])
@@ -79,14 +79,13 @@ class IngestConfig:
         try:
             require_finite_positive(area_side=self.area_side, diameter_bound=self.diameter_bound)
             require_integer(k=self.k)
+            require_finite_pair(origin=self.origin)
+            if self.center is not None:
+                require_finite_pair(center=self.center)
         except ValueError as e:
             raise IngestError(str(e)) from None
         if self.k < 1:
             raise IngestError("k must be >= 1")
-        for name in ("origin", "center"):
-            pair = getattr(self, name)
-            if pair is not None and not all(map(math.isfinite, pair)):
-                raise IngestError(f"{name} must be finite, got {pair}")
         if self.center is not None:
             lat, lon = self.center
             if not (abs(lat) <= 90 and abs(lon) <= 180):

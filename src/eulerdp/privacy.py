@@ -38,10 +38,20 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def require_seed(seed: object) -> int:
+    """``seed`` as an int, or ValueError if it is not an integer in [0, 2**64),
+    which would wrap onto another seed's noise streams (1.5, -1 and 2**64
+    onto those of 1, 2**64 - 1 and 0)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def derive_seed(master: int, index: int) -> int:
-    """Stable child seed for stream ``index`` under ``master``."""
+    """Stable child seed for stream ``index`` under ``master``, a seed by
+    :func:`require_seed`'s rule (ValueError otherwise)."""
     # plain-int modular arithmetic; numpy warns on uint64 scalar wraparound
-    base = (master ^ 0x5851F42D4C957F2D) & _MASK
+    base = require_seed(master) ^ 0x5851F42D4C957F2D
     z = (base + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
     return int(_mix64(np.atleast_1d(np.uint64(z)))[0])
 
@@ -61,16 +71,12 @@ class RandomSource:
     """Deterministic counter-based noise stream for one seed.
 
     ``uniforms_at`` / ``laplace_at`` address draws by absolute counter, which
-    is what perturbation uses (counter = component dense index). A seed is
-    an integer in [0, 2**64); anything else raises ValueError rather than
-    wrapping onto another seed's stream (1.5, -1 and 2**64 would draw the
-    streams of 1, 2**64 - 1 and 0).
+    is what perturbation uses (counter = component dense index). The seed
+    follows :func:`require_seed`'s rule, so no two seeds share a stream.
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        self.seed = int(seed)
+        self.seed = require_seed(seed)
         self._base = np.uint64(self.seed)
 
     def uniforms_at(self, start: int, count: int) -> np.ndarray:

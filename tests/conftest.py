@@ -803,6 +803,24 @@ def read_bodies_oracle(stream) -> tuple[list[ConvexBody], list[str]]:
     return bodies, ids
 
 
+def fmt_count_oracle(value: float, integral: bool) -> str:
+    """One count as a histogram file states it: a plain integer in an
+    integral state, repr precision otherwise."""
+    return str(int(value)) if integral else repr(float(value))
+
+
+def count_lines_oracle(h: EulerHistogram) -> list[str]:
+    """The section lines of ``h``'s histogram file, formatting one count at
+    a time with :func:`fmt_count_oracle`."""
+    integral = h.state in INTEGRAL_STATES
+    lines = []
+    names = ("faces", "horizontal-edges", "vertical-edges", "vertices")
+    for name, block in zip(names, h.partition.sections(h.counts)):
+        lines.append(f"{name} {block.shape[0]} {block.shape[1]}")
+        lines.extend(" ".join(fmt_count_oracle(v, integral) for v in row) for row in block)
+    return lines
+
+
 def read_histogram_oracle(stream) -> EulerHistogram:
     """The histogram reader converting each row with ``float()`` after
     checking its length: the same counts and FormatError texts as

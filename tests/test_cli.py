@@ -7,6 +7,7 @@ argparse owns those; everything else returns an exit code.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -74,7 +75,7 @@ def test_stage_chain(bodies_file, tmp_path, capsys):
     assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     assert main([
         "privatize", "--in", raw, "--out", noisy,
-        "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "11",
+        "--epsilon", "1.0", "--seed", "11",
     ]) == 0
     assert main(["infer", "--in", noisy, "--out", consistent]) == 0
     assert main(["round", "--in", consistent, "--out", rounded]) == 0
@@ -98,7 +99,7 @@ def test_release_equals_stage_chain(bodies_file, tmp_path, capsys):
 
     main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     main(["privatize", "--in", raw, "--out", noisy,
-          "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "4"])
+          "--epsilon", "1.0", "--seed", "4"])
     main(["infer", "--in", noisy, "--out", consistent])
     main(["round", "--in", consistent, "--out", rounded])
     rc = main(["release", *_grid(bodies_file, tmp_path), "--out", released,
@@ -132,7 +133,7 @@ def test_privatize_refuses_a_seed_outside_64_bits(bodies_file, tmp_path, capsys,
     main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     capsys.readouterr()
     rc = main(["privatize", "--in", raw, "--out", str(noisy),
-               "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", seed])
+               "--epsilon", "1.0", "--seed", seed])
     assert rc == 1 and not noisy.exists()
     assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
 
@@ -143,7 +144,7 @@ def test_privatize_without_seed_draws_fresh_noise(bodies_file, tmp_path, capsys)
     outs = [str(tmp_path / f"n{i}.hist") for i in range(2)]
     for out in outs:
         assert main(["privatize", "--in", raw, "--out", out,
-                     "--epsilon", "1.0", "--diameter-bound", "6.0"]) == 0
+                     "--epsilon", "1.0"]) == 0
     a, b = (read_histogram_file(o) for o in outs)
     assert not np.array_equal(a.counts, b.counts)
 
@@ -165,7 +166,7 @@ assert main(["build", "--bodies", bodies, "--area", "4", "--n", "4", "--diameter
 assert main(["verify", "--in", raw]) == 0
 loaded["verify"] = scipy_modules()
 assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
-             "--diameter-bound", "6.0", "--seed", "11"]) == 0
+             "--seed", "11"]) == 0
 assert main(["infer", "--in", noisy, "--out", consistent, "--objective", "linf"]) == 0
 loaded["infer linf"] = scipy_modules()
 assert main(["infer", "--in", noisy, "--out", consistent]) == 0
@@ -236,7 +237,7 @@ def test_stage_order_is_enforced(bodies_file, tmp_path, capsys):
     noisy = str(tmp_path / "noisy.hist")
     main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw])
     main(["privatize", "--in", raw, "--out", noisy,
-          "--epsilon", "1.0", "--diameter-bound", "6.0", "--seed", "1"])
+          "--epsilon", "1.0", "--seed", "1"])
     capsys.readouterr()
 
     out = str(tmp_path / "x.hist")
@@ -256,7 +257,7 @@ def test_round_refuses_tampered_consistent_file(bodies_file, tmp_path, capsys):
     consistent = tmp_path / "consistent.hist"
     assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     assert main(["privatize", "--in", raw, "--out", noisy, "--epsilon", "1.0",
-                 "--diameter-bound", "6.0", "--seed", "11"]) == 0
+                 "--seed", "11"]) == 0
     assert main(["infer", "--in", noisy, "--out", str(consistent)]) == 0
     h = read_histogram_file(str(consistent))
     p = h.partition
@@ -308,16 +309,19 @@ def test_query_argument_validation(bodies_file, tmp_path, capsys):
 @pytest.mark.parametrize("bad", ["inf", "nan"])
 def test_non_finite_privacy_flags_exit_one(bodies_file, tmp_path, capsys, flag, bad):
     """An infinite epsilon would publish exact counts: both commands that draw
-    noise refuse non-finite privacy parameters as user errors."""
+    noise refuse non-finite privacy parameters as user errors (privatize
+    takes no bound, it reads the one build recorded)."""
     raw = str(tmp_path / "raw.hist")
     assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     privacy = {"--epsilon": "1.0", "--diameter-bound": "6.0", flag: bad}
-    flags = [a for kv in privacy.items() for a in kv]
+    commands = [["release", *_grid(bodies_file, tmp_path), *(a for kv in privacy.items() for a in kv)]]
+    if flag == "--epsilon":
+        commands.append(["privatize", "--in", raw, "--epsilon", bad])
     field = flag[2:].replace("-", "_")
-    for command in (["privatize", "--in", raw], ["release", *_grid(bodies_file, tmp_path)]):
+    for command in commands:
         out = tmp_path / "out.hist"
         capsys.readouterr()
-        assert main([*command, "--out", str(out), *flags, "--seed", "1"]) == 1
+        assert main([*command, "--out", str(out), "--seed", "1"]) == 1
         assert f"error: {field} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
@@ -339,11 +343,21 @@ def test_build_refuses_a_bad_diameter_bound(bodies_file, tmp_path, capsys, bad):
         assert not out.exists()
 
 
-def test_negative_experiment_seed_exits_one(capsys):
-    keys = ["area_side=5", "n=5", "diameter_bound=1", "epsilon=1", "seed=-1",
+def _experiment_with_seed(seed: str) -> int:
+    keys = ["area_side=5", "n=5", "diameter_bound=1", "epsilon=1", f"seed={seed}",
             "synthetic=uniform", "count=5", "repetitions=1"]
-    assert main(["experiment", *(a for kv in keys for a in ("--set", kv))]) == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    return main(["experiment", *(a for kv in keys for a in ("--set", kv))])
+
+
+def test_negative_experiment_seed_exits_one(capsys):
+    assert _experiment_with_seed("-1") == 1
+    assert capsys.readouterr().err == "error: seed must be an integer in [0, 2**64), got -1\n"
+
+
+def test_experiment_seed_past_64_bits_exits_one(capsys):
+    """seed=2**64 once ran, perturbing with the noise streams of seed=0."""
+    assert _experiment_with_seed(str(2**64)) == 1
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {2**64}\n"
 
 
 def test_vanishing_epsilon_exits_one(bodies_file, tmp_path, capsys):
@@ -457,26 +471,41 @@ def test_malformed_bodies_record_is_a_user_error(record, tmp_path, capsys):
 
 
 def test_privatize_refuses_a_bound_the_bodies_were_not_checked_against(bodies_file, tmp_path, capsys):
-    """The noise is calibrated to the bound, and the noisy file states it:
-    privatize refuses a bound below the one build checked, or any bound for
-    a raw file that records none. A bound at or above it adds more noise."""
+    """The noise is calibrated to the bound build checked every body
+    against, which the raw file records: privatize refuses a raw file that
+    records none, and takes no --diameter-bound, since a larger bound adds
+    what a smaller --epsilon does. Neither writes a file."""
     unchecked, raw = str(tmp_path / "unchecked.hist"), str(tmp_path / "raw.hist")
     assert main(["build", *_grid(bodies_file, tmp_path), "--out", unchecked]) == 0
     assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
     out = tmp_path / "noisy.hist"
-    refusals = [
-        (unchecked, ["--diameter-bound", "6.0"], "records no diameter bound, so --diameter-bound 6.0"),
-        (unchecked, [], "records no diameter bound, so --diameter-bound None"),
-        (raw, ["--diameter-bound", "5.0"], "--diameter-bound 5.0 is below the diameter bound 6.0"),
-    ]
-    for path, flags, message in refusals:
-        capsys.readouterr()
-        assert main(["privatize", "--in", path, "--out", str(out), "--epsilon", "1", *flags, "--seed", "1"]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-    for flags, recorded in (([], 6.0), (["--diameter-bound", "6.0"], 6.0), (["--diameter-bound", "8.0"], 8.0)):
-        assert main(["privatize", "--in", raw, "--out", str(out), "--epsilon", "1", *flags, "--seed", "1"]) == 0
-        assert read_histogram_file(str(out)).diameter_bound == recorded
+    capsys.readouterr()
+    assert main(["privatize", "--in", unchecked, "--out", str(out), "--epsilon", "1", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "records no diameter bound" in err and "None" not in err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["privatize", "--in", raw, "--out", str(out), "--epsilon", "1", "--diameter-bound", "6.0",
+              "--seed", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --diameter-bound 6.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("11", "720254bf480fee333dae4468af921d53b858b2dcacc3b8933b2b861778e27465"),
+        ("1", "5fa82ca1286e91c3d25153efdc29d25dc30100482f0da5766d25a17899a40208"),
+    ],
+)
+def test_privatize_draws_the_noise_of_the_recorded_bound(bodies_file, tmp_path, seed, digest):
+    """The noisy file's sha256 is pinned to the bytes privatize wrote when
+    it still took --diameter-bound and defaulted it to the recorded bound."""
+    raw, noisy = str(tmp_path / "raw.hist"), tmp_path / "noisy.hist"
+    assert main(["build", *_grid(bodies_file, tmp_path), "--diameter-bound", "6.0", "--out", raw]) == 0
+    assert main(["privatize", "--in", raw, "--out", str(noisy), "--epsilon", "1.0", "--seed", seed]) == 0
+    assert hashlib.sha256(noisy.read_bytes()).hexdigest() == digest
 
 
 def test_release_names_the_line_of_a_clockwise_body(tmp_path, capsys):

@@ -274,15 +274,17 @@ def test_partition_validation():
         build_partition(0.0, 4)
     with pytest.raises(ValueError):
         build_partition(-2.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^origin must be finite, got \(nan, 0.0\)$"):
         GridPartition((float("nan"), 0.0), 1.0, 3)
+    with pytest.raises(ValueError, match="^area_side must be finite and positive, got inf$"):
+        build_partition(float("inf"), 4)
     # a float n is refused by name, not truncated to a smaller grid or
     # carried into a fractional component count
-    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 5.9"):
+    with pytest.raises(ValueError, match="^n must be an integer, got 5.9$"):
         build_partition(4000.0, 5.9)
-    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
         GridPartition((0.0, 0.0), 10.0, 2.5)
-    with pytest.raises(ValueError, match="grid resolution n must be an integer, got 4.0"):
+    with pytest.raises(ValueError, match="^n must be an integer, got 4.0$"):
         build_partition(4.0, 4.0)
     for n in (5, np.int64(5), np.int32(5), np.uint8(5)):  # stored as int
         p = build_partition(4000.0, n)

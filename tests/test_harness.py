@@ -12,6 +12,8 @@ from conftest import ConstantNoise
 from eulerdp import (
     ConfigError,
     ExperimentConfig,
+    PrivacyParams,
+    build_partition,
     config_from_mapping,
     resolve_grid_n,
     run_query_experiment,
@@ -104,7 +106,7 @@ def test_experiment_config_validation():
         _base_config(bodies_path="x.jsonl")  # two body sources
     with pytest.raises(ConfigError):
         _base_config(repetitions=0)
-    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
         _base_config(seed=-1)  # refused by name, not inside numpy's seeding
     with pytest.raises(ConfigError):
         _base_config(objective="l2")
@@ -119,7 +121,8 @@ def test_experiment_config_validation():
 def test_experiment_config_refuses_a_non_integer_by_name(field, bad):
     """Refused when the config is made, not as a TypeError inside
     ``shapes_for_percent`` or ``run_query_experiment``."""
-    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got {bad}$"):
+    # a seed's text also states its range
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer(| in .*), got {bad}$"):
         _base_config(**{field: bad})
 
 
@@ -128,6 +131,21 @@ def test_experiment_config_refuses_a_non_integer_by_name(field, bad):
 def test_experiment_config_refuses_non_finite_parameters(field, bad):
     with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
         _base_config(**{field: bad})
+
+
+def test_experiment_config_refuses_what_its_partition_and_params_refuse():
+    """A seed past 64 bits (once run with seed 0's noise streams), a NaN
+    origin and an epsilon whose noise scale overflows are refused when the
+    config is made, in the texts of the objects a run uses."""
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer in \[0, 2\*\*64\), got {2**64}$"):
+        _base_config(seed=2**64)
+    with pytest.raises(ConfigError, match=r"^origin must be finite, got \(nan, 0.0\)$"):
+        _base_config(origin=(math.nan, 0.0))
+    with pytest.raises(ConfigError, match=r"^epsilon 1e-308 is too small: the noise scale overflows$"):
+        _base_config(epsilon=1e-308)
+    cfg = _base_config(seed=2**64 - 1, origin=(2.5, -1.0))
+    assert cfg.partition == build_partition(cfg.area_side, 5, (2.5, -1.0))
+    assert cfg.params == PrivacyParams(cfg.epsilon, cfg.diameter_bound)
 
 
 def test_config_from_mapping_full():
@@ -165,7 +183,7 @@ def test_config_from_mapping_errors():
         config_from_mapping({"n": "5", "synthetic": "uniform"})
     with pytest.raises(ConfigError, match="config key n"):
         config_from_mapping({**base, "n": "five"})
-    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
         config_from_mapping({**base, "seed": "-1"})
     with pytest.raises(ConfigError, match="config key qr_shapes: shape '3by3' is not RxC"):
         config_from_mapping({**base, "qr_shapes": "3by3"})

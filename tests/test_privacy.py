@@ -153,6 +153,15 @@ def test_derive_seed_goldens():
     assert derive_seed(2**63, 5) == 12450491411820197951
 
 
+@pytest.mark.parametrize("master", [1.5, -1, 2**64])
+def test_derive_seed_refuses_a_master_it_would_alias(master):
+    """A master of 2**64 once derived seed 0's child seeds, so two
+    experiments drew the same noise."""
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64\), got {master}$"):
+        derive_seed(master, 0)
+    assert derive_seed(np.uint64(2**64 - 1), 3) == derive_seed(2**64 - 1, 3)
+
+
 def test_derive_seed_spreads():
     seen = {derive_seed(99, i) for i in range(10_000)}
     assert len(seen) == 10_000
